@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, SlpforgeError
-from .groups import derived_series, group_view
+from .groups import cached_group_view, derived_series, group_view
 from .semigroup import Semigroup, ideal_power
 from .sets import ElementSet
 
@@ -94,6 +94,17 @@ def central_commutation_level(
         if ok:
             return k
     return None
+
+
+def cached_commutation_level(S: Semigroup, kmax: int, budget: int) -> Optional[int]:
+    """``central_commutation_level``, memoised on S under (kmax, budget).
+
+    A BudgetExceededError is not memoised; it is raised again on every call.
+    """
+    return S.cached(
+        ("central_commutation_level", kmax, budget),
+        lambda: central_commutation_level(S, kmax, budget),
+    )
 
 
 def sandwich_ideal_level(
@@ -223,7 +234,7 @@ def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassR
     comm_level: Optional[int] = None
     comm_unknown = False
     try:
-        comm_level = central_commutation_level(S, cfg.kmax, cfg.scan_budget)
+        comm_level = cached_commutation_level(S, cfg.kmax, cfg.scan_budget)
     except BudgetExceededError:
         comm_unknown = True
     sand_level: Optional[int] = None
@@ -236,7 +247,7 @@ def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassR
     stable_k, sizes = stable_ideal_level(S)
     is_band, is_nb, is_lrb, is_rrb = _band_flags(S)
     try:
-        group_view(S)
+        cached_group_view(S)
         is_group = True
     except SlpforgeError:
         is_group = False

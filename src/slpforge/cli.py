@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import zoo
 from .classify import Config, classify
@@ -23,7 +21,7 @@ from .compressors import compress
 from .errors import SlpforgeError
 from .io import read_cay, read_slp, write_cay, write_slp
 from .membership import member_oracle
-from .semigroup import closure
+from .semigroup import cached_closure
 from .slp import verify as verify_slp
 
 
@@ -164,7 +162,7 @@ def cmd_bench(args) -> int:
     for inst in instances:
         params = [int(x) for x in inst.split(",")]
         S, gens, target = zoo.build_family(args.family, params)
-        members = sorted(closure(S, gens))
+        members = sorted(cached_closure(S, gens))
         targets = []
         if target is not None:
             targets.append(target)
@@ -176,21 +174,11 @@ def cmd_bench(args) -> int:
             for strat in strategies:
                 cases.append((args.family, inst, S, gens, t, strat))
 
-    workers = int(os.environ.get("SLPFORGE_THREADS", "1"))
+    # cases on one instance share its Semigroup, so its memoised structure
+    # (closure, plans, cubes) is built once per generator set
     results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_ex:
-            futs = [
-                pool_ex.submit(_bench_case, S, gens, t, strat, cfg, args.no_time)
-                for (_, _, S, gens, t, strat) in cases
-            ]
-            outs = [f.result() for f in futs]
-    else:
-        outs = [
-            _bench_case(S, gens, t, strat, cfg, args.no_time)
-            for (_, _, S, gens, t, strat) in cases
-        ]
-    for (family, inst, S, gens, t, strat), (length, width, ok, ms) in zip(cases, outs):
+    for family, inst, S, gens, t, strat in cases:
+        length, width, ok, ms = _bench_case(S, gens, t, strat, cfg, args.no_time)
         results.append(
             (family, inst, S.n, t, strat, length, width, math.log2(S.n), ok, ms)
         )

@@ -6,7 +6,13 @@ from .general import GeneralCompression, compress_general
 from .groupdispatch import group_compress
 from .peel import ideal_generators, nilpotent_peel
 from .permutative import PermNormalForm, compress_permutative, minimize_exponents
-from .reachability import CubeState, build_cube, compress_group_reachability, emit_from_cube
+from .reachability import (
+    CubeState,
+    build_cube,
+    compress_group_reachability,
+    emit_from_cube,
+    start_cube,
+)
 from .solvable import (
     DeltaSet,
     PolycyclicGenSet,
@@ -50,5 +56,6 @@ __all__ = [
     "minimize_exponents",
     "nilpotent_peel",
     "solvable_plan",
+    "start_cube",
     "word_program",
 ]

@@ -6,16 +6,21 @@ from typing import Optional, Sequence
 
 from ..classify import Config, classify
 from ..errors import SlpforgeError, UnreachableError
-from ..groups import group_view
-from ..semigroup import Semigroup, closure, sub_semigroup
+from ..groups import cached_group_view
+from ..semigroup import Semigroup, cached_closure, sub_semigroup
 from ..slp import Slp, eliminate_inverses, verify
 from .base import CompressionReport
 from .bands import compress_normal_band
 from .diameter import compress_bounded_diameter
 from .general import compress_general
 from .permutative import compress_permutative
-from .reachability import compress_group_reachability
-from .solvable import compress_group_solvable, compress_group_solvable_bounded
+from .reachability import compress_group_reachability, start_cube
+from .solvable import (
+    build_polycyclic_set,
+    compress_group_solvable,
+    compress_group_solvable_bounded,
+    solvable_plan,
+)
 
 STRATEGIES = (
     "bounded-diameter",
@@ -37,8 +42,9 @@ def _run_strategy(
     if strategy == "permutative":
         return compress_permutative(S, gens, t, None, cfg), {}
     if strategy == "group-bsz":
-        view = group_view(S)
-        prog, state = compress_group_reachability(view, gens, t)
+        view = cached_group_view(S)
+        cubes = S.cached(("cubes", tuple(gens)), lambda: [start_cube(view)])
+        prog, state = compress_group_reachability(view, gens, t, cubes)
         extras = {
             "rounds": state.rounds,
             "group_slp_width": prog.width,
@@ -47,12 +53,16 @@ def _run_strategy(
         }
         return eliminate_inverses(view, prog), extras
     if strategy == "group-solvable":
-        view = group_view(S)
-        prog, delta, chain = compress_group_solvable(view, gens, t, cfg)
+        view = cached_group_view(S)
+        plan = S.cached(("solvable_plan", tuple(gens)), lambda: solvable_plan(view, gens))
+        prog, delta, chain = compress_group_solvable(view, gens, t, cfg, plan=plan)
         return prog, {"delta_size": len(delta.records), "derived_length": chain.length}
     if strategy == "group-solvable-bw":
-        view = group_view(S)
-        prog, pcs = compress_group_solvable_bounded(view, gens, t, cfg)
+        view = cached_group_view(S)
+        pcs = S.cached(
+            ("polycyclic_set", tuple(gens)), lambda: build_polycyclic_set(view, gens)
+        )
+        prog, pcs = compress_group_solvable_bounded(view, gens, t, cfg, pcs=pcs)
         return prog, {"chain_length": len(pcs.chain_indices)}
     if strategy == "normal-band":
         bc = compress_normal_band(S, gens, t, cfg.group_strategy, cfg.band_mode, cfg)
@@ -80,15 +90,19 @@ def compress(
     """Compress t over gens with the named strategy; 'auto' dispatches.
 
     Work happens inside the generated subsemigroup, so identities verified by
-    the classifier hold exactly where the program lives.
+    the classifier hold exactly where the program lives.  Target-independent
+    structure (the closure, the sub-semigroup, group plans and cubes) is
+    memoised on S, so later targets on the same table reuse it.
     """
     cfg = config or Config()
     gens = [int(g) for g in gens]
-    members = closure(S, gens)
+    members = cached_closure(S, gens)
     if t not in members:
         raise UnreachableError(f"target {t} is outside the generated subsemigroup")
     if members.cardinality != S.n:
-        sub, to_sub, to_parent = sub_semigroup(S, members, name="<gens>")
+        sub, to_sub, to_parent = S.cached(
+            ("sub_semigroup", members), lambda: sub_semigroup(S, members, name="<gens>")
+        )
         inner = compress(
             sub, [int(to_sub[g]) for g in gens], int(to_sub[t]), strategy, cfg
         )

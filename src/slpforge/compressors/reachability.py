@@ -6,6 +6,10 @@ in element-index order, sigma in generator order) is appended; every append
 provably doubles |K|, so there are at most log2 |G| rounds.  The emitted group
 program keeps each h_i in its own register and assembles values as b^-1 c
 from two subset chains, giving width rounds + 3 and length O(log^2 |G|).
+
+The escapes never depend on the target, which only decides when growth
+stops.  The states after 0, 1, 2, ... doublings therefore form one sequence
+per group and generator list, and a kept sequence serves every later target.
 """
 
 from __future__ import annotations
@@ -57,40 +61,80 @@ class CubeState:
         self.kk = kk
 
 
-def _grow_cube(
-    G: GroupView, gens: Sequence[int], state: CubeState, target: Optional[int]
-) -> bool:
-    """Extend until the target lies in K^-1 K; target None means saturate."""
+def start_cube(G: GroupView) -> CubeState:
+    """The one-point cube {identity}: the state before the first doubling."""
+    state = CubeState()
+    state.values[G.identity] = 0
+    state.order.append(G.identity)
+    state.rebuild_kk(G)
+    return state
+
+
+def _double(G: GroupView, gens: Sequence[int], state: CubeState) -> Optional[CubeState]:
+    """The state after one more doubling, or None when nothing escapes K^-1 K.
+
+    The escape is the first a*sigma outside K^-1 K (a in element-index order,
+    sigma in generator order); no target is consulted, so the states form one
+    sequence per (group, generators).  The given state is left untouched.
+    """
     table = G.base.table
-    while True:
-        if target is not None and target in state.kk:
-            return True
-        escape = None
-        for a in sorted(state.kk):
-            for g in gens:
-                cand = int(table[a, g])
-                if cand not in state.kk:
-                    escape = (a, g, cand)
-                    break
-            if escape:
+    escape = None
+    for a in sorted(state.kk):
+        for g in gens:
+            cand = int(table[a, g])
+            if cand not in state.kk:
+                escape = (a, g, cand)
                 break
-        if escape is None:
-            return target is not None and target in state.kk
-        a, g, zval = escape
-        bmask, cmask = state.kk[a]
-        bit = 1 << len(state.h_records)
-        state.h_records.append(HRecord(zval, bmask, cmask, g))
-        before = len(state.order)
-        for v in list(state.order):
-            nv = int(table[v, zval])
-            if nv in state.values:
-                raise AssertionError("cube append failed to double; not an escape")
-            state.values[nv] = state.values[v] | bit
-            state.order.append(nv)
-        if len(state.order) != 2 * before:
-            raise AssertionError("cube size did not double")
-        state.doubling_log.append(len(state.order))
-        state.rebuild_kk(G)
+        if escape:
+            break
+    if escape is None:
+        return None
+    a, g, zval = escape
+    bmask, cmask = state.kk[a]
+    bit = 1 << len(state.h_records)
+    nxt = CubeState(
+        values=dict(state.values),
+        order=list(state.order),
+        h_records=state.h_records + [HRecord(zval, bmask, cmask, g)],
+        doubling_log=list(state.doubling_log),
+    )
+    for v in state.order:
+        nv = int(table[v, zval])
+        if nv in nxt.values:
+            raise AssertionError("cube append failed to double; not an escape")
+        nxt.values[nv] = state.values[v] | bit
+        nxt.order.append(nv)
+    if len(nxt.order) != 2 * len(state.order):
+        raise AssertionError("cube size did not double")
+    nxt.doubling_log.append(len(nxt.order))
+    nxt.rebuild_kk(G)
+    return nxt
+
+
+def cube_covering(
+    G: GroupView, gens: Sequence[int], cubes: list[CubeState], target: Optional[int]
+) -> CubeState:
+    """First state of the doubling sequence whose K^-1 K holds the target.
+
+    ``cubes`` lists the states after 0, 1, 2, ... doublings, starting with
+    ``start_cube(G)``.  Missing states are grown and appended, so a caller that
+    keeps the list answers later targets without regrowing.  Target None grows
+    until saturation and returns the last state.
+    """
+    gens = [int(g) for g in gens]
+    i = 0
+    while True:
+        state = cubes[i]
+        if target is not None and target in state.kk:
+            return state
+        if i + 1 == len(cubes):
+            nxt = _double(G, gens, state)
+            if nxt is None:
+                if target is None:
+                    return state
+                raise NotInSubgroupError(f"target {target} is outside the generated subgroup")
+            cubes.append(nxt)
+        i += 1
 
 
 def _emit_chain(b: SlpBuilder, regs: list[int], mask: int, scratch: int) -> int:
@@ -152,15 +196,8 @@ def _emit_pair(
 
 
 def build_cube(G: GroupView, gens: Sequence[int], target: Optional[int]) -> CubeState:
-    gens = [int(g) for g in gens]
-    state = CubeState()
-    state.values[G.identity] = 0
-    state.order.append(G.identity)
-    state.rebuild_kk(G)
-    found = _grow_cube(G, gens, state, target)
-    if target is not None and not found:
-        raise NotInSubgroupError(f"target {target} is outside the generated subgroup")
-    return state
+    """Grow a fresh cube until K^-1 K holds the target (None: until saturated)."""
+    return cube_covering(G, gens, [start_cube(G)], target)
 
 
 def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
@@ -191,8 +228,14 @@ def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) 
 
 
 def compress_group_reachability(
-    G: GroupView, gens: Sequence[int], t: int
+    G: GroupView, gens: Sequence[int], t: int, cubes: Optional[list[CubeState]] = None
 ) -> tuple[Slp, CubeState]:
-    """Group SLP for t over gens; width <= rounds + 3, strict cube doubling."""
-    state = build_cube(G, gens, t)
+    """Group SLP for t over gens; width <= rounds + 3, strict cube doubling.
+
+    ``cubes`` is a doubling sequence kept from earlier targets on the same
+    group and generators (see ``cube_covering``); None starts a fresh one.
+    """
+    if cubes is None:
+        cubes = [start_cube(G)]
+    state = cube_covering(G, gens, cubes, t)
     return emit_from_cube(G, gens, state, t), state

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..classify import Config
 from ..errors import (
     ChainVerificationFailedError,
@@ -69,7 +71,7 @@ def adapt_subnormal(
     its image.  One dedicated register accumulates the product of the lifts.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
-    if not is_adapted(G, sigma, chain):
+    if not _adapted(G, sigma, chain):
         raise NotAdaptedError("generating set is not adapted to the chain")
     level_programs: list[Slp] = []
     t_prime = t
@@ -78,9 +80,10 @@ def adapt_subnormal(
         prev_term, cur_term = chain.terms[i - 1], chain.terms[i]
         if prev_term == cur_term:
             continue
-        sub, sub_view, to_sub, to_parent = extract_group(G.base, prev_term)
-        n_sub = ElementSet.from_indices(sub.n, [int(to_sub[x]) for x in cur_term])
-        Q = quotient_group(sub_view, n_sub)
+        to_sub, Q = G.base.cached(
+            ("level_quotient", prev_term, cur_term),
+            lambda: _level_quotient(G, prev_term, cur_term),
+        )
         if t_prime not in prev_term:
             raise SlpforgeError("residual target escaped its chain term")
         x = Q.projection[int(to_sub[t_prime])]
@@ -125,6 +128,22 @@ def adapt_subnormal(
             return fast_exp(g, 1)
         return fast_exp(g, order if t == G.identity else 1)
     return _accumulate(level_programs)
+
+
+def _adapted(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> bool:
+    """``is_adapted``, memoised on the table, so a plan's own set is checked once."""
+    key = ("is_adapted", tuple(sigma), tuple(chain.terms))
+    return G.base.cached(key, lambda: is_adapted(G, sigma, chain))
+
+
+def _level_quotient(
+    G: GroupView, upper: ElementSet, lower: ElementSet
+) -> tuple[np.ndarray, QuotientGroup]:
+    """upper/lower as a quotient of the carved-out group upper, with the map
+    from G's indices into upper's."""
+    sub, sub_view, to_sub, _ = extract_group(G.base, upper)
+    lower_sub = ElementSet.from_indices(sub.n, [int(to_sub[x]) for x in lower])
+    return to_sub, quotient_group(sub_view, lower_sub)
 
 
 def _eval_plain(G: GroupView, prog: Slp) -> int:
@@ -309,7 +328,7 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> tuple[DeltaSet, SeriesC
     if not chain.is_trivial_terminal:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
-    if not is_adapted(G, delta.values, chain):
+    if not _adapted(G, delta.values, chain):
         raise SlpforgeError("derived-adapted set failed the adaptedness check")
     return delta, chain, emit_delta_program(G, delta)
 
@@ -347,6 +366,7 @@ class PolycyclicGenSet:
     records: list[PolyRecord]
     chain_indices: list[int]
     chain: SeriesChain
+    exponent: int                       # of the group, for omega-minus-one inverses
 
     def chain_records(self) -> list[PolyRecord]:
         return [self.records[i] for i in self.chain_indices]
@@ -470,7 +490,7 @@ def build_polycyclic_set(
         if terms[j - 1].cardinality % sub.cardinality:
             raise ChainVerificationFailedError("non-Lagrangian chain step")
     chain = SeriesChain(terms, step_generators=[records[i].value for i in kept])
-    return PolycyclicGenSet(records, kept, chain)
+    return PolycyclicGenSet(records, kept, chain, G.exponent())
 
 
 def _commutator(G: GroupView, g: int, h: int) -> int:
@@ -550,9 +570,7 @@ def compress_group_solvable_bounded(
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     if pcs is None:
         pcs = build_polycyclic_set(G, sigma, config)
-    exponent = 1
-    for g in G.carrier:
-        exponent = math.lcm(exponent, G.element_order(g))
+    exponent = pcs.exponent
     inv_exp = exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
 
     # pass 1: discrete logarithms along the chain

@@ -102,6 +102,18 @@ def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
     return GroupView(S, carrier, neutral, inverse)
 
 
+def cached_group_view(S: Semigroup) -> GroupView:
+    """``group_view(S)`` of the whole table, memoised on S."""
+
+    def parts():
+        view = group_view(S)
+        return view.carrier, view.identity, view.inverse
+
+    # the memo keeps the parts, not the view: a view refers back to S, and
+    # that cycle would keep the table alive until the cyclic collector runs
+    return GroupView(S, *S.cached(("group_view",), parts))
+
+
 def extract_group(
     S: Semigroup, carrier: ElementSet, name: str = ""
 ) -> tuple[Semigroup, GroupView, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 from .classify import Config
 from .compressors import CompressionReport, compress
 from .errors import BudgetExceededError, CompressorFailedError, SlpforgeError
-from .semigroup import Semigroup, closure
+from .semigroup import Semigroup, cached_closure, closure
 from .slp import Slp
 
 
@@ -21,8 +21,12 @@ class MembershipAnswer:
 
 
 def member_oracle(S: Semigroup, gens: Sequence[int], t: int) -> bool:
-    """Worklist closure; the ground truth every certificate is checked against."""
-    return t in closure(S, gens)
+    """Worklist closure; the ground truth every certificate is checked against.
+
+    The closure is memoised on S, so ``compress`` on the same generators
+    reuses it.
+    """
+    return t in cached_closure(S, gens)
 
 
 def member_certified(

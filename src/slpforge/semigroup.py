@@ -14,7 +14,7 @@ constructors that know a small generating set pass it as a hint.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .sets import ElementSet
 
 _FULL_CHECK_MAX = 512
 DIRECT_PRODUCT_MAX = 20_000
+
+_V = TypeVar("_V")
 
 
 def _min_dtype(n: int):
@@ -61,7 +63,7 @@ class Semigroup:
         self._omega = None
         self._omega_exp = None
         self._period = None
-        self._j_down_cache: dict[int, ElementSet] = {}
+        self._memo: dict = {}
         if not _trusted:
             self._check_associativity()
 
@@ -128,6 +130,22 @@ class Semigroup:
             gens.append(g)
             in_set |= self._magma_closure_mask(np.flatnonzero(in_set).tolist() + [g])
         return gens
+
+    def cached(self, key: Hashable, build: Callable[[], _V]) -> _V:
+        """Return the memoised value under ``key``, calling ``build()`` on a miss.
+
+        The table is read-only, so a value derived from it (and from what the
+        key names: generators, masks, budgets) never goes stale; it lives as
+        long as this object.  The key must name everything ``build`` depends on
+        besides the table.  An exception from ``build`` propagates and leaves
+        nothing behind, so a failed build is retried on the next call.  Cached
+        values are shared between callers and must not be mutated.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- basic product queries ---------------------------------------------
 
@@ -244,9 +262,9 @@ class Semigroup:
 
     def j_downset(self, a: int) -> ElementSet:
         """All x with x <=_J a, that is x in S^1 a S^1.  Cached per element."""
-        cached = self._j_down_cache.get(a)
-        if cached is not None:
-            return cached
+        return self.cached(("j_downset", a), lambda: self._j_downset(a))
+
+    def _j_downset(self, a: int) -> ElementSet:
         table = self.table
         in_set = np.zeros(self.n, dtype=bool)
         in_set[a] = True
@@ -259,9 +277,7 @@ class Semigroup:
             new = cand[~in_set[cand]]
             in_set[new] = True
             frontier = new.tolist()
-        result = ElementSet.from_indices(self.n, np.flatnonzero(in_set).tolist())
-        self._j_down_cache[a] = result
-        return result
+        return ElementSet.from_indices(self.n, np.flatnonzero(in_set).tolist())
 
     def j_leq(self, x: int, a: int) -> bool:
         return x in self.j_downset(a)
@@ -292,6 +308,12 @@ def closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
             raise OutOfRangeError(f"generator {g} outside [0, {S.n})")
     mask = S._magma_closure_mask(seed)
     return ElementSet.from_indices(S.n, np.flatnonzero(mask).tolist())
+
+
+def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
+    """``closure(S, gens)``, memoised on S under the sorted generator set."""
+    key = tuple(sorted(set(int(g) for g in gens)))
+    return S.cached(("closure", key), lambda: closure(S, key))
 
 
 def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[int]]:

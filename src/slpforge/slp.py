@@ -422,27 +422,20 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
     its inverses once via the prefix/suffix-product trick plus a single
     omega-minus-one exponentiation, then mirror the program so each original
     register is paired with one holding the inverse value.  INV becomes a
-    role swap realised by renaming; no copies are emitted.
+    role swap realised by renaming; no copies are emitted.  The prelude's
+    inputs (minimal subset, inverting power) depend only on the identity and
+    the alphabet, and are memoised on the table.
     """
     if not prog.is_group:
         return prog
     if not any(ins[0] == "I" for ins in prog.instructions):
         return Slp(prog.alphabet, prog.instructions, prog.output, is_group=False)
 
-    sigma = sorted(set(prog.alphabet))
-    sub = closure(G.base, sigma)
-    sub_view = GroupView(
-        G.base,
-        sub,
-        G.identity if G.identity in sub else _sub_identity(G, sub),
-        G.inverse,
+    sigma = tuple(sorted(set(prog.alphabet)))
+    sigma_min, inv_exp = G.base.cached(
+        ("inverse_prelude", G.identity, sigma), lambda: _inverse_prelude(G, sigma)
     )
-    sigma_min = sorted(minimal_generating_subset(sub_view, sigma))
     s = len(sigma_min)
-    exponent = 1
-    for g in sub:
-        exponent = math.lcm(exponent, int(G.base.periods[g]))
-    inv_exp = exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
 
     b = SlpBuilder(is_group=False)
     inv_reg = {g: b.fresh() for g in sigma_min}   # later holds g^-1
@@ -538,6 +531,23 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
             dst, x = ins[1], ins[2]
             state.rebind(dst, state.neg[x], state.pos[x])
     return b.finish(state.pos[prog.output])
+
+
+def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Minimal generating subset of the group the alphabet generates, and the
+    power that inverts every element of that group."""
+    sub = closure(G.base, sigma)
+    sub_view = GroupView(
+        G.base,
+        sub,
+        G.identity if G.identity in sub else _sub_identity(G, sub),
+        G.inverse,
+    )
+    sigma_min = tuple(sorted(minimal_generating_subset(sub_view, sigma)))
+    exponent = 1
+    for g in sub:
+        exponent = math.lcm(exponent, int(G.base.periods[g]))
+    return sigma_min, exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
 
 
 def _sub_identity(G: GroupView, sub) -> int:

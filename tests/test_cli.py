@@ -1,10 +1,10 @@
-import os
 import subprocess
 import sys
 
-import pytest
-
+from slpforge import zoo
 from slpforge.cli import main
+from slpforge.compressors import compress
+from slpforge.semigroup import Semigroup
 
 
 def run(args):
@@ -110,11 +110,20 @@ def test_console_script_entry():
     assert proc.returncode == 0
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLPFORGE_THREADS", "2")
+def test_bench_group_sweep_matches_fresh_tables(tmp_path):
+    # bench reuses one table for every case of an instance; each row must
+    # match compress on a fresh table for its target and strategy
     out = str(tmp_path / "bench.csv")
+    strategies = ("group-bsz", "group-solvable", "group-solvable-bw")
     rc = run(
-        ["bench", "--family", "cyclic", "--instances", "8;16", "--strategies",
-         "auto", "--targets", "2", "--seed", "3", "--no-time", "--out", out]
+        ["bench", "--family", "dihedral", "--instances", "16", "--strategies",
+         ",".join(strategies), "--targets", "6", "--seed", "3", "--no-time", "--out", out]
     )
     assert rc == 0
+    rows = [l.split(",") for l in open(out).read().splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 6 * len(strategies)
+    S, gens, _ = zoo.build_family("dihedral", [16])
+    for _, _, _, t, strategy, length, width, _, verified, _ in rows:
+        assert verified == "true"
+        report = compress(Semigroup(S.table), gens, int(t), strategy)
+        assert (int(length), int(width)) == (report.length, report.width), (t, strategy)
