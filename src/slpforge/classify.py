@@ -4,6 +4,10 @@ All flags are computed by exhaustive scans over the concrete table, guarded
 by budgets.  The central-commutation scan avoids the naive n^4 loop: a*x*y*b
 equals a*y*x*b for all b in the ideal iff (a*x)*y and (a*y)*x fall into the
 same right-translation class over that ideal, so each a costs one n^2 pass.
+
+``recommend`` walks the dispatch ladder and computes only the flags it needs
+to reach a decision; ``classify`` computes every flag for reporting.  Both
+memoise each flag on the Semigroup, keyed by the config fields it reads.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, SlpforgeError
 from .groups import cached_group_view, derived_series, group_view
-from .semigroup import Semigroup, ideal_power
+from .semigroup import Semigroup, ideal_chain, products_outside
 from .sets import ElementSet
 
 DEFAULT_KMAX = 6
@@ -26,7 +30,6 @@ DEFAULT_SCAN_BUDGET = 10**8
 class Config:
     kmax: int = DEFAULT_KMAX
     scan_budget: int = DEFAULT_SCAN_BUDGET
-    identity_budget: int = 10**8
     diameter: Optional[int] = None
     band_mode: str = "wide"
     group_strategy: str = "auto"
@@ -51,17 +54,40 @@ class ClassReport:
     ideal_sizes: list[int] = field(default_factory=list)
 
 
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """Class id per row of a 2-D array; equal rows share an id.
+
+    Each row is viewed as one opaque byte string, so a 1-D unique sorts
+    fixed-width keys instead of comparing rows column by column.  Ids are
+    only meaningful for equality; their order is unspecified.
+    """
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, inv = np.unique(keys.ravel(), return_inverse=True)
+    return inv.ravel()
+
+
 def _right_classes(S: Semigroup, cols: np.ndarray) -> np.ndarray:
     """Class ids of elements under u ~ v iff u*b == v*b for all b in cols."""
-    sub = S.table[:, cols]
-    _, inv = np.unique(sub.reshape(S.n, -1), axis=0, return_inverse=True)
-    return inv
+    return _row_classes(S.table[:, cols])
 
 
 def _left_classes(S: Semigroup, rows: np.ndarray) -> np.ndarray:
-    sub = S.table[rows, :]
-    _, inv = np.unique(sub.reshape(rows.size, -1).T, axis=0, return_inverse=True)
-    return inv
+    """Class ids of elements under u ~ v iff a*u == a*v for all a in rows."""
+    return _row_classes(S.table[rows, :].T)
+
+
+def _ideal_levels(S: Semigroup, kmax: int):
+    """(k, members of S^k) for k = 1 .. kmax, stopping once the chain is stable.
+
+    Every level flag depends on k only through S^k, so a level at which the
+    chain has stopped shrinking decides nothing the one before it did not.
+    """
+    chain = ideal_chain(S)
+    for k in range(1, min(kmax, len(chain)) + 1):
+        yield k, np.flatnonzero(chain[k - 1])
 
 
 def central_commutation_level(
@@ -75,10 +101,7 @@ def central_commutation_level(
     table = S.table
     if np.array_equal(table, table.T):
         return 0
-    ideal = ElementSet.full(S.n)
-    for k in range(1, kmax + 1):
-        ideal = ideal_power(S, k)
-        members = ideal.to_array()
+    for k, members in _ideal_levels(S, kmax):
         if members.size * S.n * S.n > budget:
             raise BudgetExceededError(
                 f"central-commutation scan at level {k} exceeds budget"
@@ -96,17 +119,6 @@ def central_commutation_level(
     return None
 
 
-def cached_commutation_level(S: Semigroup, kmax: int, budget: int) -> Optional[int]:
-    """``central_commutation_level``, memoised on S under (kmax, budget).
-
-    A BudgetExceededError is not memoised; it is raised again on every call.
-    """
-    return S.cached(
-        ("central_commutation_level", kmax, budget),
-        lambda: central_commutation_level(S, kmax, budget),
-    )
-
-
 def sandwich_ideal_level(
     S: Semigroup, kmax: int = DEFAULT_KMAX, budget: int = DEFAULT_SCAN_BUDGET
 ) -> Optional[int]:
@@ -117,9 +129,7 @@ def sandwich_ideal_level(
     on both sides of every replaced letter.
     """
     table = S.table
-    for k in range(1, kmax + 1):
-        ideal = ideal_power(S, k)
-        members = ideal.to_array()
+    for k, members in _ideal_levels(S, kmax):
         if members.size**2 > budget:
             raise BudgetExceededError(f"sandwich scan at level {k} exceeds budget")
         rcls = _right_classes(S, members)
@@ -134,17 +144,8 @@ def sandwich_ideal_level(
                 break
         if not ok:
             continue
-        cr = [int(s) for s in members if int(table[om[int(s)], int(s)]) == int(s)]
-        cr_set = set(cr)
-        closed = True
-        for a in cr:
-            for b in cr:
-                if int(table[a, b]) not in cr_set:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
+        cr = members[table[om[members], members] == members]
+        if not products_outside(S, cr).size:
             return k
     return None
 
@@ -156,8 +157,7 @@ def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:
     on ideal columns, checked through right-translation classes.
     """
     table = S.table
-    for k in range(1, kmax + 1):
-        members = ideal_power(S, k).to_array()
+    for k, members in _ideal_levels(S, kmax):
         if not (table[members, members] == members).all():
             continue
         rcls = _right_classes(S, members)
@@ -174,114 +174,152 @@ def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:
     return None
 
 
+def is_medial(S: Semigroup) -> bool:
+    """Does uxyv = uyxv hold for all u, x, y, v in S?  O(n^2 log n).
+
+    Collapse each value to its left-translation class (z ~ z' iff uz = uz'
+    for all u); then uxyv = uyxv for all u, v iff the rows of xy and of yx
+    agree after that collapse.  On a band this is the normal-band law.
+    """
+    table = S.table
+    lcls = _left_classes(S, np.arange(S.n)).astype(table.dtype)
+    r2 = _row_classes(lcls[table])
+    return bool(np.array_equal(r2[table], r2[table.T]))
+
+
 def _band_flags(S: Semigroup) -> tuple[bool, Optional[bool], Optional[bool], Optional[bool]]:
     table = S.table
     idx = np.arange(S.n, dtype=np.int64)
     is_band = bool((table[idx, idx] == idx).all())
-    xy = table.astype(np.int64)
-    xyx = np.zeros_like(xy)
-    for x in range(S.n):
-        xyx[x] = table[xy[x], x]
-    is_lrb = is_band and bool(np.array_equal(xyx, xy))
-    is_rrb = is_band and bool(np.array_equal(xyx, _yx(table)))
-    # uxyv = uyxv for all u, v iff xy and yx right-translate identically after
-    # collapsing left-translation-equivalent values
-    lcls = _left_classes(S, idx)
-    m2 = lcls[xy]
-    _, r2 = np.unique(m2, axis=0, return_inverse=True)
-    is_medial = bool(np.array_equal(r2[xy], r2[_yx(table)]))
-    is_normal_band = is_band and is_medial
+    xyx = table[table, idx[:, None]]            # (x, y) -> x*y*x
+    is_lrb = is_band and bool(np.array_equal(xyx, table))
+    is_rrb = is_band and bool(np.array_equal(xyx, table.T))
+    is_normal_band = is_band and is_medial(S)
     return is_band, is_normal_band, is_lrb, is_rrb
 
 
-def _yx(table: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(table.astype(np.int64).T)
-
-
 def maximal_subgroups_solvable(S: Semigroup) -> bool:
+    """Is the H-class of every idempotent a solvable group?
+
+    The H-class of e is the group of units of eSe: the elements of eSe whose
+    idempotent power is e.  A trivial H-class {e} is solvable and skipped.
+    """
     table = S.table
     idx = np.arange(S.n, dtype=np.int64)
     idems = np.flatnonzero(table[idx, idx] == idx)
     om = S.omega_powers
     for e in idems:
-        exe = np.unique(table[int(e), table[:, int(e)].astype(np.int64)].astype(np.int64))
-        unit = [int(s) for s in exe if int(om[int(s)]) == int(e)]
-        view = group_view(S, ElementSet.from_indices(S.n, unit))
+        exe = np.zeros(S.n, dtype=bool)
+        exe[table[e, table[:, e]]] = True
+        unit = exe & (om == e)
+        if np.count_nonzero(unit) == 1:
+            continue
+        view = group_view(S, ElementSet.from_mask(unit))
         if not derived_series(view).is_trivial_terminal:
             return False
     return True
 
 
 def stable_ideal_level(S: Semigroup) -> tuple[int, list[int]]:
-    sizes = []
-    prev = None
-    k = 0
-    while True:
-        k += 1
-        cur = ideal_power(S, k)
-        sizes.append(cur.cardinality)
-        if prev is not None and cur == prev:
-            return k - 1, sizes
-        prev = cur
-        if k > S.n + 1:
-            raise SlpforgeError("ideal chain failed to stabilise")
+    """Least k with S^k = S^(k+1), and |S^1|, ..., |S^(k+1)|."""
+    chain = ideal_chain(S)
+    sizes = [int(np.count_nonzero(mask)) for mask in chain]
+    return len(chain), sizes + sizes[-1:]
+
+
+def _flag(S: Semigroup, fn, *args):
+    """``fn(S, *args)``, memoised on S under (fn name, *args).
+
+    An exception (a BudgetExceededError, say) is not memoised; it is raised
+    again on every call.
+    """
+    return S.cached((fn.__name__, *args), lambda: fn(S, *args))
+
+
+def cached_commutation_level(S: Semigroup, kmax: int, budget: int) -> Optional[int]:
+    """``central_commutation_level``, memoised on S under (kmax, budget)."""
+    return _flag(S, central_commutation_level, kmax, budget)
+
+
+def _level_or_unknown(S: Semigroup, fn, kmax: int, budget: int) -> tuple[Optional[int], bool]:
+    """(memoised level, False), or (None, True) when the scan is over budget."""
+    try:
+        return _flag(S, fn, kmax, budget), False
+    except BudgetExceededError:
+        return None, True
+
+
+def _is_group(S: Semigroup) -> bool:
+    try:
+        cached_group_view(S)
+        return True
+    except SlpforgeError:
+        return False
+
+
+def _solvable_or_none(S: Semigroup) -> Optional[bool]:
+    try:
+        return _flag(S, maximal_subgroups_solvable)
+    except SlpforgeError:
+        return None
+
+
+def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
+    """The strategy ``auto`` dispatches to, memoised on S.
+
+    Walks the ladder in order and stops at the first rung that decides, so
+    only the flags that rung and the ones above it need are computed:
+
+    1. some S^k (k <= kmax) is a rectangular band -> bounded-diameter
+    2. central commutation at some level k <= kmax -> permutative
+    3. a group -> group-solvable-bw if solvable, else group-bsz
+    4. completely regular -> normal-band
+    5. the sandwich identity at some level k <= kmax -> general
+    6. otherwise -> bounded-diameter
+
+    A scan over budget on rung 2 or 5 counts as "no".
+    """
+    cfg = config or Config()
+    kmax, budget = cfg.kmax, cfg.scan_budget
+
+    def ladder() -> str:
+        if _flag(S, rb_ideal_level, kmax) is not None:
+            return "bounded-diameter"
+        if _level_or_unknown(S, central_commutation_level, kmax, budget)[0] is not None:
+            return "permutative"
+        if _is_group(S):
+            return "group-solvable-bw" if _solvable_or_none(S) else "group-bsz"
+        if S.is_completely_regular():
+            return "normal-band"
+        if _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0] is not None:
+            return "general"
+        return "bounded-diameter"
+
+    return S.cached(("recommend", kmax, budget), ladder)
 
 
 def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassReport:
-    """Compute all dispatch flags and a recommended strategy."""
+    """Compute all dispatch flags; ``recommended`` comes from ``recommend``."""
     cfg = config or Config()
-    completely_regular = S.is_completely_regular()
-    comm_level: Optional[int] = None
-    comm_unknown = False
-    try:
-        comm_level = cached_commutation_level(S, cfg.kmax, cfg.scan_budget)
-    except BudgetExceededError:
-        comm_unknown = True
-    sand_level: Optional[int] = None
-    sand_unknown = False
-    try:
-        sand_level = sandwich_ideal_level(S, cfg.kmax, cfg.scan_budget)
-    except BudgetExceededError:
-        sand_unknown = True
-    rb_level = rb_ideal_level(S, cfg.kmax)
-    stable_k, sizes = stable_ideal_level(S)
-    is_band, is_nb, is_lrb, is_rrb = _band_flags(S)
-    try:
-        cached_group_view(S)
-        is_group = True
-    except SlpforgeError:
-        is_group = False
-    try:
-        solvable = maximal_subgroups_solvable(S)
-    except SlpforgeError:
-        solvable = None
-
-    if rb_level is not None:
-        recommended = "bounded-diameter"
-    elif comm_level is not None:
-        recommended = "permutative"
-    elif is_group:
-        recommended = "group-solvable-bw" if solvable else "group-bsz"
-    elif completely_regular:
-        recommended = "normal-band"
-    elif sand_level is not None:
-        recommended = "general"
-    else:
-        recommended = "bounded-diameter"
+    kmax, budget = cfg.kmax, cfg.scan_budget
+    comm_level, comm_unknown = _level_or_unknown(S, central_commutation_level, kmax, budget)
+    sand_level, sand_unknown = _level_or_unknown(S, sandwich_ideal_level, kmax, budget)
+    stable_k, sizes = _flag(S, stable_ideal_level)
+    is_band, is_nb, is_lrb, is_rrb = _flag(S, _band_flags)
     return ClassReport(
-        completely_regular=completely_regular,
+        completely_regular=S.is_completely_regular(),
         commutation_level=comm_level,
         commutation_unknown=comm_unknown,
         sandwich_level=sand_level,
         sandwich_unknown=sand_unknown,
-        rb_ideal_level=rb_level,
+        rb_ideal_level=_flag(S, rb_ideal_level, kmax),
         stable_ideal_level=stable_k,
         is_band=is_band,
         is_normal_band=is_nb,
         is_lrb=is_lrb,
         is_rrb=is_rrb,
-        is_group=is_group,
-        groups_solvable=solvable,
-        recommended=recommended,
+        is_group=_is_group(S),
+        groups_solvable=_solvable_or_none(S),
+        recommended=recommend(S, cfg),
         ideal_sizes=sizes,
     )

@@ -31,7 +31,6 @@ def _config(args) -> Config:
         cfg.kmax = args.kmax
     if getattr(args, "budget", None) is not None:
         cfg.scan_budget = args.budget
-        cfg.identity_budget = args.budget
     return cfg
 
 

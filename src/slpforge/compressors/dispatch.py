@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..classify import Config, classify
+from ..classify import Config, recommend
 from ..errors import SlpforgeError, UnreachableError
 from ..groups import cached_group_view
 from ..semigroup import Semigroup, cached_closure, sub_semigroup
@@ -91,8 +91,9 @@ def compress(
 
     Work happens inside the generated subsemigroup, so identities verified by
     the classifier hold exactly where the program lives.  Target-independent
-    structure (the closure, the sub-semigroup, group plans and cubes) is
-    memoised on S, so later targets on the same table reuse it.
+    structure (the closure, the sub-semigroup, the ``auto`` recommendation,
+    group plans and cubes) is memoised on S, so later targets on the same
+    table reuse it.
     """
     cfg = config or Config()
     gens = [int(g) for g in gens]
@@ -120,8 +121,7 @@ def compress(
 
     extras: dict = {}
     if strategy == "auto":
-        cls = classify(S, gens, cfg)
-        chosen = cls.recommended
+        chosen = recommended = recommend(S, cfg)
         try:
             slp, extras = _run_strategy(S, gens, t, chosen, cfg)
         except SlpforgeError:
@@ -130,7 +130,7 @@ def compress(
             chosen = "bounded-diameter"
             slp, extras = _run_strategy(S, gens, t, chosen, cfg)
             extras["fallback"] = True
-        extras["classified"] = cls.recommended
+        extras["classified"] = recommended
     else:
         chosen = strategy
         slp, extras = _run_strategy(S, gens, t, strategy, cfg)

@@ -18,7 +18,8 @@ from .errors import (
     NotCompletelyRegularError,
 )
 from .groups import GroupView, group_view
-from .identities import IDENTITY_BAND, IDENTITY_NORMAL_BAND, satisfies_identity
+from .classify import is_medial
+from .identities import IDENTITY_BAND, satisfies_identity
 from .semigroup import Semigroup
 from .sets import ElementSet
 
@@ -46,7 +47,7 @@ def _pack_rows(mat: np.ndarray) -> np.ndarray:
     return np.packbits(mat, axis=1)
 
 
-def band_of_groups_decomposition(S: Semigroup, identity_budget: int = 10**8) -> BandDecomposition:
+def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     """Split a completely regular S into subgroups over its H-class band."""
     if not S.is_completely_regular():
         base = np.arange(S.n, dtype=np.int64)
@@ -102,9 +103,9 @@ def band_of_groups_decomposition(S: Semigroup, identity_budget: int = 10**8) -> 
 
     btable = cls[table[np.ix_(reps, reps)].astype(np.int64)]
     band = Semigroup.trusted(btable, name=f"{S.name}/H" if S.name else "")
-    if not satisfies_identity(band, *IDENTITY_BAND, budget=identity_budget):
+    if not satisfies_identity(band, *IDENTITY_BAND):
         raise BandNotNormalError("quotient is not idempotent")
-    if not satisfies_identity(band, *IDENTITY_NORMAL_BAND, budget=identity_budget):
+    if not is_medial(band):
         raise BandNotNormalError("quotient band fails uxyv = uyxv")
 
     idempotents = [v.identity for v in views]

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotAGroupError, NotNormalError
-from .semigroup import Semigroup, closure, sub_semigroup
+from .semigroup import Semigroup, closure, products_outside, sub_semigroup
 from .sets import ElementSet
 
 
@@ -68,10 +68,10 @@ def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
         carrier = ElementSet.full(S.n)
     mem = carrier.to_array()
     table = S.table
-    prods = np.unique(table[np.ix_(mem, mem)].astype(np.int64))
-    for p in prods:
-        if int(p) not in carrier:
-            raise NotAGroupError(f"carrier not product-closed at {int(p)}", witness=int(p))
+    outside = products_outside(S, mem)
+    if outside.size:
+        p = int(outside[0])
+        raise NotAGroupError(f"carrier not product-closed at {p}", witness=p)
     idems = [int(e) for e in mem if table[e, e] == e]
     neutral = None
     for e in idems:
@@ -235,21 +235,29 @@ class SeriesChain:
         ]
 
 
+_COMMUTATOR_ROWS = 256
+
+
 def derived_series(G: GroupView) -> SeriesChain:
-    """G >= G' >= G'' >= ... until stabilisation (all commutator pairs, no sampling)."""
+    """G >= G' >= G'' >= ... until stabilisation (all commutator pairs, no sampling).
+
+    Commutators of each term are gathered in blocks of rows g, so the
+    temporaries stay at ``_COMMUTATOR_ROWS`` x |term| table entries.
+    """
     terms = [G.carrier]
     cur = G.carrier
     table = G.base.table
     while True:
         mem = cur.to_array()
         inv_mem = np.asarray([G.inverse[int(h)] for h in mem], dtype=np.int64)
-        comms: set[int] = set()
-        for g, ginv in zip(mem, inv_mem):
-            left = table[ginv, inv_mem].astype(np.int64)       # g^-1 h^-1
-            mid = table[left, int(g)].astype(np.int64)         # g^-1 h^-1 g
-            vals = table[mid, mem]                             # g^-1 h^-1 g h
-            comms.update(int(c) for c in np.unique(vals))
-        nxt = closure(G.base, sorted(comms))
+        hit = np.zeros(G.base.n, dtype=bool)
+        for start in range(0, mem.size, _COMMUTATOR_ROWS):
+            g = mem[start : start + _COMMUTATOR_ROWS, None]
+            ginv = inv_mem[start : start + _COMMUTATOR_ROWS, None]
+            left = table[ginv, inv_mem]                        # g^-1 h^-1
+            mid = table[left, g]                               # g^-1 h^-1 g
+            hit[table[mid, mem]] = True                        # g^-1 h^-1 g h
+        nxt = closure(G.base, np.flatnonzero(hit).tolist())
         if nxt == cur:
             break
         terms.append(nxt)
@@ -288,10 +296,9 @@ def quotient_group(G: GroupView, N: ElementSet) -> QuotientGroup:
         raise NotAGroupError("subgroup does not contain the identity", witness=G.identity)
     nm = N.to_array()
     table = G.base.table
-    prods = np.unique(table[np.ix_(nm, nm)].astype(np.int64))
-    for p in prods:
-        if int(p) not in N:
-            raise NotAGroupError("subgroup set not product-closed", witness=int(p))
+    outside = products_outside(G.base, nm)
+    if outside.size:
+        raise NotAGroupError("subgroup set not product-closed", witness=int(outside[0]))
     for h in G.carrier:
         hi = G.inverse[h]
         conj = table[table[hi, nm].astype(np.int64), h].astype(np.int64)

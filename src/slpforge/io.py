@@ -6,6 +6,7 @@ write/read/write cycle is byte-identical.
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -46,10 +47,20 @@ def write_cay(
 
 
 def parse_cay(text: str) -> tuple[Semigroup, Optional[list[int]], Optional[int]]:
+    # numpy before 2.0 stops a row at an unparsable token with a
+    # DeprecationWarning and a short row; numpy 2 raises ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        table, name, gens, target = _read_cay_text(text)
+    S = validate_table(table, name=name, gens_hint=gens)
+    return S, gens, target
+
+
+def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Optional[int]]:
     gens: Optional[list[int]] = None
     target: Optional[int] = None
     name = ""
-    rows: list[list[int]] = []
+    rows: list[np.ndarray] = []
     n: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -71,8 +82,8 @@ def parse_cay(text: str) -> tuple[Semigroup, Optional[list[int]], Optional[int]]
             n = int(parts[1])
             continue
         try:
-            row = [int(x) for x in line.split()]
-        except ValueError as exc:
+            row = np.fromstring(line, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
             raise FormatError(f"line {lineno}: bad table row") from exc
         if len(row) != n:
             raise FormatError(f"line {lineno}: row has {len(row)} entries, expected {n}")
@@ -81,8 +92,7 @@ def parse_cay(text: str) -> tuple[Semigroup, Optional[list[int]], Optional[int]]
         raise FormatError("missing CAYLEY header")
     if len(rows) != n:
         raise FormatError(f"expected {n} rows, found {len(rows)}")
-    S = validate_table(np.asarray(rows, dtype=np.int64), name=name, gens_hint=gens)
-    return S, gens, target
+    return np.array(rows, dtype=np.int64), name, gens, target
 
 
 def read_cay(path: PathLike) -> tuple[Semigroup, Optional[list[int]], Optional[int]]:

@@ -110,16 +110,11 @@ class Semigroup:
         frontier = seed_arr
         while frontier.size:
             cur = np.flatnonzero(in_set)
-            prods = np.concatenate(
-                [
-                    table[np.ix_(frontier, cur)].ravel(),
-                    table[np.ix_(cur, frontier)].ravel(),
-                ]
-            ).astype(np.int64)
-            cand = np.unique(prods)
-            new = cand[~in_set[cand]]
-            in_set[new] = True
-            frontier = new
+            hit = np.zeros(self.n, dtype=bool)
+            hit[table[np.ix_(frontier, cur)]] = True
+            hit[table[np.ix_(cur, frontier)]] = True
+            frontier = np.flatnonzero(hit & ~in_set)
+            in_set[frontier] = True
         return in_set
 
     def _greedy_generators(self) -> list[int]:
@@ -268,16 +263,14 @@ class Semigroup:
         table = self.table
         in_set = np.zeros(self.n, dtype=bool)
         in_set[a] = True
-        frontier = [a]
-        while frontier:
-            f = np.asarray(frontier, dtype=np.int64)
-            cand = np.unique(
-                np.concatenate([table[:, f].ravel(), table[f, :].ravel()])
-            ).astype(np.int64)
-            new = cand[~in_set[cand]]
-            in_set[new] = True
-            frontier = new.tolist()
-        return ElementSet.from_indices(self.n, np.flatnonzero(in_set).tolist())
+        frontier = np.asarray([a], dtype=np.int64)
+        while frontier.size:
+            hit = np.zeros(self.n, dtype=bool)
+            hit[table[:, frontier]] = True
+            hit[table[frontier, :]] = True
+            frontier = np.flatnonzero(hit & ~in_set)
+            in_set[frontier] = True
+        return ElementSet.from_mask(in_set)
 
     def j_leq(self, x: int, a: int) -> bool:
         return x in self.j_downset(a)
@@ -306,8 +299,7 @@ def closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
     for g in seed:
         if not 0 <= g < S.n:
             raise OutOfRangeError(f"generator {g} outside [0, {S.n})")
-    mask = S._magma_closure_mask(seed)
-    return ElementSet.from_indices(S.n, np.flatnonzero(mask).tolist())
+    return ElementSet.from_mask(S._magma_closure_mask(seed))
 
 
 def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
@@ -371,22 +363,43 @@ def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[in
     return word
 
 
+def ideal_chain(S: Semigroup) -> tuple[np.ndarray, ...]:
+    """The strictly descending chain S^1 > S^2 > ... > S^m, memoised on S.
+
+    Entries are read-only boolean masks over the elements.  The last entry is
+    the stable ideal: S^k equals it for every k >= m.
+    """
+
+    def build():
+        cur = np.ones(S.n, dtype=bool)
+        cur.setflags(write=False)
+        chain = [cur]
+        while True:
+            nxt = np.zeros(S.n, dtype=bool)
+            nxt[S.table[cur, :]] = True
+            if np.array_equal(nxt, cur):
+                return tuple(chain)
+            nxt.setflags(write=False)
+            chain.append(nxt)
+            cur = nxt
+
+    return S.cached(("ideal_chain",), build)
+
+
 def ideal_power(S: Semigroup, k: int) -> ElementSet:
     """S^k: values of all products of exactly k elements."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cur = np.ones(S.n, dtype=bool)
-    table = S.table
-    all_idx = np.arange(S.n, dtype=np.int64)
-    for _ in range(k - 1):
-        members = np.flatnonzero(cur)
-        nxt = np.zeros(S.n, dtype=bool)
-        prods = table[np.ix_(members, all_idx)].astype(np.int64)
-        nxt[np.unique(prods)] = True
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    return ElementSet.from_indices(S.n, np.flatnonzero(cur).tolist())
+    chain = ideal_chain(S)
+    return ElementSet.from_mask(chain[min(k, len(chain)) - 1])
+
+
+def products_outside(S: Semigroup, members: np.ndarray) -> np.ndarray:
+    """Ascending products a*b, with a and b in ``members``, that leave it."""
+    hit = np.zeros(S.n, dtype=bool)
+    hit[S.table[np.ix_(members, members)]] = True
+    hit[members] = False
+    return np.flatnonzero(hit)
 
 
 def is_ideal(S: Semigroup, I: ElementSet) -> bool:
@@ -394,9 +407,11 @@ def is_ideal(S: Semigroup, I: ElementSet) -> bool:
         return False
     members = I.to_array()
     table = S.table
-    prods_l = np.unique(table[:, members].astype(np.int64))
-    prods_r = np.unique(table[members, :].astype(np.int64))
-    return all(int(x) in I for x in prods_l) and all(int(x) in I for x in prods_r)
+    hit = np.zeros(S.n, dtype=bool)
+    hit[table[:, members]] = True
+    hit[table[members, :]] = True
+    hit[members] = False
+    return not hit.any()
 
 
 def rees_quotient(S: Semigroup, I: ElementSet) -> tuple[Semigroup, np.ndarray]:
@@ -443,8 +458,7 @@ def sub_semigroup(S: Semigroup, members: ElementSet, name: str = "") -> tuple[Se
     element x (or -1), ``to_parent[i]`` the parent index of sub-element i.
     """
     mem = members.to_array()
-    prods = np.unique(S.table[np.ix_(mem, mem)].astype(np.int64))
-    if not all(int(x) in members for x in prods):
+    if products_outside(S, mem).size:
         raise ValueError("subset is not product-closed")
     to_sub = np.full(S.n, -1, dtype=np.int64)
     to_sub[mem] = np.arange(mem.size)

@@ -31,6 +31,12 @@ class ElementSet:
         return cls(n, mask)
 
     @classmethod
+    def from_mask(cls, bools: np.ndarray) -> "ElementSet":
+        """Set of the True positions of a 1-D boolean array."""
+        packed = np.packbits(np.asarray(bools, dtype=bool), bitorder="little")
+        return cls(len(bools), int.from_bytes(packed.tobytes(), "little"))
+
+    @classmethod
     def full(cls, n: int) -> "ElementSet":
         return cls(n, (1 << n) - 1)
 

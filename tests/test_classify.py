@@ -1,14 +1,26 @@
+import importlib
+import random
+
+import numpy as np
 import pytest
 
 from slpforge import zoo
 from slpforge.classify import (
     Config,
+    _row_classes,
     central_commutation_level,
     classify,
+    is_medial,
     rb_ideal_level,
+    recommend,
     sandwich_ideal_level,
 )
 from slpforge.errors import BudgetExceededError
+from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
+from slpforge.semigroup import Semigroup
+
+# the package re-exports the function ``classify`` under the module's name
+classify_mod = importlib.import_module("slpforge.classify")
 
 
 def test_commutative_is_level_zero():
@@ -116,7 +128,7 @@ def test_classify_extension_over_abelian_base_is_permutative():
     assert rep.recommended == "permutative"
 
 
-def test_classify_general_extension_nonabelian_base():
+def _general_extension():
     S3 = zoo.make_sym(3)
     base = zoo.make_normal_band_of_groups("product", p=2, q=2, group=S3)
     a = zoo.perm_index(3, (1, 0, 2))
@@ -126,6 +138,11 @@ def test_classify_general_extension_nonabelian_base():
 
     assert closure(base, assignment).cardinality == base.n
     T, _ = zoo.make_nilpotent_extension(base, len(assignment), assignment, 2)
+    return T
+
+
+def test_classify_general_extension_nonabelian_base():
+    T = _general_extension()
     rep = classify(T)
     assert rep.commutation_level is None
     assert not rep.completely_regular
@@ -138,3 +155,163 @@ def test_stable_ideal_chain():
     rep = classify(w.semigroup)
     assert rep.ideal_sizes[0] == 16
     assert rep.ideal_sizes[-1] == 1
+
+
+# -- the lazy recommendation ladder ------------------------------------------
+
+
+def _transformation_semigroup(rng: random.Random, cap: int = 120):
+    """Closure of 1-4 random maps on 3-6 points, or None past ``cap`` elements.
+
+    Maps compose left to right: (a*b)(x) = b(a(x)).
+    """
+    points = rng.randint(3, 6)
+    gens = [tuple(rng.randrange(points) for _ in range(points)) for _ in range(rng.randint(1, 4))]
+    elems = list(dict.fromkeys(gens))
+    index = {e: i for i, e in enumerate(elems)}
+    for a in elems:  # grows while iterating: a worklist over right multiples
+        for g in gens:
+            c = tuple(g[a[x]] for x in range(points))
+            if c not in index:
+                if len(elems) == cap:
+                    return None
+                index[c] = len(elems)
+                elems.append(c)
+    table = [[index[tuple(b[a[x]] for x in range(points))] for b in elems] for a in elems]
+    return Semigroup.trusted(np.asarray(table))
+
+
+def _random_semigroups(count: int, seed: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        S = _transformation_semigroup(rng)
+        if S is not None:
+            out.append(S)
+    return out
+
+
+def _fresh(S: Semigroup) -> Semigroup:
+    return Semigroup.trusted(S.table)
+
+
+def test_recommend_matches_classify_on_zoo(zoo_small):
+    for name, (S, _, _) in zoo_small.items():
+        assert recommend(_fresh(S)) == classify(_fresh(S)).recommended, name
+
+
+def test_recommend_matches_classify_on_random_semigroups():
+    seen = set()
+    for S in _random_semigroups(200, seed=20261018):
+        rec = recommend(_fresh(S))
+        assert rec == classify(_fresh(S)).recommended, S.table.tolist()
+        seen.add(rec)
+    # the draw reaches every rung but the group ones
+    assert {"bounded-diameter", "permutative", "normal-band", "general"} <= seen
+
+
+def test_recommend_is_keyed_by_budget():
+    S, _, _ = zoo.build_family("rb-x-cyclic", [2, 2, 3])
+    S = _fresh(S)
+    assert recommend(S) == "permutative"
+    # an over-budget commutation scan counts as "no"; the next rung decides
+    tight = Config(scan_budget=10)
+    assert recommend(S, tight) == "normal-band"
+    assert classify(_fresh(S), config=tight).recommended == "normal-band"
+    assert recommend(S) == "permutative"
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(classify_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, name, counted)
+    return calls
+
+
+def test_recommend_skips_flags_past_the_deciding_rung(monkeypatch, zoo_small):
+    sandwich = _counting(monkeypatch, "sandwich_ideal_level")
+    bands = _counting(monkeypatch, "_band_flags")
+    # a failed group view is not memoised, so only the memoised
+    # recommendation keeps a reused non-group table from retrying it
+    views = _counting(monkeypatch, "cached_group_view")
+    # small members of the families the benchmark's zoo-auto workload uses;
+    # all of them are decided above the sandwich rung
+    decided_early = {
+        "rb": [5, 5],
+        "power-witness": [3, 2],
+        "dihedral": [16],
+        "heisenberg": [3],
+        "rb-x-cyclic": [2, 2, 4],
+        "semilattice": [4],
+        "lrb-witness": [4],
+        "nilpotent-rb": [2, 2, 3, 2],
+        "alt": [5],
+    }
+    cases = dict(zoo_small)
+    for family, params in decided_early.items():
+        cases[family] = zoo.build_family(family, params)
+    for name, (S, _, _) in cases.items():
+        T = _fresh(S)
+        before = len(sandwich)
+        first = recommend(T)
+        reached_sandwich = len(sandwich) - before
+        assert reached_sandwich <= 1, name
+        views_before = len(views)
+        for _ in range(3):
+            assert recommend(T) == first, name
+        assert len(sandwich) == before + reached_sandwich, name
+        assert len(views) == views_before, name
+        if name in decided_early:
+            assert reached_sandwich == 0, name
+    assert bands == []
+
+
+def test_classify_reuses_the_flags_recommend_computed(monkeypatch):
+    S = _fresh(_general_extension())
+    sandwich = _counting(monkeypatch, "sandwich_ideal_level")
+    assert recommend(S) == "general"
+    classify(S)
+    classify(S)
+    assert len(sandwich) == 1
+
+
+# -- translation classes and the medial test ----------------------------------
+
+
+def _partition(ids: np.ndarray) -> list[int]:
+    """Relabel class ids by first occurrence, so equal partitions compare equal."""
+    first: dict[int, int] = {}
+    return [first.setdefault(int(c), len(first)) for c in ids]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("shape", [(40, 3), (200, 1), (64, 17), (7, 0), (1, 5)])
+def test_row_classes_match_unique_rows(dtype, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    high = 3 if dtype is np.uint8 else 70000
+    rows = rng.integers(0, high, size=shape, dtype=np.int64).astype(dtype)
+    if shape[0] > 1:
+        rows[rng.integers(0, shape[0], size=shape[0] // 2)] = rows[0]
+    _, ref = np.unique(rows, axis=0, return_inverse=True)
+    assert _partition(_row_classes(rows)) == _partition(ref.ravel())
+    # a strided (transposed) input is handled too
+    cols = np.ascontiguousarray(rows.T).T
+    assert _partition(_row_classes(cols)) == _partition(ref.ravel())
+
+
+def test_medial_matches_normal_band_identity(zoo_small):
+    bands = 0
+    for name, (S, _, _) in zoo_small.items():
+        assert is_medial(S) == satisfies_identity(S, *IDENTITY_NORMAL_BAND), name
+        idx = np.arange(S.n)
+        bands += bool((S.table[idx, idx] == idx).all())
+    for variant in ("LRB", "RRB"):
+        for n in (2, 3):
+            S = zoo.make_obstruction_witness(variant, n).semigroup
+            assert is_medial(S) == satisfies_identity(S, *IDENTITY_NORMAL_BAND)
+    assert bands >= 4

@@ -142,6 +142,33 @@ def test_derived_series_s3():
     assert py_closure(table, comms) == set(chain.terms[1])
 
 
+def _py_derived_series(G, table):
+    """Reference: every commutator pair in plain Python, closed by py_closure."""
+    terms = [set(G.carrier)]
+    while True:
+        cur = terms[-1]
+        comms = {
+            table[table[table[G.inverse[g]][G.inverse[h]]][g]][h] for g in cur for h in cur
+        }
+        nxt = py_closure(table, comms)
+        if nxt == cur:
+            return terms
+        terms.append(nxt)
+        if len(nxt) == 1:
+            return terms
+
+
+@pytest.mark.parametrize(
+    "S", [zoo.make_dihedral(150), zoo.make_heisenberg(7)], ids=["D150", "H7"]
+)
+def test_derived_series_past_one_commutator_block(S):
+    # both groups have more elements than one block of commutator rows
+    G = group_view(S)
+    expected = _py_derived_series(G, table_of(S))
+    assert [set(t) for t in derived_series(G).terms] == expected
+    assert len(expected) == 3
+
+
 def test_derived_series_abelian():
     G = group_view(zoo.make_abelian([4, 3]))
     chain = derived_series(G)

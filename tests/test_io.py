@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import slpforge.io
 from slpforge import zoo
 from slpforge.errors import FormatError
 from slpforge.io import dump_cay, dump_slp, parse_cay, parse_slp
@@ -29,6 +32,35 @@ def test_cay_errors():
         parse_cay("CAYLEY 2\n0 1\n")
     with pytest.raises(FormatError):
         parse_cay("CAYLEY 2\n0 1 0\n1 0\n")
+
+
+@pytest.mark.parametrize("token", ["x", "2.5", "1,2", "1e3", "0x1"])
+def test_cay_non_integer_token(token):
+    for row in (f"{token} 0", f"0 {token}"):
+        with pytest.raises(FormatError, match="line 3: bad table row"):
+            parse_cay(f"CAYLEY 2\n0 1\n{row}\n")
+
+
+def test_cay_short_row_from_old_numpy(monkeypatch):
+    # numpy before 2.0 stops at a bad token with a warning and a short row
+    def fromstring(line, dtype, sep):
+        warnings.warn("string could not be read to its end", DeprecationWarning)
+        return np.asarray([int(line.split()[0])], dtype=dtype)
+
+    monkeypatch.setattr(slpforge.io.np, "fromstring", fromstring)
+    with pytest.raises(FormatError, match="line 2: bad table row"):
+        parse_cay("CAYLEY 1\n0 x\n")
+
+
+def test_cay_row_errors_name_the_line():
+    with pytest.raises(FormatError, match="line 3: row has 1 entries, expected 2"):
+        parse_cay("CAYLEY 2\n0 1\n1\n")
+    with pytest.raises(FormatError, match="expected 2 rows, found 3"):
+        parse_cay("CAYLEY 2\n0 1\n1 0\n1 0\n")
+    with pytest.raises(FormatError, match="missing CAYLEY header"):
+        parse_cay("# only a comment\n")
+    S, _, _ = parse_cay("CAYLEY 2\n 0\t1 \n1   0\n")
+    assert S.table.tolist() == [[0, 1], [1, 0]]
 
 
 def test_slp_roundtrip_bit_exact():

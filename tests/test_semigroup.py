@@ -12,6 +12,7 @@ from slpforge.semigroup import (
     Semigroup,
     closure,
     direct_product,
+    ideal_chain,
     ideal_power,
     is_ideal,
     rees_quotient,
@@ -186,6 +187,24 @@ def test_ideal_power_nilpotent_extension():
         table[table[a][b]][c] for a in all_elems for b in all_elems for c in all_elems
     }
     assert set(ideal_power(T, 3)) == prods
+
+
+def test_ideal_power_matches_naive_products(zoo_small):
+    for name, (S, _, _) in zoo_small.items():
+        table = table_of(S)
+        level = set(range(S.n))  # S^1
+        for k in range(1, 9):
+            assert set(ideal_power(S, k)) == level, (name, k)
+            level = {table[a][b] for a in level for b in range(S.n)}
+
+
+def test_ideal_chain_is_memoised_and_read_only(zoo_small):
+    S, _, _ = zoo_small["NilExt"]
+    chain = ideal_chain(S)
+    assert chain is ideal_chain(S)
+    assert len(chain) >= 2 and not chain[0].flags.writeable
+    sizes = [int(m.sum()) for m in chain]
+    assert sizes == sorted(set(sizes), reverse=True)
 
 
 def test_ideal_chain_stabilises(zoo_small):
