@@ -12,7 +12,6 @@ import math
 
 from slpforge import evaluate
 from slpforge.compressors import (
-    build_polycyclic_set,
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
@@ -44,8 +43,7 @@ print(f"\nD512 derived-series route: length {slp.length} "
 print(f"  adapted generating set of size {len(delta.records)} across "
       f"{len(chain.terms) - 1} levels")
 
-pcs = build_polycyclic_set(GD, dgens)
-slp2, _ = compress_group_solvable_bounded(GD, dgens, t, pcs=pcs)
+slp2, pcs = compress_group_solvable_bounded(GD, dgens, t)
 print(f"D512 polycyclic route: length {slp2.length}, width {slp2.width}")
 print(f"  chain of {len(pcs.chain_indices)} cyclic steps")
 assert evaluate(D, slp).output_value == t == evaluate(D, slp2).output_value

@@ -16,7 +16,7 @@ from slpforge.zoo import build_family, make_nilpotent_extension
 S, gens, _ = build_family("rb-x-cyclic", [2, 2, 9])
 t = 25
 for mode in ("wide", "narrow"):
-    bc = compress_normal_band(S, gens, t, "auto", mode)
+    bc = compress_normal_band(S, gens, t, mode)
     print(
         f"RB(2,2) x Z9, mode={mode}: width {bc.slp.width} "
         f"(group part {bc.group_width}), length {bc.slp.length}"

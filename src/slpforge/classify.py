@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, SlpforgeError
-from .groups import cached_group_view, derived_series, group_view
+from .groups import GroupView, cached_group_view, derived_series, group_view, is_solvable
 from .semigroup import Semigroup, ideal_chain, products_outside
 from .sets import ElementSet
 
@@ -30,9 +30,6 @@ DEFAULT_SCAN_BUDGET = 10**8
 class Config:
     kmax: int = DEFAULT_KMAX
     scan_budget: int = DEFAULT_SCAN_BUDGET
-    diameter: Optional[int] = None
-    band_mode: str = "wide"
-    group_strategy: str = "auto"
 
 
 @dataclass
@@ -264,6 +261,16 @@ def _solvable_or_none(S: Semigroup) -> Optional[bool]:
         return None
 
 
+def group_route(G: GroupView) -> str:
+    """The group strategy for G: group-solvable-bw if solvable, else group-bsz.
+
+    Rung 3 of ``recommend`` for a group table, and the class-group step of
+    ``normal-band``, which must not walk the whole ladder: rungs 1 and 2
+    would send trivial or abelian class groups elsewhere.
+    """
+    return "group-solvable-bw" if is_solvable(G) else "group-bsz"
+
+
 def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
     """The strategy ``auto`` dispatches to, memoised on S.
 
@@ -288,7 +295,7 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
         if _level_or_unknown(S, central_commutation_level, kmax, budget)[0] is not None:
             return "permutative"
         if _is_group(S):
-            return "group-solvable-bw" if _solvable_or_none(S) else "group-bsz"
+            return group_route(cached_group_view(S))
         if S.is_completely_regular():
             return "normal-band"
         if _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0] is not None:

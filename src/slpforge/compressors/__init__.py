@@ -1,9 +1,8 @@
 from .base import CompressionReport, word_program
 from .bands import BandCompression, class_generators, compress_normal_band
 from .diameter import compress_bounded_diameter
-from .dispatch import STRATEGIES, compress
+from .dispatch import STRATEGIES, compress, compress_in_group
 from .general import GeneralCompression, compress_general
-from .groupdispatch import group_compress
 from .peel import ideal_generators, nilpotent_peel
 from .permutative import PermNormalForm, compress_permutative, minimize_exponents
 from .reachability import (
@@ -47,11 +46,11 @@ __all__ = [
     "compress_group_reachability",
     "compress_group_solvable",
     "compress_group_solvable_bounded",
+    "compress_in_group",
     "compress_normal_band",
     "compress_permutative",
     "emit_delta_program",
     "emit_from_cube",
-    "group_compress",
     "ideal_generators",
     "minimize_exponents",
     "nilpotent_peel",

@@ -12,17 +12,16 @@ exponentiating a live group value whenever it had to be overwritten.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..classify import Config
+from ..classify import group_route
 from ..decomposition import BandDecomposition, band_of_groups_decomposition
 from ..errors import DecompositionFailedError, SlpforgeError
 from ..groups import extract_group
 from ..semigroup import Semigroup, closure
 from ..slp import Slp, SlpBuilder, evaluate
-from .groupdispatch import group_compress
 from .permutative import compress_permutative
 
 
@@ -52,7 +51,7 @@ def class_generators(
         for g2 in gens:
             candidates.append(((g1, g2), int(table[g1, g2])))
     for wit, val in candidates:
-        if e not in S.j_downset(val):
+        if not decomp.j_below(alpha, val):
             continue
         sval = int(table[int(table[e, val]), e])
         if sval in seen:
@@ -69,10 +68,11 @@ def compress_normal_band(
     S: Semigroup,
     gens: Sequence[int],
     t: int,
-    group_strategy: str = "auto",
     mode: str = "wide",
-    config: Optional[Config] = None,
 ) -> BandCompression:
+    # dispatch imports this module, so its group path is imported on use
+    from .dispatch import compress_in_group
+
     if mode not in ("wide", "narrow"):
         raise ValueError("mode must be 'wide' or 'narrow'")
     gens = [int(g) for g in gens]
@@ -102,7 +102,7 @@ def compress_normal_band(
 
     sub, view, to_sub, to_parent = extract_group(S, carrier, name="S_alpha")
     gsub = [int(to_sub[v]) for v in sigma_alpha]
-    gprog = group_compress(view, gsub, int(to_sub[t]), group_strategy, config)
+    gprog, _ = compress_in_group(view, gsub, int(to_sub[t]), group_route(view))
     gparent = Slp(
         tuple(int(to_parent[v]) for v in gprog.alphabet),
         gprog.instructions,

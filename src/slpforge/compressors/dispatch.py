@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 from ..classify import Config, recommend
 from ..errors import SlpforgeError, UnreachableError
-from ..groups import cached_group_view
+from ..groups import GroupView, cached_group_view
 from ..semigroup import Semigroup, cached_closure, sub_semigroup
 from ..slp import Slp, eliminate_inverses, verify
 from .base import CompressionReport
@@ -14,65 +14,65 @@ from .bands import compress_normal_band
 from .diameter import compress_bounded_diameter
 from .general import compress_general
 from .permutative import compress_permutative
-from .reachability import compress_group_reachability, start_cube
-from .solvable import (
-    build_polycyclic_set,
-    compress_group_solvable,
-    compress_group_solvable_bounded,
-    solvable_plan,
-)
+from .reachability import compress_group_reachability
+from .solvable import compress_group_solvable, compress_group_solvable_bounded
 
+GROUP_STRATEGIES = ("group-bsz", "group-solvable", "group-solvable-bw")
 STRATEGIES = (
     "bounded-diameter",
     "permutative",
-    "group-bsz",
-    "group-solvable",
-    "group-solvable-bw",
+    *GROUP_STRATEGIES,
     "normal-band",
     "general",
     "auto",
 )
 
 
-def _run_strategy(
-    S: Semigroup, gens: list[int], t: int, strategy: str, cfg: Config
+def compress_in_group(
+    G: GroupView, gens: list[int], t: int, strategy: str
 ) -> tuple[Slp, dict]:
-    if strategy == "bounded-diameter":
-        return compress_bounded_diameter(S, gens, t, D=cfg.diameter), {}
-    if strategy == "permutative":
-        return compress_permutative(S, gens, t, None, cfg), {}
+    """Run a group strategy inside G; the program has no INV instructions.
+
+    The one path for every group program: ``compress`` runs it on a group
+    table, ``normal-band`` on each class group.  Each builder memoises its
+    target-independent structure on G's table.
+    """
     if strategy == "group-bsz":
-        view = cached_group_view(S)
-        cubes = S.cached(("cubes", tuple(gens)), lambda: [start_cube(view)])
-        prog, state = compress_group_reachability(view, gens, t, cubes)
+        prog, state = compress_group_reachability(G, gens, t)
         extras = {
             "rounds": state.rounds,
             "group_slp_width": prog.width,
             "group_slp_length": prog.length,
             "doubling_log": list(state.doubling_log),
         }
-        return eliminate_inverses(view, prog), extras
+        return eliminate_inverses(G, prog), extras
     if strategy == "group-solvable":
-        view = cached_group_view(S)
-        plan = S.cached(("solvable_plan", tuple(gens)), lambda: solvable_plan(view, gens))
-        prog, delta, chain = compress_group_solvable(view, gens, t, cfg, plan=plan)
+        prog, delta, chain = compress_group_solvable(G, gens, t)
         return prog, {"delta_size": len(delta.records), "derived_length": chain.length}
     if strategy == "group-solvable-bw":
-        view = cached_group_view(S)
-        pcs = S.cached(
-            ("polycyclic_set", tuple(gens)), lambda: build_polycyclic_set(view, gens)
-        )
-        prog, pcs = compress_group_solvable_bounded(view, gens, t, cfg, pcs=pcs)
+        prog, pcs = compress_group_solvable_bounded(G, gens, t)
         return prog, {"chain_length": len(pcs.chain_indices)}
+    raise ValueError(f"unknown group strategy {strategy!r}")
+
+
+def _run_strategy(
+    S: Semigroup, gens: list[int], t: int, strategy: str, cfg: Config
+) -> tuple[Slp, dict]:
+    if strategy == "bounded-diameter":
+        return compress_bounded_diameter(S, gens, t), {}
+    if strategy == "permutative":
+        return compress_permutative(S, gens, t, None, cfg), {}
+    if strategy in GROUP_STRATEGIES:
+        return compress_in_group(cached_group_view(S), gens, t, strategy)
     if strategy == "normal-band":
-        bc = compress_normal_band(S, gens, t, cfg.group_strategy, cfg.band_mode, cfg)
+        bc = compress_normal_band(S, gens, t)
         return bc.slp, {
             "group_width": bc.group_width,
             "group_length": bc.group_length,
             "alpha": bc.alpha,
         }
     if strategy == "general":
-        gc = compress_general(S, gens, t, cfg, cfg.group_strategy, cfg.band_mode)
+        gc = compress_general(S, gens, t, cfg)
         extras = {"peel_level": gc.peel_level}
         if gc.group_width is not None:
             extras["group_width"] = gc.group_width
@@ -92,8 +92,8 @@ def compress(
     Work happens inside the generated subsemigroup, so identities verified by
     the classifier hold exactly where the program lives.  Target-independent
     structure (the closure, the sub-semigroup, the ``auto`` recommendation,
-    group plans and cubes) is memoised on S, so later targets on the same
-    table reuse it.
+    and the group builders' plans and cubes) is memoised on S, so later
+    targets on the same table reuse it.
     """
     cfg = config or Config()
     gens = [int(g) for g in gens]

@@ -40,8 +40,6 @@ def compress_general(
     gens: Sequence[int],
     t: int,
     config: Optional[Config] = None,
-    group_strategy: str = "auto",
-    mode: str = "wide",
 ) -> GeneralCompression:
     cfg = config or Config()
     k = sandwich_ideal_level(S, cfg.kmax, cfg.scan_budget)
@@ -52,7 +50,7 @@ def compress_general(
     info: dict = {}
 
     def inner(sub: Semigroup, delta: list[int], t_sub: int) -> Slp:
-        prog, band, split = _compress_sandwich(sub, delta, t_sub, group_strategy, mode, cfg)
+        prog, band, split = _compress_sandwich(sub, delta, t_sub)
         info["band"] = band
         info["split"] = split
         return prog
@@ -72,12 +70,7 @@ def compress_general(
 
 
 def _compress_sandwich(
-    S: Semigroup,
-    gens: Sequence[int],
-    t: int,
-    group_strategy: str,
-    mode: str,
-    cfg: Config,
+    S: Semigroup, gens: Sequence[int], t: int
 ) -> tuple[Slp, Optional[BandCompression], Optional[tuple]]:
     """Inside the sandwich-identity ideal: three-way split and leaf rewrite."""
     word = shortest_word(S, gens, t)
@@ -100,12 +93,7 @@ def _compress_sandwich(
     members = closure(S, tilde_gens)
     sub, to_sub, to_parent = sub_semigroup(S, members, name="S~")
     band = compress_normal_band(
-        sub,
-        [int(to_sub[g]) for g in tilde_gens],
-        int(to_sub[t_tilde]),
-        group_strategy=group_strategy,
-        mode=mode,
-        config=cfg,
+        sub, [int(to_sub[g]) for g in tilde_gens], int(to_sub[t_tilde])
     )
     tilde_prog = band.slp
     rewritten_alphabet = tuple(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..errors import NotInSubgroupError
-from ..groups import GroupView
+from ..groups import GroupView, cached_on_group
 from ..slp import Slp, SlpBuilder
 
 
@@ -228,14 +228,14 @@ def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) 
 
 
 def compress_group_reachability(
-    G: GroupView, gens: Sequence[int], t: int, cubes: Optional[list[CubeState]] = None
+    G: GroupView, gens: Sequence[int], t: int
 ) -> tuple[Slp, CubeState]:
     """Group SLP for t over gens; width <= rounds + 3, strict cube doubling.
 
-    ``cubes`` is a doubling sequence kept from earlier targets on the same
-    group and generators (see ``cube_covering``); None starts a fresh one.
+    The doubling sequence is kept on the table per (carrier, generator list)
+    and grown only as far as the targets asked so far need (see
+    ``cube_covering``).
     """
-    if cubes is None:
-        cubes = [start_cube(G)]
+    cubes = cached_on_group(G, "cubes", gens, lambda G, _: [start_cube(G)])
     state = cube_covering(G, gens, cubes, t)
     return emit_from_cube(G, gens, state, t), state

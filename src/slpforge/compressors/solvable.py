@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..classify import Config
 from ..errors import (
     ChainVerificationFailedError,
     NotAdaptedError,
@@ -41,6 +40,7 @@ from ..groups import (
     GroupView,
     QuotientGroup,
     SeriesChain,
+    cached_on_group,
     derived_series,
     extract_group,
     is_adapted,
@@ -334,14 +334,14 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> tuple[DeltaSet, SeriesC
 
 
 def compress_group_solvable(
-    G: GroupView,
-    sigma: Sequence[int],
-    t: int,
-    config: Optional[Config] = None,
-    plan: Optional[tuple[DeltaSet, SeriesChain, Slp]] = None,
+    G: GroupView, sigma: Sequence[int], t: int
 ) -> tuple[Slp, DeltaSet, SeriesChain]:
-    """O(log |G|)-length ordinary SLP for solvable G, width unbounded."""
-    delta, chain, dprog = plan if plan is not None else solvable_plan(G, sigma)
+    """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
+
+    The plan is built once per (carrier, generator list) and memoised on the
+    table, so later targets only run the adapted-series walk.
+    """
+    delta, chain, dprog = cached_on_group(G, "solvable_plan", sigma, solvable_plan)
     aprog = adapt_subnormal(G, delta.values, chain, t, "abelian")
     composed = append_compose(G.base, aprog, dprog, group=G)
     plain = eliminate_inverses(G, composed)
@@ -397,9 +397,7 @@ def _conjugator_words(G: GroupView, sigma: Sequence[int], k: int) -> list[tuple[
     return out
 
 
-def build_polycyclic_set(
-    G: GroupView, sigma: Sequence[int], config: Optional[Config] = None
-) -> PolycyclicGenSet:
+def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet:
     """Layered conjugate/commutator records inducing a verified cyclic chain."""
     dchain = derived_series(G)
     if not dchain.is_trivial_terminal:
@@ -560,16 +558,15 @@ class _BoundedEmitter:
 
 
 def compress_group_solvable_bounded(
-    G: GroupView,
-    sigma: Sequence[int],
-    t: int,
-    config: Optional[Config] = None,
-    pcs: Optional[PolycyclicGenSet] = None,
+    G: GroupView, sigma: Sequence[int], t: int
 ) -> tuple[Slp, PolycyclicGenSet]:
-    """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G."""
+    """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G.
+
+    The polycyclic set is built once per (carrier, generator list) and
+    memoised on the table.
+    """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
-    if pcs is None:
-        pcs = build_polycyclic_set(G, sigma, config)
+    pcs = cached_on_group(G, "polycyclic_set", sigma, build_polycyclic_set)
     exponent = pcs.exponent
     inv_exp = exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
 

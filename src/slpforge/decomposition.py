@@ -42,6 +42,15 @@ class BandDecomposition:
     def class_of(self, x: int) -> int:
         return int(self.projection[x])
 
+    def j_below(self, alpha: int, x: int) -> bool:
+        """Is the idempotent of class alpha in S^1 x S^1?
+
+        S is a band of groups, so J-order is the order of the band S/H, where
+        a <=_J b iff aba = a: one lookup instead of a search over S.
+        """
+        B = self.band.table
+        return bool(B[B[alpha, self.class_of(x)], alpha] == alpha)
+
 
 def _pack_rows(mat: np.ndarray) -> np.ndarray:
     return np.packbits(mat, axis=1)

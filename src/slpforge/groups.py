@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,17 @@ def cached_group_view(S: Semigroup) -> GroupView:
     # the memo keeps the parts, not the view: a view refers back to S, and
     # that cycle would keep the table alive until the cyclic collector runs
     return GroupView(S, *S.cached(("group_view",), parts))
+
+
+def cached_on_group(G: GroupView, name: str, gens: Sequence[int], build: Callable):
+    """``build(G, gens)``, memoised on G's table under (name, carrier, gens).
+
+    The carrier is part of the key because one table holds many groups: a
+    subgroup view and the whole group take one generator list to different
+    structures.  Views are rebuilt per call, so the memo lives on the table.
+    """
+    gens = [int(g) for g in gens]
+    return G.base.cached((name, G.carrier, tuple(gens)), lambda: build(G, gens))
 
 
 def extract_group(

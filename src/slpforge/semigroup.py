@@ -134,7 +134,9 @@ class Semigroup:
         long as this object.  The key must name everything ``build`` depends on
         besides the table.  An exception from ``build`` propagates and leaves
         nothing behind, so a failed build is retried on the next call.  Cached
-        values are shared between callers and must not be mutated.
+        values are shared between callers and must not be mutated, with one
+        exception: the ``group-bsz`` cube list, which only grows by append
+        (``reachability.cube_covering``), so every prefix stays valid.
         """
         try:
             return self._memo[key]
@@ -254,26 +256,6 @@ class Semigroup:
         base = np.arange(self.n, dtype=np.int64)
         mask = self.table[om, base] == base
         return ElementSet.from_indices(self.n, np.flatnonzero(mask).tolist())
-
-    def j_downset(self, a: int) -> ElementSet:
-        """All x with x <=_J a, that is x in S^1 a S^1.  Cached per element."""
-        return self.cached(("j_downset", a), lambda: self._j_downset(a))
-
-    def _j_downset(self, a: int) -> ElementSet:
-        table = self.table
-        in_set = np.zeros(self.n, dtype=bool)
-        in_set[a] = True
-        frontier = np.asarray([a], dtype=np.int64)
-        while frontier.size:
-            hit = np.zeros(self.n, dtype=bool)
-            hit[table[:, frontier]] = True
-            hit[table[frontier, :]] = True
-            frontier = np.flatnonzero(hit & ~in_set)
-            in_set[frontier] = True
-        return ElementSet.from_mask(in_set)
-
-    def j_leq(self, x: int, a: int) -> bool:
-        return x in self.j_downset(a)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -17,7 +17,6 @@ import pytest
 from slpforge import zoo
 from slpforge.classify import Config
 from slpforge.compressors import (
-    build_polycyclic_set,
     class_generators,
     compress,
     compress_bounded_diameter,
@@ -278,7 +277,7 @@ def test_09_solvable_unbounded():
         bound = 64 * math.log2(S.n) + 64
         lmax = 0
         for t in range(S.n):
-            slp, _, _ = compress_group_solvable(G, gens, t, plan=plan)
+            slp, _, _ = compress_group_solvable(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             lmax = max(lmax, slp.length)
         assert lmax <= bound, (S.name, lmax, bound)
@@ -293,10 +292,9 @@ def test_10_solvable_bounded():
     ratio_max = 0.0
     for S, gens in _solvable_families():
         G = group_view(S)
-        pcs = build_polycyclic_set(G, gens)
         lmax = 0
         for t in range(S.n):
-            slp, _ = compress_group_solvable_bounded(G, gens, t, pcs=pcs)
+            slp, _ = compress_group_solvable_bounded(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             assert slp.width <= 5, (S.name, t, slp.width)
             width_max = max(width_max, slp.width)
@@ -331,7 +329,7 @@ def test_11_normal_bands():
             assert closure(S, vals) == dec.carriers[alpha], (S.name, alpha)
         for mode, extra in (("wide", 2), ("narrow", 1)):
             for t in range(S.n):
-                bc = compress_normal_band(S, gens, t, "auto", mode)
+                bc = compress_normal_band(S, gens, t, mode)
                 assert evaluate(S, bc.slp).output_value == t, (S.name, mode, t)
                 assert bc.slp.width <= max(bc.group_width + extra, 3), (S.name, mode, t)
     _passline(11, "normal bands of groups", "generation lemma + both splice modes")

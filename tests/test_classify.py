@@ -10,12 +10,14 @@ from slpforge.classify import (
     _row_classes,
     central_commutation_level,
     classify,
+    group_route,
     is_medial,
     rb_ideal_level,
     recommend,
     sandwich_ideal_level,
 )
-from slpforge.errors import BudgetExceededError
+from slpforge.errors import BudgetExceededError, SlpforgeError
+from slpforge.groups import cached_group_view, group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
 from slpforge.semigroup import Semigroup
 
@@ -315,3 +317,20 @@ def test_medial_matches_normal_band_identity(zoo_small):
             S = zoo.make_obstruction_witness(variant, n).semigroup
             assert is_medial(S) == satisfies_identity(S, *IDENTITY_NORMAL_BAND)
     assert bands >= 4
+
+
+def test_group_route_is_rung_three(zoo_small):
+    routed = {}
+    cases = dict(zoo_small)
+    cases["A5"] = (zoo.make_alt(5), zoo._alt_generators(5), None)
+    for name, (S, _, _) in cases.items():
+        try:
+            G = group_view(S)
+        except SlpforgeError:
+            continue
+        routed[name] = group_route(G)
+        T = _fresh(S)
+        if recommend(T) not in ("bounded-diameter", "permutative"):
+            assert recommend(T) == routed[name] == group_route(cached_group_view(T)), name
+    assert routed["A5"] == "group-bsz"
+    assert routed["S4"] == routed["D8"] == routed["H3"] == "group-solvable-bw"

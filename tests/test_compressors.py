@@ -431,9 +431,8 @@ def test_solvable_bounded_width_and_value():
     ]
     for S, gens in cases:
         G = group_view(S)
-        pcs = build_polycyclic_set(G, gens)
         for t in range(S.n):
-            slp, _ = compress_group_solvable_bounded(G, gens, t, pcs=pcs)
+            slp, _ = compress_group_solvable_bounded(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             assert slp.width <= 5
             assert not any(ins[0] == "I" for ins in slp.instructions)
@@ -453,16 +452,16 @@ def test_solvable_cyclic_collapses_to_fast_exp():
 
 def test_normal_band_group_degenerate():
     S = zoo.make_cyclic(9)
-    bc = compress_normal_band(S, [1], 7, "auto", "wide")
+    bc = compress_normal_band(S, [1], 7, "wide")
     assert evaluate(S, bc.slp).output_value == 7
     assert bc.alpha == 0
 
 
-def test_normal_band_modes_and_widths():
+def test_normal_band_wide_and_narrow_widths():
     S, gens, _ = zoo.build_family("rb-x-cyclic", [2, 2, 9])
     for mode, extra in (("wide", 2), ("narrow", 1)):
         for t in range(S.n):
-            bc = compress_normal_band(S, gens, t, "auto", mode)
+            bc = compress_normal_band(S, gens, t, mode)
             assert evaluate(S, bc.slp).output_value == t
             assert bc.slp.width <= max(bc.group_width + extra, 3), (mode, t)
 

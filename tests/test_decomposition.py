@@ -5,6 +5,8 @@ from slpforge.decomposition import band_of_groups_decomposition
 from slpforge.errors import BandNotNormalError, NotCompletelyRegularError
 from slpforge.semigroup import validate_table
 
+from conftest import table_of
+
 
 def test_group_decomposes_trivially():
     G = zoo.make_dihedral(4)
@@ -61,3 +63,30 @@ def test_clifford_two_level():
     dec = band_of_groups_decomposition(S)
     assert dec.band.n == 2
     assert sorted(c.cardinality for c in dec.carriers) == [2, 4]
+
+
+def _two_sided_downset(table, x) -> set[int]:
+    """S^1 x S^1 over plain python lists: x, every a x, x b and a x b."""
+    n = len(table)
+    left = {x} | {table[a][x] for a in range(n)}
+    return left | {table[y][b] for y in left for b in range(n)}
+
+
+def test_j_below_matches_two_sided_ideal_reference(zoo_small):
+    checked = []
+    for name, (S, gens, _) in zoo_small.items():
+        if not S.is_completely_regular():
+            continue
+        try:
+            dec = band_of_groups_decomposition(S)
+        except BandNotNormalError:
+            continue
+        table = table_of(S)
+        candidates = list(gens) + [table[g1][g2] for g1 in gens for g2 in gens]
+        for val in candidates:
+            down = _two_sided_downset(table, val)
+            for alpha in range(dec.class_count):
+                expect = dec.idempotents[alpha] in down
+                assert dec.j_below(alpha, val) == expect, (name, alpha, val)
+        checked.append(name)
+    assert {"RB(2,2)xZ3", "Clifford", "Sl2^4", "D8"} <= set(checked)

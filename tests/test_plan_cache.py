@@ -1,8 +1,11 @@
 """Target-independent structure memoised on a Semigroup must not change outputs.
 
-Every check compares a table reused across targets with a fresh
+Most checks compare a table reused across targets with a fresh
 ``Semigroup(S.table)`` per target: the two must emit identical .slp bytes (or
-raise the same error class when the strategy does not apply).
+raise the same error class when the strategy does not apply).  The group
+builders keep their entries on the table under the group's carrier and the
+generator list, so new views of one table share them and a subgroup view
+does not lend its entries to the whole group.
 """
 
 import random
@@ -10,8 +13,15 @@ import random
 import pytest
 
 from slpforge import zoo
-from slpforge.compressors import compress
-from slpforge.errors import SlpforgeError
+from slpforge.compressors import (
+    compress,
+    compress_group_reachability,
+    compress_group_solvable,
+    compress_group_solvable_bounded,
+    reachability,
+)
+from slpforge.errors import ChainVerificationFailedError, SlpforgeError
+from slpforge.groups import group_view
 from slpforge.io import dump_slp
 from slpforge.semigroup import Semigroup, closure
 
@@ -82,3 +92,84 @@ def test_repeated_target_is_unchanged(family, params, strategy):
     first = _answer(S, gens, t1, strategy)
     _answer(S, gens, t2, strategy)
     assert _answer(S, gens, t1, strategy) == first == _fresh(S, gens, t1, strategy)
+
+
+# normal-band runs the group builders on each class group, through the same
+# path as the group strategies; ``auto`` picks normal-band on these tables
+BAND_INSTANCES = [("rb-x-cyclic", (2, 2, 3)), ("clifford-z4-z2", ())]
+
+
+@pytest.mark.parametrize("strategy", ("normal-band", "auto"))
+@pytest.mark.parametrize("family,params", BAND_INSTANCES)
+def test_band_tables_reused_match_fresh(family, params, strategy):
+    S, gens = _instance(family, params)
+    targets = sorted(closure(S, gens))
+    random.Random(f"{family}{params}{strategy}").shuffle(targets)
+    for t in targets:
+        assert _answer(S, gens, t, strategy) == _fresh(S, gens, t, strategy), t
+
+
+def _bsz(G, gens, t):
+    return compress_group_reachability(G, gens, t)[0]
+
+
+def _solvable(G, gens, t):
+    return compress_group_solvable(G, gens, t)[0]
+
+
+def _bounded(G, gens, t):
+    return compress_group_solvable_bounded(G, gens, t)[0]
+
+
+BUILDERS = (_bsz, _solvable, _bounded)
+
+
+def _built(builder, S, gens, t) -> str:
+    try:
+        return dump_slp(builder(group_view(S), gens, t))
+    except SlpforgeError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("family,params", INSTANCES)
+def test_builders_on_new_views_of_one_table(family, params, builder):
+    # each call gets its own view; the memo lives on the table they share
+    S, gens = _instance(family, params)
+    members = sorted(closure(S, gens))
+    t1, t2 = members[-1], members[len(members) // 2]
+    answers = [_built(builder, S, gens, t) for t in (t1, t2, t1)]
+    fresh = [_built(builder, Semigroup(S.table), gens, t) for t in (t1, t2)]
+    assert answers == [fresh[0], fresh[1], fresh[0]]
+
+
+@pytest.mark.parametrize(
+    "builder,error",
+    [(_solvable, SlpforgeError), (_bounded, ChainVerificationFailedError)],
+)
+def test_builder_memo_is_keyed_by_the_carrier(builder, error):
+    S, _ = _instance("dihedral", (8,))
+    sigma, t = [1], 3
+    rotations = closure(S, sigma)
+    assert rotations.cardinality < S.n
+    # the same generator list generates the rotation subgroup but not the group
+    builder(group_view(S, rotations), sigma, t)
+    with pytest.raises(error):
+        builder(group_view(S), sigma, t)
+    with pytest.raises(error):
+        builder(group_view(Semigroup(S.table)), sigma, t)
+
+
+def test_cube_doublings_are_shared_by_every_target(monkeypatch):
+    S, gens = _instance("dihedral", (16,))
+    doublings = []
+    double = reachability._double
+    monkeypatch.setattr(
+        reachability, "_double", lambda *args: doublings.append(1) or double(*args)
+    )
+    rounds = [
+        compress_group_reachability(group_view(S), gens, t)[1].rounds
+        for t in sorted(closure(S, gens))
+    ]
+    # one call per doubling, plus at most one that finds nothing to add
+    assert max(rounds) <= len(doublings) <= max(rounds) + 1
