@@ -2,8 +2,9 @@
 
 All flags are computed by exhaustive scans over the concrete table, guarded
 by budgets.  The central-commutation scan avoids the naive n^4 loop: a*x*y*b
-equals a*y*x*b for all b in the ideal iff (a*x)*y and (a*y)*x fall into the
-same right-translation class over that ideal, so each a costs one n^2 pass.
+equals a*y*x*b for all a, b in the ideal iff x*y and y*x fall into the same
+two-sided class over that ideal (z ~ z' iff a*z*b = a*z'*b for all a, b), so
+one level costs O(n |S^k|) to build the classes plus one n^2 comparison.
 
 ``recommend`` walks the dispatch ladder and computes only the flags it needs
 to reach a decision; ``classify`` computes every flag for reporting.  Both
@@ -71,9 +72,24 @@ def _right_classes(S: Semigroup, cols: np.ndarray) -> np.ndarray:
     return _row_classes(S.table[:, cols])
 
 
-def _left_classes(S: Semigroup, rows: np.ndarray) -> np.ndarray:
-    """Class ids of elements under u ~ v iff a*u == a*v for all a in rows."""
-    return _row_classes(S.table[rows, :].T)
+def _commutes_modulo(S: Semigroup, members: np.ndarray) -> bool:
+    """Does a*x*y*b == a*y*x*b hold for all a, b in members and x, y in S?
+
+    Exactly when x*y and y*x share a two-sided class over ``members``
+    (z ~ z' iff a*z*b == a*z'*b for all a, b in it): the right class of u
+    names the map b -> u*b, and z's key is the right class of a*z for every a.
+    O(n |members|) for the classes plus O(n^2) for the comparisons.
+    """
+    table = S.table
+    rcls = _right_classes(S, members).astype(table.dtype)  # ids < n fit
+    # the least a alone, one n x n gather, refutes most tables that fail;
+    # on small random tables that beats building the classes for every a
+    first = rcls[table[table[members[0], :]]]
+    if not np.array_equal(first, first.T):
+        return False
+    two = _row_classes(rcls[table[members, :]].T).astype(table.dtype)
+    both = two[table]
+    return bool(np.array_equal(both, both.T))
 
 
 def _ideal_levels(S: Semigroup, kmax: int):
@@ -103,15 +119,7 @@ def central_commutation_level(
             raise BudgetExceededError(
                 f"central-commutation scan at level {k} exceeds budget"
             )
-        rcls = _right_classes(S, members)
-        ok = True
-        for a in members:
-            U = table[table[int(a), :].astype(np.int64), :].astype(np.int64)
-            C = rcls[U]
-            if not np.array_equal(C, C.T):
-                ok = False
-                break
-        if ok:
+        if _commutes_modulo(S, members):
             return k
     return None
 
@@ -174,14 +182,10 @@ def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:
 def is_medial(S: Semigroup) -> bool:
     """Does uxyv = uyxv hold for all u, x, y, v in S?  O(n^2 log n).
 
-    Collapse each value to its left-translation class (z ~ z' iff uz = uz'
-    for all u); then uxyv = uyxv for all u, v iff the rows of xy and of yx
-    agree after that collapse.  On a band this is the normal-band law.
+    That is commutation modulo the two-sided classes over all of S: xy and
+    yx must share a class.  On a band this is the normal-band law.
     """
-    table = S.table
-    lcls = _left_classes(S, np.arange(S.n)).astype(table.dtype)
-    r2 = _row_classes(lcls[table])
-    return bool(np.array_equal(r2[table], r2[table.T]))
+    return _commutes_modulo(S, np.arange(S.n))
 
 
 def _band_flags(S: Semigroup) -> tuple[bool, Optional[bool], Optional[bool], Optional[bool]]:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..classify import group_route
-from ..decomposition import BandDecomposition, band_of_groups_decomposition
+from ..decomposition import BandDecomposition, cached_decomposition
 from ..errors import DecompositionFailedError, SlpforgeError
 from ..groups import extract_group
 from ..semigroup import Semigroup, closure
@@ -76,7 +76,7 @@ def compress_normal_band(
     if mode not in ("wide", "narrow"):
         raise ValueError("mode must be 'wide' or 'narrow'")
     gens = [int(g) for g in gens]
-    decomp = band_of_groups_decomposition(S)
+    decomp = cached_decomposition(S)
     alpha = decomp.class_of(t)
     B = decomp.band
 
@@ -100,7 +100,10 @@ def compress_normal_band(
     if closure(S, sigma_alpha) != carrier:
         raise SlpforgeError("class generators do not generate the class group")
 
-    sub, view, to_sub, to_parent = extract_group(S, carrier, name="S_alpha")
+    # memoised, so the class group's builders keep their own memo across targets
+    sub, view, to_sub, to_parent = S.cached(
+        ("extract_group", carrier), lambda: extract_group(S, carrier, name="S_alpha")
+    )
     gsub = [int(to_sub[v]) for v in sigma_alpha]
     gprog, _ = compress_in_group(view, gsub, int(to_sub[t]), group_route(view))
     gparent = Slp(

@@ -18,7 +18,7 @@ from .errors import (
     NotCompletelyRegularError,
 )
 from .groups import GroupView, group_view
-from .classify import is_medial
+from .classify import _row_classes, is_medial
 from .identities import IDENTITY_BAND, satisfies_identity
 from .semigroup import Semigroup
 from .sets import ElementSet
@@ -52,8 +52,26 @@ class BandDecomposition:
         return bool(B[B[alpha, self.class_of(x)], alpha] == alpha)
 
 
-def _pack_rows(mat: np.ndarray) -> np.ndarray:
-    return np.packbits(mat, axis=1)
+def cached_decomposition(S: Semigroup) -> BandDecomposition:
+    """``band_of_groups_decomposition(S)``, memoised on S.
+
+    A failed decomposition raises again on every call, as it stores nothing.
+    """
+
+    def parts():
+        d = band_of_groups_decomposition(S)
+        views = [(v.carrier, v.identity, v.inverse) for v in d.views]
+        return d.band, d.projection, d.idempotents, d.carriers, views
+
+    # the memo keeps the parts, not the decomposition: it and its views refer
+    # back to S, and that cycle would keep the table alive until the cyclic
+    # collector runs
+    band, projection, idempotents, carriers, views = S.cached(
+        ("band_of_groups_decomposition",), parts
+    )
+    return BandDecomposition(
+        S, band, projection, idempotents, carriers, [GroupView(S, *v) for v in views]
+    )
 
 
 def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
@@ -72,26 +90,20 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     rmat[rows, table.ravel()] = True
     lmat[np.arange(n), np.arange(n)] = True
     rmat[np.arange(n), np.arange(n)] = True
-    _, l_id = np.unique(_pack_rows(lmat), axis=0, return_inverse=True)
-    _, r_id = np.unique(_pack_rows(rmat), axis=0, return_inverse=True)
+    l_id = _row_classes(np.packbits(lmat, axis=1))
+    r_id = _row_classes(np.packbits(rmat, axis=1))
     pair = l_id.astype(np.int64) * (r_id.max() + 1) + r_id
-    _, h_id = np.unique(pair, return_inverse=True)
 
-    # order classes by their minimum element
-    reps_by_class: dict[int, int] = {}
-    for x in range(n):
-        c = int(h_id[x])
-        if c not in reps_by_class:
-            reps_by_class[c] = x
-    order = sorted(reps_by_class, key=lambda c: reps_by_class[c])
-    relabel = {old: new for new, old in enumerate(order)}
-    cls = np.asarray([relabel[int(c)] for c in h_id], dtype=np.int64)
-    m = len(order)
-    reps = np.asarray([reps_by_class[c] for c in order], dtype=np.int64)
+    # classes are numbered by their least element, whatever ids came before
+    _, first, h_id = np.unique(pair, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    relabel = np.empty_like(order)
+    relabel[order] = np.arange(order.size)
+    cls = relabel[h_id.ravel()].astype(np.int64)
+    m = order.size
+    reps = first[order].astype(np.int64)
 
-    carriers = [
-        ElementSet.from_indices(n, np.flatnonzero(cls == i).tolist()) for i in range(m)
-    ]
+    carriers = [ElementSet.from_mask(cls == i) for i in range(m)]
     views = []
     for i, carrier in enumerate(carriers):
         try:

@@ -60,19 +60,22 @@ class GroupView:
 def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
     """Verify that the carrier is a group and return its view.
 
-    Checks: product closure, a unique idempotent acting neutrally, and a
-    two-sided inverse for every element.  Raises NotAGroupError with a witness
-    element otherwise.
+    Checks: product closure (a whole table is closed), a unique idempotent
+    acting neutrally, and a two-sided inverse for every element.  Raises
+    NotAGroupError with a witness element otherwise.
     """
+    table = S.table
     if carrier is None:
         carrier = ElementSet.full(S.n)
-    mem = carrier.to_array()
-    table = S.table
-    outside = products_outside(S, mem)
-    if outside.size:
-        p = int(outside[0])
-        raise NotAGroupError(f"carrier not product-closed at {p}", witness=p)
-    idems = [int(e) for e in mem if table[e, e] == e]
+    if carrier.cardinality == S.n:
+        mem = np.arange(S.n, dtype=np.int64)
+    else:
+        mem = carrier.to_array()
+        outside = products_outside(S, mem)
+        if outside.size:
+            p = int(outside[0])
+            raise NotAGroupError(f"carrier not product-closed at {p}", witness=p)
+    idems = mem[table[mem, mem] == mem].tolist()
     neutral = None
     for e in idems:
         if (table[e, mem] == mem).all() and (table[mem, e] == mem).all():
@@ -87,18 +90,14 @@ def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
     for e in idems:
         if e != neutral:
             raise NotAGroupError(f"extra idempotent {e}", witness=e)
-    inverse: dict[int, int] = {}
-    for g in mem:
-        row = table[g, mem]
-        hits = mem[row == neutral]
-        inv = None
-        for h in hits:
-            if table[h, g] == neutral:
-                inv = int(h)
-                break
-        if inv is None:
-            raise NotAGroupError(f"element {int(g)} has no inverse", witness=int(g))
-        inverse[int(g)] = inv
+    block = table[np.ix_(mem, mem)]
+    # is_inv[i, j]: mem[j] is a two-sided inverse of mem[i]; the first one wins
+    is_inv = (block == neutral) & (block.T == neutral)
+    has_inv = is_inv.any(axis=1)
+    if not has_inv.all():
+        g = int(mem[np.argmin(has_inv)])
+        raise NotAGroupError(f"element {g} has no inverse", witness=g)
+    inverse = dict(zip(mem.tolist(), mem[is_inv.argmax(axis=1)].tolist()))
     return GroupView(S, carrier, neutral, inverse)
 
 
@@ -252,9 +251,15 @@ _COMMUTATOR_ROWS = 256
 def derived_series(G: GroupView) -> SeriesChain:
     """G >= G' >= G'' >= ... until stabilisation (all commutator pairs, no sampling).
 
-    Commutators of each term are gathered in blocks of rows g, so the
-    temporaries stay at ``_COMMUTATOR_ROWS`` x |term| table entries.
+    Memoised on G's table under the carrier, which is all the series depends
+    on; the returned chain is shared and must not be mutated.
     """
+    return G.base.cached(("derived_series", G.carrier), lambda: _derived_series(G))
+
+
+def _derived_series(G: GroupView) -> SeriesChain:
+    """Commutators of each term are gathered in blocks of rows g, so the
+    temporaries stay at ``_COMMUTATOR_ROWS`` x |term| table entries."""
     terms = [G.carrier]
     cur = G.carrier
     table = G.base.table

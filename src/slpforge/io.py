@@ -56,9 +56,18 @@ def parse_cay(text: str) -> tuple[Semigroup, Optional[list[int]], Optional[int]]
     return S, gens, target
 
 
+def _header_ints(line: str, lineno: int) -> list[int]:
+    """The integers after the first word of ``line``."""
+    words = line.split()
+    try:
+        return [int(x) for x in words[1:]]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: bad {words[0]} entry") from exc
+
+
 def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Optional[int]]:
-    gens: Optional[list[int]] = None
-    target: Optional[int] = None
+    # GENS / TARGET -> (line number, elements); range-checked once n is known
+    header: dict[str, tuple[int, list[int]]] = {}
     name = ""
     rows: list[np.ndarray] = []
     n: Optional[int] = None
@@ -69,9 +78,11 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("GENS"):
-                gens = [int(x) for x in body.split()[1:]]
+                header["GENS"] = lineno, _header_ints(body, lineno)
             elif body.startswith("TARGET"):
-                target = int(body.split()[1])
+                header["TARGET"] = lineno, _header_ints(body, lineno)
+                if len(header["TARGET"][1]) != 1:
+                    raise FormatError(f"line {lineno}: TARGET takes one element")
             elif body.startswith("NAME"):
                 name = body[4:].strip()
             continue
@@ -79,7 +90,7 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
             parts = line.split()
             if len(parts) != 2 or parts[0] != "CAYLEY":
                 raise FormatError(f"line {lineno}: expected 'CAYLEY <n>'")
-            n = int(parts[1])
+            n = _header_ints(line, lineno)[0]
             continue
         try:
             row = np.fromstring(line, dtype=np.int64, sep=" ")
@@ -92,6 +103,12 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
         raise FormatError("missing CAYLEY header")
     if len(rows) != n:
         raise FormatError(f"expected {n} rows, found {len(rows)}")
+    for lineno, elements in header.values():
+        for x in elements:
+            if not 0 <= x < n:
+                raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
+    gens = header["GENS"][1] if "GENS" in header else None
+    target = header["TARGET"][1][0] if "TARGET" in header else None
     return np.array(rows, dtype=np.int64), name, gens, target
 
 

@@ -9,7 +9,12 @@ elements we scan all triples (vectorised row by row).  Above that we switch to
 Light's test relative to a generating set: it suffices to check
 ``(a*g)*b == a*(g*b)`` for every generator g, provided the generators reach
 every element under repeated (non-associative) pairwise products.  Closed-form
-constructors that know a small generating set pass it as a hint.
+constructors and ``.cay`` headers that know a small generating set pass it as
+a hint.  The hint's coverage is first tried by the cheap left-normed products
+(((g1*g2)*g3)...), a subset of the pairwise products, so full coverage there
+licenses the test too; the pairwise closure is the fallback.  Once the test
+passes, the hint generates the whole table as a semigroup, and that closure
+is memoised so ``compress`` over the same generators does not build it again.
 """
 
 from __future__ import annotations
@@ -89,10 +94,13 @@ class Semigroup:
                     b, c = np.argwhere(lhs != rhs)[0]
                     raise NotAssociativeError(a, int(b), int(c))
             return
-        gens = list(gens_hint) if gens_hint is not None else self._greedy_generators()
-        # magma closure: no associativity assumed while closing
-        if not self._magma_closure_mask(gens).all():
-            # hint did not generate; fall back to a greedy set
+        gens = list(dict.fromkeys(int(g) for g in gens_hint or ()))
+        # no associativity assumed while closing: left-normed products first,
+        # then every pairwise product
+        hint_generates = bool(gens) and (
+            self._word_closure_mask(gens).all() or self._magma_closure_mask(gens).all()
+        )
+        if not hint_generates:
             gens = self._greedy_generators()
         tableT = np.ascontiguousarray(table.T)
         for g in gens:
@@ -101,6 +109,27 @@ class Semigroup:
             if not np.array_equal(lhs, rhs):
                 a, b = np.argwhere(lhs != rhs)[0]
                 raise NotAssociativeError(int(a), g, int(b))
+        if hint_generates:
+            self.cached(("closure", tuple(sorted(gens))), lambda: ElementSet.full(n))
+
+    def _word_closure_mask(self, seed: Sequence[int]) -> np.ndarray:
+        """Values of the left-normed words over ``seed``: a breadth-first
+        search that multiplies the frontier on the right by each seed element.
+
+        On an associative table this is the generated subsemigroup, in
+        O(|closure| * |seed|) table reads.
+        """
+        table = self.table
+        seed_arr = np.unique(np.asarray(list(seed), dtype=np.int64))
+        in_set = np.zeros(self.n, dtype=bool)
+        in_set[seed_arr] = True
+        frontier = seed_arr
+        while frontier.size:
+            hit = np.zeros(self.n, dtype=bool)
+            hit[table[np.ix_(frontier, seed_arr)]] = True
+            frontier = np.flatnonzero(hit & ~in_set)
+            in_set[frontier] = True
+        return in_set
 
     def _magma_closure_mask(self, seed: Sequence[int]) -> np.ndarray:
         table = self.table
@@ -265,23 +294,28 @@ class Semigroup:
 def validate_table(raw, name: str = "", gens_hint: Optional[Sequence[int]] = None) -> Semigroup:
     """Validate a raw square table of indices and wrap it as a Semigroup.
 
-    Raises OutOfRangeError for bad entries and NotAssociativeError (with a
-    witness triple) when associativity fails.
+    Raises OutOfRangeError for bad entries or a hint element outside the
+    table, and NotAssociativeError (with a witness triple) when associativity
+    fails.
     """
     sg = Semigroup(np.asarray(raw), name=name, _trusted=True)
+    if gens_hint is not None:
+        for g in gens_hint:
+            if not 0 <= g < sg.n:
+                raise OutOfRangeError(f"generator hint {g} outside [0, {sg.n})")
     sg._check_associativity(gens_hint=gens_hint)
     return sg
 
 
 def closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
-    """Subsemigroup generated by ``gens`` (worklist fixpoint)."""
+    """Subsemigroup generated by ``gens``: the values of words over them."""
     seed = sorted(set(int(g) for g in gens))
     if not seed:
         raise EmptyGeneratorsError("closure of the empty set")
     for g in seed:
         if not 0 <= g < S.n:
             raise OutOfRangeError(f"generator {g} outside [0, {S.n})")
-    return ElementSet.from_mask(S._magma_closure_mask(seed))
+    return ElementSet.from_mask(S._word_closure_mask(seed))
 
 
 def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:

@@ -9,6 +9,7 @@ the closed-form tables have something honest to be compared against.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -51,6 +52,41 @@ def py_shortest_words(table, gens, max_len=None) -> dict[int, list[int]]:
         level = nxt
         depth += 1
     return words
+
+
+def _transformation_table(rng, cap: int = 120):
+    """Closure of 1-4 random maps on 3-6 points, or None past ``cap`` elements.
+
+    Maps compose left to right: (a*b)(x) = b(a(x)).
+    """
+    points = rng.randint(3, 6)
+    gens = [tuple(rng.randrange(points) for _ in range(points)) for _ in range(rng.randint(1, 4))]
+    elems = list(dict.fromkeys(gens))
+    index = {e: i for i, e in enumerate(elems)}
+    for a in elems:  # grows while iterating: a worklist over right multiples
+        for g in gens:
+            c = tuple(g[a[x]] for x in range(points))
+            if c not in index:
+                if len(elems) == cap:
+                    return None
+                index[c] = len(elems)
+                elems.append(c)
+    return [[index[tuple(b[a[x]] for x in range(points))] for b in elems] for a in elems]
+
+
+def random_semigroups(count: int, seed: int):
+    """``count`` seeded random transformation semigroups of at most 120 elements."""
+    import numpy as np
+
+    from slpforge.semigroup import Semigroup
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        table = _transformation_table(rng)
+        if table is not None:
+            out.append(Semigroup.trusted(np.asarray(table)))
+    return out
 
 
 def table_of(S) -> list[list[int]]:

@@ -1,5 +1,4 @@
 import importlib
-import random
 
 import numpy as np
 import pytest
@@ -7,6 +6,8 @@ import pytest
 from slpforge import zoo
 from slpforge.classify import (
     Config,
+    _ideal_levels,
+    _right_classes,
     _row_classes,
     central_commutation_level,
     classify,
@@ -20,6 +21,8 @@ from slpforge.errors import BudgetExceededError, SlpforgeError
 from slpforge.groups import cached_group_view, group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
 from slpforge.semigroup import Semigroup
+
+from conftest import random_semigroups
 
 # the package re-exports the function ``classify`` under the module's name
 classify_mod = importlib.import_module("slpforge.classify")
@@ -54,6 +57,55 @@ def test_commutation_budget():
     S = zoo.make_dihedral(16)
     with pytest.raises(BudgetExceededError):
         central_commutation_level(S, kmax=2, budget=10)
+
+
+def _commutation_level_reference(S, kmax, budget):
+    """The per-a scan: for each a in S^k, a*x*y and a*y*x must share a right
+    class over S^k, one n x n gather per a."""
+    table = S.table
+    if np.array_equal(table, table.T):
+        return 0
+    for k, members in _ideal_levels(S, kmax):
+        if members.size * S.n * S.n > budget:
+            raise BudgetExceededError(f"level {k}")
+        rcls = _right_classes(S, members)
+        if all(
+            np.array_equal(C, C.T)
+            for C in (rcls[table[table[int(a), :].astype(np.int64), :]] for a in members)
+        ):
+            return k
+    return None
+
+
+def _level_or_error(fn, S, kmax, budget):
+    try:
+        return fn(Semigroup.trusted(S.table), kmax, budget)
+    except BudgetExceededError:
+        return "over budget"
+
+
+def test_commutation_kernel_matches_per_a_reference(zoo_small):
+    levels = set()
+    for name, (S, _, _) in zoo_small.items():
+        for kmax, budget in ((6, 10**8), (3, 10**8), (6, 1_000)):
+            got = _level_or_error(central_commutation_level, S, kmax, budget)
+            ref = _level_or_error(_commutation_level_reference, S, kmax, budget)
+            assert got == ref, (name, kmax, budget)
+            levels.add(got)
+    assert {0, 1, None, "over budget"} <= levels
+
+
+def test_commutation_kernel_matches_on_random_semigroups():
+    levels = set()
+    for S in random_semigroups(200, seed=5):
+        for budget in (10**8, 50_000):
+            got = _level_or_error(central_commutation_level, S, 6, budget)
+            assert got == _level_or_error(_commutation_level_reference, S, 6, budget), S.table.tolist()
+            levels.add(got)
+    # the draw reaches levels above 1, refutations and the budget guard
+    assert {0, 1, None, "over budget"} <= levels and any(
+        isinstance(k, int) and k > 1 for k in levels
+    )
 
 
 def test_rb_ideal_level():
@@ -162,37 +214,6 @@ def test_stable_ideal_chain():
 # -- the lazy recommendation ladder ------------------------------------------
 
 
-def _transformation_semigroup(rng: random.Random, cap: int = 120):
-    """Closure of 1-4 random maps on 3-6 points, or None past ``cap`` elements.
-
-    Maps compose left to right: (a*b)(x) = b(a(x)).
-    """
-    points = rng.randint(3, 6)
-    gens = [tuple(rng.randrange(points) for _ in range(points)) for _ in range(rng.randint(1, 4))]
-    elems = list(dict.fromkeys(gens))
-    index = {e: i for i, e in enumerate(elems)}
-    for a in elems:  # grows while iterating: a worklist over right multiples
-        for g in gens:
-            c = tuple(g[a[x]] for x in range(points))
-            if c not in index:
-                if len(elems) == cap:
-                    return None
-                index[c] = len(elems)
-                elems.append(c)
-    table = [[index[tuple(b[a[x]] for x in range(points))] for b in elems] for a in elems]
-    return Semigroup.trusted(np.asarray(table))
-
-
-def _random_semigroups(count: int, seed: int):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        S = _transformation_semigroup(rng)
-        if S is not None:
-            out.append(S)
-    return out
-
-
 def _fresh(S: Semigroup) -> Semigroup:
     return Semigroup.trusted(S.table)
 
@@ -204,7 +225,7 @@ def test_recommend_matches_classify_on_zoo(zoo_small):
 
 def test_recommend_matches_classify_on_random_semigroups():
     seen = set()
-    for S in _random_semigroups(200, seed=20261018):
+    for S in random_semigroups(200, seed=20261018):
         rec = recommend(_fresh(S))
         assert rec == classify(_fresh(S)).recommended, S.table.tolist()
         seen.add(rec)

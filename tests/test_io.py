@@ -84,3 +84,34 @@ def test_slp_errors():
         parse_slp("SLP\nA 1\nL 0 0\n")
     with pytest.raises(FormatError):
         parse_slp("SLP\nA 1\nX 0 0\nO 0\n")
+
+
+Z3_ROWS = "0 1 2\n1 2 0\n2 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ("# GENS 7", "line 2: element 7 outside \\[0, 3\\)"),
+        ("# GENS -1", "line 2: element -1 outside \\[0, 3\\)"),
+        ("# GENS 1 x", "line 2: bad GENS entry"),
+        ("# GENS 1.5", "line 2: bad GENS entry"),
+        ("# TARGET 3", "line 2: element 3 outside \\[0, 3\\)"),
+        ("# TARGET -2", "line 2: element -2 outside \\[0, 3\\)"),
+        ("# TARGET y", "line 2: bad TARGET entry"),
+        ("# TARGET", "line 2: TARGET takes one element"),
+        ("# TARGET 1 2", "line 2: TARGET takes one element"),
+    ],
+)
+def test_cay_header_values_are_checked(header, message):
+    with pytest.raises(FormatError, match=message):
+        parse_cay(f"CAYLEY 3\n{header}\n{Z3_ROWS}")
+
+
+def test_cay_header_after_rows_is_checked_with_its_line():
+    with pytest.raises(FormatError, match="line 5: element 3 outside"):
+        parse_cay(f"CAYLEY 3\n{Z3_ROWS}# GENS 1 3\n")
+    with pytest.raises(FormatError, match="line 1: bad CAYLEY entry"):
+        parse_cay(f"CAYLEY three\n{Z3_ROWS}")
+    S, gens, target = parse_cay(f"# TARGET 2\nCAYLEY 3\n{Z3_ROWS}# GENS 1\n")
+    assert S.n == 3 and gens == [1] and target == 2

@@ -8,6 +8,7 @@ generator list, so new views of one table share them and a subgroup view
 does not lend its entries to the whole group.
 """
 
+import importlib
 import random
 
 import pytest
@@ -18,12 +19,19 @@ from slpforge.compressors import (
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
+    compress_normal_band,
     reachability,
 )
 from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
-from slpforge.io import dump_slp
+from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure
+
+# the package re-exports functions under some of these modules' names
+bands_mod = importlib.import_module("slpforge.compressors.bands")
+decomposition_mod = importlib.import_module("slpforge.decomposition")
+groups_mod = importlib.import_module("slpforge.groups")
+semigroup_mod = importlib.import_module("slpforge.semigroup")
 
 # the abelian table is the one instance on which ``permutative`` applies
 INSTANCES = [("dihedral", (8,)), ("dihedral", (16,)), ("heisenberg", (3,)), ("abelian", (2, 4, 4))]
@@ -173,3 +181,58 @@ def test_cube_doublings_are_shared_by_every_target(monkeypatch):
     ]
     # one call per doubling, plus at most one that finds nothing to add
     assert max(rounds) <= len(doublings) <= max(rounds) + 1
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,params", BAND_INSTANCES)
+def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, params):
+    S, gens = _instance(family, params)
+    targets = sorted(closure(S, gens))
+    random.Random(family).shuffle(targets)
+    fresh = {t: dump_slp(compress_normal_band(Semigroup(S.table), gens, t).slp) for t in targets}
+    builds = _counting(monkeypatch, decomposition_mod, "band_of_groups_decomposition")
+    extracts = _counting(monkeypatch, bands_mod, "extract_group")
+    classes = set()
+    for t in targets:
+        bc = compress_normal_band(S, gens, t)
+        assert dump_slp(bc.slp) == fresh[t], t
+        classes.add(bc.alpha)
+    assert len(builds) == 1
+    # one class group per class the targets fall in, each carved out once
+    assert len(extracts) == len(classes) > 1
+
+
+@pytest.mark.parametrize(
+    "S,gens",
+    [
+        (zoo.make_dihedral(8), zoo.dihedral_generators(8)),
+        (zoo.make_heisenberg(3), zoo.heisenberg_generators(3)),
+    ],
+    ids=["D16", "H3"],
+)
+def test_one_shot_auto_reuses_validation_structure(monkeypatch, S, gens):
+    text = dump_cay(S, gens)
+    targets = sorted(closure(S, gens))[::5]
+    fresh = [_fresh(S, gens, t, "auto") for t in targets]
+    closures = _counting(monkeypatch, semigroup_mod, "closure")
+    series = _counting(monkeypatch, groups_mod, "_derived_series")
+    for t, expect in zip(targets, fresh):
+        parsed, hint, _ = parse_cay(text)
+        before = len(series)
+        assert dump_slp(compress(parsed, hint, t, "auto").slp) == expect, t
+        # compress found the generator closure validation stored
+        assert not any(args[0] is parsed for args in closures), t
+        # the group route and the polycyclic set share one derived series
+        assert len(series) == before + 1, t

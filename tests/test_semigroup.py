@@ -22,7 +22,7 @@ from slpforge.semigroup import (
 )
 from slpforge.sets import ElementSet
 
-from conftest import py_closure, py_shortest_words, table_of
+from conftest import py_closure, py_shortest_words, random_semigroups, table_of
 
 
 def test_trivial_semigroup():
@@ -68,6 +68,66 @@ def test_lights_test_path_matches_full_scan():
     bad[7, 11] = (bad[7, 11] + 1) % 30
     with pytest.raises(NotAssociativeError):
         validate_table(bad, gens_hint=[1])
+
+
+def _non_associative_tables(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 7))
+        table = rng.integers(0, n, size=(n, n))
+        if not np.array_equal(table[table, :], table[:, table]):  # (ab)c vs a(bc)
+            out.append(table)
+    return out
+
+
+def test_hint_that_misses_left_normed_words_still_catches_non_associativity():
+    kinds = set()
+    for table in _non_associative_tables(300, seed=7):
+        S = Semigroup.trusted(table)
+        hint = [S.n - 1, S.n - 2]
+        words, magma = S._word_closure_mask(hint), S._magma_closure_mask(hint)
+        assert not (words & ~magma).any()  # left-normed words are pairwise products
+        kinds.add((bool(words.all()), bool(magma.all())))
+        with pytest.raises(NotAssociativeError) as err:
+            validate_table(table, gens_hint=hint)
+        a, b, c = err.value.witness
+        assert table[table[a, b], c] != table[a, table[b, c]]
+        if magma.all():
+            # Light's test ran over the hint itself, not a greedy substitute
+            assert b in hint
+    # the hint generates by left-normed words, only by pairwise products, or not at all
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_word_closure_equals_magma_closure_on_random_semigroups():
+    rng = np.random.default_rng(11)
+    for S in random_semigroups(100, seed=11):
+        for size in (1, 2, 3):
+            gens = rng.choice(S.n, size=min(size, S.n), replace=False).tolist()
+            expect = S._magma_closure_mask(gens)
+            assert np.array_equal(S._word_closure_mask(gens), expect), (S.table.tolist(), gens)
+            assert closure(S, gens) == ElementSet.from_mask(expect)
+
+
+def test_validation_hands_the_hint_closure_on():
+    S = zoo.make_dihedral(8)
+    gens = zoo.dihedral_generators(8)
+    seeded = validate_table(S.table, gens_hint=list(reversed(gens)) + gens[:1])
+    key = ("closure", tuple(sorted(gens)))
+    assert seeded._memo[key] == closure(S, gens) == ElementSet.full(S.n)
+    # a hint that does not generate the table stores nothing
+    rotations = validate_table(S.table, gens_hint=[1])
+    assert closure(S, [1]).cardinality < S.n
+    assert ("closure", (1,)) not in rotations._memo
+    assert validate_table(S.table)._memo == {}
+
+
+@pytest.mark.parametrize("hint", [[-1], [0, 3], [5]])
+def test_hint_outside_the_table_is_rejected(hint):
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(OutOfRangeError, match="generator hint"):
+        validate_table(table, gens_hint=hint)
 
 
 def test_omega_power_group_is_identity():
