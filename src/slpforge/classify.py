@@ -82,11 +82,6 @@ def _commutes_modulo(S: Semigroup, members: np.ndarray) -> bool:
     """
     table = S.table
     rcls = _right_classes(S, members).astype(table.dtype)  # ids < n fit
-    # the least a alone, one n x n gather, refutes most tables that fail;
-    # on small random tables that beats building the classes for every a
-    first = rcls[table[table[members[0], :]]]
-    if not np.array_equal(first, first.T):
-        return False
     two = _row_classes(rcls[table[members, :]].T).astype(table.dtype)
     both = two[table]
     return bool(np.array_equal(both, both.T))

@@ -10,11 +10,9 @@ Light's test relative to a generating set: it suffices to check
 ``(a*g)*b == a*(g*b)`` for every generator g, provided the generators reach
 every element under repeated (non-associative) pairwise products.  Closed-form
 constructors and ``.cay`` headers that know a small generating set pass it as
-a hint.  The hint's coverage is first tried by the cheap left-normed products
-(((g1*g2)*g3)...), a subset of the pairwise products, so full coverage there
-licenses the test too; the pairwise closure is the fallback.  Once the test
-passes, the hint generates the whole table as a semigroup, and that closure
-is memoised so ``compress`` over the same generators does not build it again.
+a hint.  Once the test passes, the hint generates the whole table as a
+semigroup, and that closure is memoised so ``compress`` over the same
+generators does not build it again.
 """
 
 from __future__ import annotations
@@ -94,12 +92,8 @@ class Semigroup:
                     b, c = np.argwhere(lhs != rhs)[0]
                     raise NotAssociativeError(a, int(b), int(c))
             return
-        gens = list(dict.fromkeys(int(g) for g in gens_hint or ()))
-        # no associativity assumed while closing: left-normed products first,
-        # then every pairwise product
-        hint_generates = bool(gens) and (
-            self._word_closure_mask(gens).all() or self._magma_closure_mask(gens).all()
-        )
+        gens = list(dict.fromkeys(int(g) for g in (() if gens_hint is None else gens_hint)))
+        hint_generates = bool(gens) and self._magma_closure_mask(gens).all()
         if not hint_generates:
             gens = self._greedy_generators()
         tableT = np.ascontiguousarray(table.T)
@@ -138,6 +132,8 @@ class Semigroup:
         in_set[seed_arr] = True
         frontier = seed_arr
         while frontier.size:
+            if in_set.all():  # nothing left to reach
+                break
             cur = np.flatnonzero(in_set)
             hit = np.zeros(self.n, dtype=bool)
             hit[table[np.ix_(frontier, cur)]] = True

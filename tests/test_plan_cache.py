@@ -232,7 +232,8 @@ def test_one_shot_auto_reuses_validation_structure(monkeypatch, S, gens):
         parsed, hint, _ = parse_cay(text)
         before = len(series)
         assert dump_slp(compress(parsed, hint, t, "auto").slp) == expect, t
-        # compress found the generator closure validation stored
+        # compress's cached_closure found the entry validation stored; other
+        # modules bind closure at import and still run it on their own sets
         assert not any(args[0] is parsed for args in closures), t
         # the group route and the polycyclic set share one derived series
         assert len(series) == before + 1, t

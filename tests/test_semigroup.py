@@ -70,6 +70,15 @@ def test_lights_test_path_matches_full_scan():
         validate_table(bad, gens_hint=[1])
 
 
+def test_hint_may_be_any_integer_sequence():
+    S = zoo.make_dihedral(8)
+    gens = zoo.dihedral_generators(8)
+    for hint in (np.array(gens), tuple(gens), np.array(gens[:1])):
+        assert validate_table(S.table, gens_hint=hint).n == S.n
+    with pytest.raises(OutOfRangeError):
+        validate_table(S.table, gens_hint=np.array([1, S.n]))
+
+
 def _non_associative_tables(count: int, seed: int):
     rng = np.random.default_rng(seed)
     out = []
