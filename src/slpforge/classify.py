@@ -210,7 +210,7 @@ def maximal_subgroups_solvable(S: Semigroup) -> bool:
         unit = exe & (om == e)
         if np.count_nonzero(unit) == 1:
             continue
-        view = group_view(S, ElementSet.from_mask(unit))
+        view = group_view(S, ElementSet(unit))
         if not derived_series(view).is_trivial_terminal:
             return False
     return True

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 from ..classify import Config, recommend
 from ..errors import SlpforgeError, UnreachableError
 from ..groups import GroupView, cached_group_view
-from ..semigroup import Semigroup, cached_closure, sub_semigroup
+from ..semigroup import Semigroup, cached_closure, check_element, sub_semigroup
 from ..slp import Slp, eliminate_inverses, verify
 from .base import CompressionReport
 from .bands import compress_normal_band
@@ -97,6 +97,7 @@ def compress(
     """
     cfg = config or Config()
     gens = [int(g) for g in gens]
+    check_element(S, t, "target")
     members = cached_closure(S, gens)
     if t not in members:
         raise UnreachableError(f"target {t} is outside the generated subsemigroup")

@@ -141,9 +141,8 @@ def _level_quotient(
 ) -> tuple[np.ndarray, QuotientGroup]:
     """upper/lower as a quotient of the carved-out group upper, with the map
     from G's indices into upper's."""
-    sub, sub_view, to_sub, _ = extract_group(G.base, upper)
-    lower_sub = ElementSet.from_indices(sub.n, [int(to_sub[x]) for x in lower])
-    return to_sub, quotient_group(sub_view, lower_sub)
+    _, sub_view, to_sub, to_parent = extract_group(G.base, upper)
+    return to_sub, quotient_group(sub_view, ElementSet(lower.mask[to_parent]))
 
 
 def _eval_plain(G: GroupView, prog: Slp) -> int:
@@ -456,35 +455,27 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
                 )
         layer_members = next_members
 
-    # prune right to left, keeping records that grow the suffix subgroup
+    # prune right to left, keeping records that grow the suffix subgroup;
+    # suffixes[-1] is generated by the records kept so far
     kept: list[int] = []
-    cur = ElementSet.from_indices(G.base.n, [G.identity])
+    suffixes = [_trivial(G)]
     for idx in range(len(records) - 1, -1, -1):
-        val = records[idx].value
-        if val not in cur:
+        if records[idx].value not in suffixes[-1]:
             kept.append(idx)
-            cur = closure(G.base, [val] + list(cur))
+            suffixes.append(closure(G.base, [records[i].value for i in kept]))
     kept.reverse()
-    if cur != G.carrier:
+    if suffixes[-1] != G.carrier:
         raise ChainVerificationFailedError("records do not generate the group")
 
-    terms = [G.carrier]
-    for pos in range(len(kept)):
-        suffix_vals = [records[i].value for i in kept[pos + 1 :]]
-        term = (
-            closure(G.base, suffix_vals + [G.identity])
-            if suffix_vals
-            else ElementSet.from_indices(G.base.n, [G.identity])
-        )
-        terms.append(term)
+    terms = [G.carrier] + suffixes[-2::-1]
+    table = G.base.table
     for j in range(1, len(terms)):
         sub = terms[j]
         r = records[kept[j - 1]].value
-        for gv in sub:
-            if G.conjugate(gv, r) not in sub:
-                raise ChainVerificationFailedError(
-                    f"suffix subgroup at step {j} is not normalised by its record"
-                )
+        if not sub.mask[table[table[G.inverse[r], sub.to_array()], r]].all():
+            raise ChainVerificationFailedError(
+                f"suffix subgroup at step {j} is not normalised by its record"
+            )
         if terms[j - 1].cardinality % sub.cardinality:
             raise ChainVerificationFailedError("non-Lagrangian chain step")
     chain = SeriesChain(terms, step_generators=[records[i].value for i in kept])

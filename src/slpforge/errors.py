@@ -15,7 +15,7 @@ class FormatError(SlpforgeError):
 
 
 class OutOfRangeError(SlpforgeError):
-    """A Cayley table entry is not an element index."""
+    """A table entry, generator or target is not an element index."""
 
 
 class NotAssociativeError(SlpforgeError):

@@ -51,10 +51,7 @@ class GroupView:
         return int(self.base.periods[g])
 
     def exponent(self) -> int:
-        e = 1
-        for g in self.carrier:
-            e = math.lcm(e, self.element_order(g))
-        return e
+        return math.lcm(*self.base.periods[self.carrier.mask].tolist())
 
 
 def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
@@ -191,7 +188,7 @@ def normal_closure_set(
     xi: list[int] = []
     log: list[ConjugationStep] = []
     if not delta:
-        return ElementSet(G.base.n, 0), log
+        return ElementSet.from_indices(G.base.n, []), log
 
     def span(extra: list[int]) -> ElementSet:
         members = subgroup_closure(G, delta + extra)
@@ -237,12 +234,6 @@ class SeriesChain:
     @property
     def is_trivial_terminal(self) -> bool:
         return self.terms[-1].cardinality == 1
-
-    def quotient_sizes(self) -> list[int]:
-        return [
-            self.terms[i].cardinality // self.terms[i + 1].cardinality
-            for i in range(len(self.terms) - 1)
-        ]
 
 
 _COMMUTATOR_ROWS = 256
@@ -296,9 +287,6 @@ class QuotientGroup:
     projection: dict[int, int]
     section: list[int]
 
-    def project(self, g: int) -> int:
-        return self.projection[g]
-
     def lift(self, q: int) -> int:
         return self.section[q]
 
@@ -315,42 +303,33 @@ def quotient_group(G: GroupView, N: ElementSet) -> QuotientGroup:
     outside = products_outside(G.base, nm)
     if outside.size:
         raise NotAGroupError("subgroup set not product-closed", witness=int(outside[0]))
-    for h in G.carrier:
-        hi = G.inverse[h]
-        conj = table[table[hi, nm].astype(np.int64), h].astype(np.int64)
-        for g, c in zip(nm, conj):
-            if int(c) not in N:
-                raise NotNormalError(int(g), int(h))
-    carrier = sorted(G.carrier)
-    coset_rep: dict[int, int] = {}
-    for x in carrier:
-        if x in coset_rep:
-            continue
-        coset = sorted(int(table[x, g]) for g in nm)
-        rep = coset[0]
-        for y in coset:
-            coset_rep[y] = rep
-    reps = sorted(set(coset_rep.values()))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    projection = {x: rep_index[coset_rep[x]] for x in carrier}
-    m = len(reps)
-    qtable = np.zeros((m, m), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            qtable[i, j] = rep_index[coset_rep[int(table[a, b])]]
+    carrier = G.carrier.to_array()
+    for h in carrier.tolist():
+        escaped = ~N.mask[table[table[G.inverse[h], nm], h]]
+        if escaped.any():
+            raise NotNormalError(int(nm[escaped.argmax()]), h)
+    # scanning x upwards, an x in no coset yet is the least element of xN
+    coset = np.full(G.base.n, -1, dtype=np.int64)
+    reps: list[int] = []
+    for x in carrier.tolist():
+        if coset[x] < 0:
+            coset[table[x, nm]] = len(reps)
+            reps.append(x)
+    projection = dict(zip(carrier.tolist(), coset[carrier].tolist()))
+    qtable = coset[table[np.ix_(reps, reps)]]
     name = f"{G.base.name}/N" if G.base.name else ""
     qsg = Semigroup.trusted(qtable, name=name)
     qview = group_view(qsg)
-    return QuotientGroup(qsg, qview, projection, list(reps))
+    return QuotientGroup(qsg, qview, projection, reps)
 
 
 def is_adapted(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> bool:
     """Does sigma intersect every chain term in a generating set of that term?"""
-    sig = set(int(s) for s in sigma)
+    sig = sorted(set(int(s) for s in sigma))
     for term in chain.terms:
         if term.cardinality == 1:
             continue
-        part = [g for g in term if g in sig]
+        part = [g for g in sig if g in term]
         if not part:
             return False
         if subgroup_closure(G, part) != term:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 from .classify import Config
 from .compressors import CompressionReport, compress
 from .errors import BudgetExceededError, CompressorFailedError, SlpforgeError
-from .semigroup import Semigroup, cached_closure, closure
+from .semigroup import Semigroup, cached_closure, check_element, closure
 from .slp import Slp
 
 
@@ -24,8 +24,9 @@ def member_oracle(S: Semigroup, gens: Sequence[int], t: int) -> bool:
     """Worklist closure; the ground truth every certificate is checked against.
 
     The closure is memoised on S, so ``compress`` on the same generators
-    reuses it.
+    reuses it.  A target outside the table raises OutOfRangeError.
     """
+    check_element(S, t, "target")
     return t in cached_closure(S, gens)
 
 
@@ -63,6 +64,7 @@ def irredundancy(
     When every generator is necessary, any straight-line program for t must
     load all of them, certifying length >= |gens|.
     """
+    check_element(S, t, "target")
     distinct = sorted(set(int(g) for g in gens))
     if len(distinct) > budget:
         raise BudgetExceededError(f"{len(distinct)} generators exceed budget {budget}")

@@ -279,8 +279,7 @@ class Semigroup:
     def completely_regular_elements(self) -> ElementSet:
         om = self.omega_powers
         base = np.arange(self.n, dtype=np.int64)
-        mask = self.table[om, base] == base
-        return ElementSet.from_indices(self.n, np.flatnonzero(mask).tolist())
+        return ElementSet(self.table[om, base] == base)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -297,8 +296,7 @@ def validate_table(raw, name: str = "", gens_hint: Optional[Sequence[int]] = Non
     sg = Semigroup(np.asarray(raw), name=name, _trusted=True)
     if gens_hint is not None:
         for g in gens_hint:
-            if not 0 <= g < sg.n:
-                raise OutOfRangeError(f"generator hint {g} outside [0, {sg.n})")
+            check_element(sg, g, "generator hint")
     sg._check_associativity(gens_hint=gens_hint)
     return sg
 
@@ -309,9 +307,14 @@ def closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
     if not seed:
         raise EmptyGeneratorsError("closure of the empty set")
     for g in seed:
-        if not 0 <= g < S.n:
-            raise OutOfRangeError(f"generator {g} outside [0, {S.n})")
-    return ElementSet.from_mask(S._word_closure_mask(seed))
+        check_element(S, g, "generator")
+    return ElementSet(S._word_closure_mask(seed))
+
+
+def check_element(S: Semigroup, x: int, role: str) -> None:
+    """Raise OutOfRangeError unless x indexes an element of S."""
+    if not 0 <= x < S.n:
+        raise OutOfRangeError(f"{role} {x} outside [0, {S.n})")
 
 
 def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
@@ -403,7 +406,7 @@ def ideal_power(S: Semigroup, k: int) -> ElementSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     chain = ideal_chain(S)
-    return ElementSet.from_mask(chain[min(k, len(chain)) - 1])
+    return ElementSet(chain[min(k, len(chain)) - 1])
 
 
 def products_outside(S: Semigroup, members: np.ndarray) -> np.ndarray:
@@ -435,15 +438,13 @@ def rees_quotient(S: Semigroup, I: ElementSet) -> tuple[Semigroup, np.ndarray]:
     """
     if not is_ideal(S, I):
         raise NotAnIdealError("given set is not a two-sided ideal")
-    keep = [x for x in range(S.n) if x not in I]
-    m = len(keep)
+    keep = np.flatnonzero(~I.mask)
+    m = keep.size
     proj = np.full(S.n, m, dtype=np.int64)
-    for i, x in enumerate(keep):
-        proj[x] = i
+    proj[keep] = np.arange(m)
     qtable = np.full((m + 1, m + 1), m, dtype=np.int64)
-    keep_arr = np.asarray(keep, dtype=np.int64)
     if m:
-        qtable[:m, :m] = proj[S.table[np.ix_(keep_arr, keep_arr)].astype(np.int64)]
+        qtable[:m, :m] = proj[S.table[np.ix_(keep, keep)].astype(np.int64)]
     name = f"{S.name}/I" if S.name else ""
     return Semigroup.trusted(qtable, name=name), proj
 

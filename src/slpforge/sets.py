@@ -1,8 +1,10 @@
-"""Immutable bit-set over element indices [0, n).
+"""Immutable set of element indices [0, n), held as a read-only bool mask.
 
-Python integers double as arbitrarily wide bit vectors, which keeps closure
-loops allocation-free.  Conversions to sorted index tuples / numpy arrays sit
-at the API boundary.
+Closures, ideals and H-classes come out of numpy passes as bool masks over
+the elements, and an ``ElementSet`` wraps such a mask as it is.  The wrapper
+adds what a bare array lacks: ``in`` with set semantics, where an index
+outside [0, n) is not a member rather than a wrapped-around lookup, and a
+hash, so that sets can key the memo on ``Semigroup``.
 """
 
 from __future__ import annotations
@@ -13,95 +15,69 @@ import numpy as np
 
 
 class ElementSet:
-    __slots__ = ("n", "mask")
+    __slots__ = ("mask", "_hash")
 
-    def __init__(self, n: int, mask: int = 0):
-        if mask < 0 or mask >> n:
-            raise ValueError("mask has bits outside [0, n)")
-        self.n = n
+    def __init__(self, mask: np.ndarray):
+        """Wrap a 1-D bool mask: a writeable one is copied, a read-only one shared."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 1:
+            raise ValueError("an element mask must be 1-D")
+        if mask.flags.writeable:
+            mask = mask.copy()
+            mask.setflags(write=False)
         self.mask = mask
+        self._hash = None
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "ElementSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside [0, {n})")
-            mask |= 1 << i
-        return cls(n, mask)
-
-    @classmethod
-    def from_mask(cls, bools: np.ndarray) -> "ElementSet":
-        """Set of the True positions of a 1-D boolean array."""
-        packed = np.packbits(np.asarray(bools, dtype=bool), bitorder="little")
-        return cls(len(bools), int.from_bytes(packed.tobytes(), "little"))
+        idx = np.asarray(list(indices), dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            raise ValueError(f"index {bad[0]} outside [0, {n})")
+        mask = np.zeros(n, dtype=bool)
+        mask[idx] = True
+        return cls(mask)
 
     @classmethod
     def full(cls, n: int) -> "ElementSet":
-        return cls(n, (1 << n) - 1)
+        return cls(np.ones(n, dtype=bool))
+
+    @property
+    def n(self) -> int:
+        return self.mask.size
 
     @property
     def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
+        return int(np.count_nonzero(self.mask))
 
     def to_array(self) -> np.ndarray:
-        return np.fromiter(self, dtype=np.int64, count=self.cardinality)
+        """Members in ascending order."""
+        return np.flatnonzero(self.mask)
 
-    def contains(self, i: int) -> bool:
-        return bool((self.mask >> i) & 1)
-
-    __contains__ = contains
-
-    def add(self, i: int) -> "ElementSet":
-        return ElementSet(self.n, self.mask | (1 << i))
-
-    def remove(self, i: int) -> "ElementSet":
-        return ElementSet(self.n, self.mask & ~(1 << i))
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.n, self.mask & other.mask)
-
-    def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.n, self.mask & ~other.mask)
+    def __contains__(self, i) -> bool:
+        return 0 <= i < self.mask.size and bool(self.mask[i])
 
     def issubset(self, other: "ElementSet") -> bool:
-        return self.mask & ~other.mask == 0
+        return not np.any(self.mask & ~other.mask)
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        return iter(np.flatnonzero(self.mask).tolist())
 
     def __len__(self) -> int:
         return self.cardinality
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def __eq__(self, other) -> bool:
+        # the cached hashes tell most unequal sets apart without a scan
         return (
             isinstance(other, ElementSet)
-            and self.n == other.n
-            and self.mask == other.mask
+            and hash(self) == hash(other)
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mask))
+        if self._hash is None:
+            self._hash = hash(self.mask.tobytes())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ElementSet({self.n}, {{{', '.join(map(str, self))}}})"
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m

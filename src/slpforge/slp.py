@@ -113,9 +113,6 @@ class CostReport:
     strategy: str = ""
     verified: bool = False
 
-    def matches(self, prog: Slp) -> bool:
-        return self.length == prog.length and self.width == prog.width
-
 
 def evaluate(
     S: Semigroup,
@@ -175,9 +172,6 @@ class SlpBuilder:
         r = self._next_reg
         self._next_reg = r + 1
         return r
-
-    def reserve(self, count: int) -> list[int]:
-        return [self.fresh() for _ in range(count)]
 
     def symbol(self, value: int) -> int:
         k = self._sym_index.get(value)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import band_of_groups_decomposition
+from .decomposition import cached_decomposition
 from .errors import (
     BudgetExceededError,
     DecompositionFailedError,
@@ -32,7 +32,6 @@ from .semigroup import (
     ideal_power,
     validate_table,
 )
-from .sets import ElementSet
 
 MAX_GROUP_ORDER = 5000
 MAX_TABLE_CELLS = 3 * 10**8
@@ -431,6 +430,10 @@ def make_normal_band_of_groups(kind: str, **kwargs) -> Semigroup:
     kind="clifford": two-level strong semilattice G1 -> G0 along a verified
     homomorphism phi (list mapping G1 indices to G0 indices); carrier is the
     disjoint union with G1 first.
+
+    The result is checked by decomposing it, which also rejects a ``group``,
+    ``top`` or ``bottom`` that is not a group.  The decomposition stays
+    memoised on the table, so ``normal-band`` on it does not build it again.
     """
     if kind == "product":
         p, q, G = kwargs["p"], kwargs["q"], kwargs["group"]
@@ -458,7 +461,7 @@ def make_normal_band_of_groups(kind: str, **kwargs) -> Semigroup:
     else:
         raise UnknownFamilyError(f"unknown normal band shape {kind!r}")
     try:
-        band_of_groups_decomposition(S)
+        cached_decomposition(S)
     except SlpforgeError as exc:
         raise DecompositionFailedError(f"construction is not a normal band of groups: {exc}")
     return S
@@ -530,9 +533,7 @@ def make_nilpotent_extension(
                 table[x, y] = emb_index[v]
     gens = [windex[(i,)] for i in range(a)]
     T = _finalize(table, f"{S.name or 'S'}-ext-k{k}", gens_hint=gens)
-    ideal = ideal_power(T, k)
-    emb_set = ElementSet.from_indices(n, range(len(words), n))
-    if not ideal.issubset(emb_set):
+    if ideal_power(T, k).mask[: len(words)].any():
         raise SlpforgeError("T^k escapes the embedded part; construction bug")
     projection = np.zeros(n, dtype=np.int64)
     for x in range(n):

@@ -13,6 +13,12 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a failure is reproducible and the
+# suite's outcome does not depend on an example database
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def py_closure(table, gens) -> set[int]:

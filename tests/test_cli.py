@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from slpforge import zoo
 from slpforge.cli import main
@@ -104,8 +106,10 @@ def test_bench_determinism(tmp_path):
 
 
 def test_console_script_entry():
+    # pytest's own ``pythonpath`` setting does not reach a subprocess
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "slpforge.cli", "zoo"], capture_output=True, text=True
+        [sys.executable, "-m", "slpforge.cli", "zoo"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
 

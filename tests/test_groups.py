@@ -234,3 +234,27 @@ def test_is_adapted():
     chain = derived_series(G)
     assert is_adapted(G, [swap, cycle], chain)
     assert not is_adapted(G, [swap], chain)
+
+
+@pytest.mark.parametrize("family,params", [("sym", [4]), ("dihedral", [4]), ("heisenberg", [3])])
+def test_quotient_by_each_cyclic_subgroup_matches_cosets(family, params):
+    S, _, _ = zoo.build_family(family, params)
+    G = group_view(S)
+    t = table_of(S)
+    for x in range(S.n):
+        N = sorted(py_closure(t, [x]))
+        escaped = [
+            (g, h) for h in range(S.n) for g in N if t[t[G.inverse[h]][g]][h] not in N
+        ]
+        if escaped:
+            with pytest.raises(NotNormalError) as err:
+                quotient_group(G, ElementSet.from_indices(S.n, N))
+            assert err.value.witness == escaped[0], x
+            continue
+        Q = quotient_group(G, ElementSet.from_indices(S.n, N))
+        cosets = sorted({min(t[a][g] for g in N) for a in range(S.n)})
+        assert Q.section == cosets, x
+        for a in range(S.n):
+            assert cosets[Q.projection[a]] == min(t[a][g] for g in N), (x, a)
+            for b in range(S.n):
+                assert Q.semigroup.table[Q.projection[a], Q.projection[b]] == Q.projection[t[a][b]]

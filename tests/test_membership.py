@@ -3,7 +3,8 @@ import random
 import pytest
 
 from slpforge import zoo
-from slpforge.errors import BudgetExceededError
+from slpforge.compressors import compress
+from slpforge.errors import BudgetExceededError, OutOfRangeError
 from slpforge.membership import irredundancy, member_certified, member_oracle
 from slpforge.semigroup import closure
 
@@ -17,6 +18,16 @@ def test_oracle_examples():
     pruned = [g for g in w.generators if g != w.generators[2]]
     assert not member_oracle(w.semigroup, pruned, w.target)
     assert member_oracle(w.semigroup, w.generators, w.generators[0])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 5])
+def test_target_outside_the_table_is_a_typed_error(offset):
+    D8, gens = zoo.make_dihedral(4), zoo.dihedral_generators(4)
+    t = offset if offset < 0 else D8.n + offset
+    assert t not in closure(D8, gens)
+    for entry in (compress, member_oracle, member_certified, irredundancy):
+        with pytest.raises(OutOfRangeError, match=f"target {t} outside"):
+            entry(D8, gens, t)
 
 
 def test_oracle_matches_python_closure(zoo_small):

@@ -103,7 +103,8 @@ def test_repeated_target_is_unchanged(family, params, strategy):
 
 
 # normal-band runs the group builders on each class group, through the same
-# path as the group strategies; ``auto`` picks normal-band on these tables
+# path as the group strategies; their groups are abelian, so ``auto`` picks
+# permutative on these tables
 BAND_INSTANCES = [("rb-x-cyclic", (2, 2, 3)), ("clifford-z4-z2", ())]
 
 
@@ -204,6 +205,8 @@ def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, par
     fresh = {t: dump_slp(compress_normal_band(Semigroup(S.table), gens, t).slp) for t in targets}
     builds = _counting(monkeypatch, decomposition_mod, "band_of_groups_decomposition")
     extracts = _counting(monkeypatch, bands_mod, "extract_group")
+    # the zoo checks its construction with the decomposition every target reuses
+    S, _ = _instance(family, params)
     classes = set()
     for t in targets:
         bc = compress_normal_band(S, gens, t)
@@ -212,6 +215,16 @@ def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, par
     assert len(builds) == 1
     # one class group per class the targets fall in, each carved out once
     assert len(extracts) == len(classes) > 1
+
+
+def test_zoo_band_check_shares_the_decomposition_with_auto(monkeypatch):
+    builds = _counting(monkeypatch, decomposition_mod, "band_of_groups_decomposition")
+    S = zoo.make_normal_band_of_groups("product", p=2, q=2, group=zoo.make_sym(3))
+    gens = list(range(S.n))
+    for t in (0, S.n - 1):
+        report = compress(S, gens, t, "auto")
+        assert report.strategy == "normal-band" and report.verified, t
+    assert [args[0] is S for args in builds] == [True]
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ def test_word_closure_equals_magma_closure_on_random_semigroups():
             gens = rng.choice(S.n, size=min(size, S.n), replace=False).tolist()
             expect = S._magma_closure_mask(gens)
             assert np.array_equal(S._word_closure_mask(gens), expect), (S.table.tolist(), gens)
-            assert closure(S, gens) == ElementSet.from_mask(expect)
+            assert closure(S, gens) == ElementSet(expect)
 
 
 def test_validation_hands_the_hint_closure_on():
