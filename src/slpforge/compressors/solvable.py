@@ -49,7 +49,14 @@ from ..groups import (
 )
 from ..semigroup import closure
 from ..sets import ElementSet
-from ..slp import Slp, SlpBuilder, append_compose, eliminate_inverses, fast_exp
+from ..slp import (
+    Slp,
+    SlpBuilder,
+    append_compose,
+    eliminate_inverses,
+    fast_exp,
+    inverting_power,
+)
 from .permutative import compress_permutative
 
 
@@ -61,14 +68,12 @@ def adapt_subnormal(
     sigma: Sequence[int],
     chain: SeriesChain,
     t: int,
-    quotient_strategy: str = "abelian",
 ) -> Slp:
-    """Accumulate t level by level through the chain's quotients.
+    """Accumulate t level by level through the chain's abelian quotients.
 
     Per level the residual target is projected into G_{i-1}/G_i, compressed
-    there (permutative with k = 0 for abelian quotients; a single discrete
-    logarithm for cyclic ones), and lifted by loading the generator instead of
-    its image.  One dedicated register accumulates the product of the lifts.
+    there (permutative with k = 0), and lifted by loading the generator instead
+    of its image.  One dedicated register accumulates the product of the lifts.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     if not _adapted(G, sigma, chain):
@@ -97,20 +102,7 @@ def adapt_subnormal(
             if q not in rep:
                 rep[q] = s
                 qgens.append(q)
-        if quotient_strategy == "cyclic":
-            gval = chain.step_generators[i - 1]
-            qg = Q.projection[int(to_sub[gval])]
-            a, p = 0, Q.group.identity
-            qt = Q.semigroup.table
-            while p != x:
-                p = int(qt[p, qg])
-                a += 1
-                if a > Q.semigroup.n:
-                    raise SlpforgeError("cyclic quotient misses the residual target")
-            qprog = fast_exp(qg, a)
-            rep.setdefault(qg, gval)
-        else:
-            qprog = compress_permutative(Q.semigroup, qgens, x, kstar=0)
+        qprog = compress_permutative(Q.semigroup, qgens, x, kstar=0)
         lifted = Slp(
             tuple(rep[qv] for qv in qprog.alphabet),
             qprog.instructions,
@@ -201,11 +193,6 @@ class DeltaSet:
         return [r.value for r in self.records]
 
 
-def _quotient_proj(G: GroupView, term: ElementSet) -> tuple[QuotientGroup, dict]:
-    Q = quotient_group(G, term)
-    return Q, Q.projection
-
-
 def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> DeltaSet:
     """Generators adapted to the derived series, from conjugates/commutators."""
     sigma = list(dict.fromkeys(int(s) for s in sigma))
@@ -218,7 +205,8 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
             records.append(rec)
 
     # level 0: a minimal subset of sigma generating G modulo G'
-    Qg, proj1 = _quotient_proj(G, chain.terms[1] if len(chain.terms) > 1 else _trivial(G))
+    Qg = quotient_group(G, chain.terms[1] if len(chain.terms) > 1 else _trivial(G))
+    proj1 = Qg.projection
     full = _proj_span(Qg, [proj1[s] for s in sigma])
     if len(full) != Qg.semigroup.n:
         raise SlpforgeError("sigma does not generate G modulo G'")
@@ -236,7 +224,8 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
     prev_vals = list(delta0)
     for i in range(1, len(chain.terms) - 1):
         term_next = chain.terms[i + 1] if i + 1 < len(chain.terms) else _trivial(G)
-        Q, proj = _quotient_proj(G, term_next)
+        Q = quotient_group(G, term_next)
+        proj = Q.projection
         pget = proj.get
 
         xi_set, xi_log = normal_closure_set(G, prev_vals, sigma, membership_quotient=pget)
@@ -341,7 +330,7 @@ def compress_group_solvable(
     table, so later targets only run the adapted-series walk.
     """
     delta, chain, dprog = cached_on_group(G, "solvable_plan", sigma, solvable_plan)
-    aprog = adapt_subnormal(G, delta.values, chain, t, "abelian")
+    aprog = adapt_subnormal(G, delta.values, chain, t)
     composed = append_compose(G.base, aprog, dprog, group=G)
     plain = eliminate_inverses(G, composed)
     return plain, delta, chain
@@ -478,7 +467,7 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
             )
         if terms[j - 1].cardinality % sub.cardinality:
             raise ChainVerificationFailedError("non-Lagrangian chain step")
-    chain = SeriesChain(terms, step_generators=[records[i].value for i in kept])
+    chain = SeriesChain(terms)
     return PolycyclicGenSet(records, kept, chain, G.exponent())
 
 
@@ -559,7 +548,7 @@ def compress_group_solvable_bounded(
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     pcs = cached_on_group(G, "polycyclic_set", sigma, build_polycyclic_set)
     exponent = pcs.exponent
-    inv_exp = exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
+    inv_exp = inverting_power(exponent)
 
     # pass 1: discrete logarithms along the chain
     table = G.base.table

@@ -13,7 +13,7 @@ loops restart from the smallest candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -225,7 +225,6 @@ class SeriesChain:
     """Descending chain of subgroups given as element sets of the ambient group."""
 
     terms: list[ElementSet]
-    step_generators: list[int] = field(default_factory=list)
 
     @property
     def length(self) -> int:
@@ -286,9 +285,6 @@ class QuotientGroup:
     group: GroupView
     projection: dict[int, int]
     section: list[int]
-
-    def lift(self, q: int) -> int:
-        return self.section[q]
 
 
 def quotient_group(G: GroupView, N: ElementSet) -> QuotientGroup:

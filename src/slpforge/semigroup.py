@@ -4,15 +4,16 @@ The table is an n x n numpy array; entry ``table[a, b]`` is the index of the
 product a*b.  Everything downstream (closures, word search, ideals,
 decompositions) reads this one array, so validation happens here, once.
 
-Associativity checking is O(n^3) in general.  Up to ``_FULL_CHECK_MAX``
-elements we scan all triples (vectorised row by row).  Above that we switch to
-Light's test relative to a generating set: it suffices to check
-``(a*g)*b == a*(g*b)`` for every generator g, provided the generators reach
-every element under repeated (non-associative) pairwise products.  Closed-form
-constructors and ``.cay`` headers that know a small generating set pass it as
-a hint.  Once the test passes, the hint generates the whole table as a
-semigroup, and that closure is memoised so ``compress`` over the same
-generators does not build it again.
+Associativity is checked by Light's test over a generating set (Clifford &
+Preston, *The Algebraic Theory of Semigroups* I, section 1.2): if
+``(a*g)*b == a*(g*b)`` for every a, b and every g in a set that reaches every
+element under repeated (non-associative) pairwise products, the table is
+associative.  Each g costs two n x n gathers.  Closed-form constructors and
+``.cay`` headers that know a small generating set pass it as a hint; without
+one, or when the hint does not generate the table, the set is picked
+greedily.  Once the test passes over a hint, the hint generates the whole
+table as a semigroup, and that closure is memoised so ``compress`` over the
+same generators does not build it again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .sets import ElementSet
 
-_FULL_CHECK_MAX = 512
 DIRECT_PRODUCT_MAX = 20_000
 
 _V = TypeVar("_V")
@@ -76,22 +76,14 @@ class Semigroup:
     def trusted(cls, table: np.ndarray, name: str = "") -> "Semigroup":
         """Wrap a table whose associativity is guaranteed structurally.
 
-        Used for subsemigroups, quotients, and direct products of validated
-        semigroups, where re-scanning all triples would be wasted work.
+        Used for subsemigroups, quotients and direct products of validated
+        semigroups, and for rectangular bands, whose closed form
+        (a,b)(c,d) = (a,d) is associative; checking them would be wasted work.
         """
         return cls(table, name=name, _trusted=True)
 
     def _check_associativity(self, gens_hint: Optional[Sequence[int]] = None) -> None:
         n, table = self.n, self.table
-        if n <= _FULL_CHECK_MAX and gens_hint is None:
-            for a in range(n):
-                row = table[a]
-                lhs = table[row]          # (b, c) -> (a*b)*c
-                rhs = row[table]          # (b, c) -> a*(b*c)
-                if not np.array_equal(lhs, rhs):
-                    b, c = np.argwhere(lhs != rhs)[0]
-                    raise NotAssociativeError(a, int(b), int(c))
-            return
         gens = list(dict.fromkeys(int(g) for g in (() if gens_hint is None else gens_hint)))
         hint_generates = bool(gens) and self._magma_closure_mask(gens).all()
         if not hint_generates:
@@ -125,12 +117,20 @@ class Semigroup:
             in_set[frontier] = True
         return in_set
 
-    def _magma_closure_mask(self, seed: Sequence[int]) -> np.ndarray:
+    def _magma_closure_mask(
+        self, seed: Sequence[int], base: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Elements reached from ``seed`` by repeated pairwise products.
+
+        ``base``, when given, must already be closed under products; the
+        closure of base and seed then grows from the seed alone, since a
+        product of two base elements stays in base.
+        """
         table = self.table
-        in_set = np.zeros(self.n, dtype=bool)
+        in_set = np.zeros(self.n, dtype=bool) if base is None else base.copy()
         seed_arr = np.unique(np.asarray(list(seed), dtype=np.int64))
-        in_set[seed_arr] = True
-        frontier = seed_arr
+        frontier = seed_arr[~in_set[seed_arr]]
+        in_set[frontier] = True
         while frontier.size:
             if in_set.all():  # nothing left to reach
                 break
@@ -143,12 +143,13 @@ class Semigroup:
         return in_set
 
     def _greedy_generators(self) -> list[int]:
+        """The least element outside the closure so far, until all are reached."""
         in_set = np.zeros(self.n, dtype=bool)
         gens: list[int] = []
         while not in_set.all():
             g = int(np.flatnonzero(~in_set)[0])
             gens.append(g)
-            in_set |= self._magma_closure_mask(np.flatnonzero(in_set).tolist() + [g])
+            in_set = self._magma_closure_mask([g], base=in_set)
         return gens
 
     def cached(self, key: Hashable, build: Callable[[], _V]) -> _V:

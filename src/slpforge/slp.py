@@ -541,7 +541,12 @@ def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, .
     exponent = 1
     for g in sub:
         exponent = math.lcm(exponent, int(G.base.periods[g]))
-    return sigma_min, exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
+    return sigma_min, inverting_power(exponent)
+
+
+def inverting_power(exponent: int) -> int:
+    """A power k >= 2 with g^k = g^-1 for every g of a group of this exponent."""
+    return exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
 
 
 def _sub_identity(G: GroupView, sub) -> int:

@@ -1,11 +1,12 @@
 """Constructors for the example structures and lower-bound witness families.
 
-Each family builds a concrete Cayley table.  Small instances go through the
-full validator; large ones are built from closed forms whose defining laws are
-re-checked directly on the table (the laws imply associativity for these
-shapes), since an all-triples scan at 10^4 elements is not a desk-scale
-operation.  The test suite additionally validates small members of every
-family from scratch.
+Each family builds a concrete Cayley table and validates it with its own
+generators as the hint, so Light's test runs over a few generators at every
+size.  Permutation groups and the Clifford shape pass no hint and are checked
+over a greedily picked generating set.  Rectangular bands, and products built
+from validated factors, are associative by construction and are not checked
+again.  The test suite additionally validates small members of every family
+from scratch, without a hint.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .semigroup import (
     Semigroup,
-    closure,
+    cached_closure,
     direct_product,
     ideal_power,
     validate_table,
@@ -35,7 +36,6 @@ from .semigroup import (
 
 MAX_GROUP_ORDER = 5000
 MAX_TABLE_CELLS = 3 * 10**8
-_VALIDATE_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ def _check_cells(n: int) -> None:
         )
 
 
-def _finalize(table: np.ndarray, name: str, gens_hint: Optional[Sequence[int]] = None) -> Semigroup:
-    if table.shape[0] <= _VALIDATE_MAX:
-        return validate_table(table, name=name)
-    return validate_table(table, name=name, gens_hint=gens_hint)
-
-
 # -- groups ----------------------------------------------------------------
 
 
@@ -68,7 +62,7 @@ def make_cyclic(m: int) -> Semigroup:
         raise BudgetExceededError(f"cyclic order {m} outside [1, {MAX_GROUP_ORDER}]")
     idx = np.arange(m, dtype=np.int64)
     table = (idx[:, None] + idx[None, :]) % m
-    return _finalize(table, f"Z{m}", gens_hint=[0, 1 % m])
+    return validate_table(table, name=f"Z{m}", gens_hint=[0, 1 % m])
 
 
 def make_abelian(dims: Sequence[int]) -> Semigroup:
@@ -92,7 +86,7 @@ def make_dihedral(m: int) -> Semigroup:
     rot = (i[:, None] + sign[:, None] * i[None, :]) % m
     flip = (s[:, None] + s[None, :]) % 2
     table = flip * m + rot
-    return _finalize(table, f"D{2 * m}", gens_hint=[1 % (2 * m), m])
+    return validate_table(table, name=f"D{2 * m}", gens_hint=[1 % (2 * m), m])
 
 
 def dihedral_generators(m: int) -> list[int]:
@@ -112,7 +106,7 @@ def make_heisenberg(p: int) -> Semigroup:
     bb = (b[:, None] + b[None, :]) % p
     cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
     table = aa * p * p + bb * p + cc
-    return _finalize(table, f"H{p}", gens_hint=[p * p, p, 1])
+    return validate_table(table, name=f"H{p}", gens_hint=[p * p, p, 1])
 
 
 def heisenberg_generators(p: int) -> list[int]:
@@ -126,7 +120,7 @@ def _perm_table(perms: list[tuple[int, ...]], name: str) -> Semigroup:
     for i, sig in enumerate(perms):
         for j, tau in enumerate(perms):
             table[i, j] = index[tuple(sig[t] for t in tau)]
-    return _finalize(table, name)
+    return validate_table(table, name=name)
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -227,7 +221,7 @@ def make_obstruction_witness(variant: str, n: int) -> Witness:
                     table[x, y] = index[(i, l)]
         size = m + 1
     gens = [index[(i, i)] for i in range(1, n + 1)]
-    S = _finalize(table, f"{variant}-witness-{n}", gens_hint=gens)
+    S = validate_table(table, name=f"{variant}-witness-{n}", gens_hint=gens)
     _verify_obstruction(S, variant, n, gens, index)
     expected = n * (n + 1) // 2 + (1 if variant == "T" else 0)
     if S.n != expected:
@@ -244,7 +238,7 @@ def _verify_obstruction(S, variant, n, gens, index):
             acc = int(table[acc, gens[letter - 1]])
         if acc != k:
             raise SlpforgeError(f"interval ({i},{j}) is not the product of its letters")
-    if closure(S, gens).cardinality != S.n:
+    if cached_closure(S, gens).cardinality != S.n:
         raise SlpforgeError("unit intervals do not generate the witness")
     # defining relations on generators
     for i in range(1, n + 1):
@@ -256,25 +250,6 @@ def _verify_obstruction(S, variant, n, gens, index):
                 raise SlpforgeError("RRB absorption s_i s_j = s_i failed")
             if variant == "T" and j != i + 1 and p != S.n - 1:
                 raise SlpforgeError("T annihilation s_i s_j = 0 failed")
-    if n <= 8:
-        from .identities import (
-            IDENTITY_BAND,
-            IDENTITY_LRB,
-            IDENTITY_RRB,
-            OmegaTerm,
-            ZERO,
-            satisfies_identity,
-        )
-
-        x, y = OmegaTerm.var(0), OmegaTerm.var(1)
-        if variant == "LRB":
-            ok = satisfies_identity(S, *IDENTITY_BAND) and satisfies_identity(S, *IDENTITY_LRB)
-        elif variant == "RRB":
-            ok = satisfies_identity(S, *IDENTITY_BAND) and satisfies_identity(S, *IDENTITY_RRB)
-        else:
-            ok = satisfies_identity(S, x * x, ZERO) and satisfies_identity(S, x * y * x, ZERO)
-        if not ok:
-            raise SlpforgeError(f"{variant} witness fails its defining identities")
 
 
 def make_u_witness(n: int) -> Witness:
@@ -290,7 +265,7 @@ def make_u_witness(n: int) -> Witness:
     table = np.full((size, size), zero, dtype=np.int64)
     table[:-1, :-1] = np.where(overlap, zero, union)
     gens = [(1 << i) - 1 for i in range(n)]
-    S = _finalize(table, f"U-witness-{n}", gens_hint=gens)
+    S = validate_table(table, name=f"U-witness-{n}", gens_hint=gens)
     if S.n != size:
         raise SlpforgeError("u-witness size mismatch")
     return Witness(S, gens, size - 2)
@@ -384,7 +359,7 @@ def make_power_witness(M: Semigroup, s: int, n: int, max_elements: int = 10**5) 
     t_val = elems[gens[0]]
     for g in gens_t[1:]:
         t_val = tuple(int(table_m[x, y]) for x, y in zip(t_val, g))
-    S = _finalize(table, f"power-witness-{n}", gens_hint=gens)
+    S = validate_table(table, name=f"power-witness-{n}", gens_hint=gens)
     return Witness(S, gens, index[t_val])
 
 
@@ -397,7 +372,7 @@ def make_subset_semilattice(n: int) -> Witness:
     subs = np.arange(1, size + 1, dtype=np.int64)
     table = (subs[:, None] | subs[None, :]) - 1
     gens = [(1 << i) - 1 for i in range(n)]
-    S = _finalize(table, f"Sl2^{n}", gens_hint=gens)
+    S = validate_table(table, name=f"Sl2^{n}", gens_hint=gens)
     return Witness(S, gens, size - 1)
 
 
@@ -408,13 +383,7 @@ def make_rectangular_band(p: int, q: int) -> Semigroup:
     n = p * q
     idx = np.arange(n, dtype=np.int64)
     table = (idx[:, None] // q) * q + (idx[None, :] % q)
-    if n <= _VALIDATE_MAX:
-        return validate_table(table, name=f"RB({p},{q})")
-    S = Semigroup.trusted(table, name=f"RB({p},{q})")
-    # law check in lieu of the all-triples scan: the formula itself
-    if not np.array_equal(S.table.astype(np.int64), table):
-        raise SlpforgeError("rectangular band table mismatch")
-    return S
+    return Semigroup.trusted(table, name=f"RB({p},{q})")
 
 
 def rectangular_band_generators(p: int, q: int) -> list[int]:
@@ -532,7 +501,7 @@ def make_nilpotent_extension(
                 v = int(S.table[emb_sorted[x - len(words)], emb_sorted[y - len(words)]])
                 table[x, y] = emb_index[v]
     gens = [windex[(i,)] for i in range(a)]
-    T = _finalize(table, f"{S.name or 'S'}-ext-k{k}", gens_hint=gens)
+    T = validate_table(table, name=f"{S.name or 'S'}-ext-k{k}", gens_hint=gens)
     if ideal_power(T, k).mask[: len(words)].any():
         raise SlpforgeError("T^k escapes the embedded part; construction bug")
     projection = np.zeros(n, dtype=np.int64)

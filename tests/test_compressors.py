@@ -288,7 +288,7 @@ def test_adapt_subnormal_s3():
     cycle = zoo.perm_index(3, (1, 2, 0))
     chain = derived_series(G)
     for t in range(6):
-        prog = adapt_subnormal(G, [swap, cycle], chain, t, "abelian")
+        prog = adapt_subnormal(G, [swap, cycle], chain, t)
         assert evaluate(S, prog).output_value == t
 
 
@@ -300,18 +300,7 @@ def test_adapt_subnormal_rejects_unadapted():
     from slpforge.errors import NotAdaptedError
 
     with pytest.raises(NotAdaptedError):
-        adapt_subnormal(G, [swap], chain, swap, "abelian")
-
-
-def test_adapt_subnormal_cyclic_chain():
-    S = zoo.make_dihedral(4)
-    G = group_view(S)
-    gens = zoo.dihedral_generators(4)
-    pcs = build_polycyclic_set(G, gens)
-    sigma = [r.value for r in pcs.chain_records()]
-    for t in range(S.n):
-        prog = adapt_subnormal(G, sigma, pcs.chain, t, "cyclic")
-        assert evaluate(S, prog).output_value == t
+        adapt_subnormal(G, [swap], chain, swap)
 
 
 def test_derived_adapted_set_levels():

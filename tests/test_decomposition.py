@@ -34,6 +34,7 @@ def test_product_lands_in_product_class():
     S, gens, _ = zoo.build_family("rb-x-cyclic", [2, 3, 4])
     dec = band_of_groups_decomposition(S)
     B = dec.band
+    assert all(int(B.table[alpha, alpha]) == alpha for alpha in range(B.n))
     for a in range(S.n):
         for b in range(S.n):
             assert dec.class_of(int(S.table[a, b])) == int(

@@ -217,7 +217,7 @@ def test_quotient_s3_by_a3():
             )
     # section composed with projection is the identity on the quotient
     for q in range(Q.semigroup.n):
-        assert Q.projection[Q.lift(q)] == q
+        assert Q.projection[Q.section[q]] == q
 
 
 def test_quotient_not_normal():

@@ -59,8 +59,7 @@ def test_out_of_range_entry():
         validate_table([[0, 1], [1, 5]])
 
 
-def test_lights_test_path_matches_full_scan():
-    # force the generating-set path on a table where the full scan also runs
+def test_lights_test_over_a_one_element_hint():
     S = zoo.make_cyclic(30)
     revalidated = validate_table(S.table, gens_hint=[1])
     assert revalidated.n == 30
@@ -79,11 +78,75 @@ def test_hint_may_be_any_integer_sequence():
         validate_table(S.table, gens_hint=np.array([1, S.n]))
 
 
-def _non_associative_tables(count: int, seed: int):
+def _all_triples_witness(table):
+    """Reference check: the first (a, b, c) with (ab)c != a(bc), or None."""
+    table = np.asarray(table, dtype=np.int64)
+    for a in range(table.shape[0]):
+        lhs, rhs = table[table[a]], table[a][table]  # (b, c) -> (ab)c, a(bc)
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            return a, int(b), int(c)
+    return None
+
+
+def _greedy_reference(table) -> list[int]:
+    """Least element outside the pairwise closure, closing from scratch each time."""
+    gens: list[int] = []
+    reached: set[int] = set()
+    while len(reached) < len(table):
+        gens.append(min(set(range(len(table))) - reached))
+        reached = py_closure(table, gens)
+    return gens
+
+
+def _null_table(n: int) -> np.ndarray:
+    return np.zeros((n, n), dtype=np.int64)  # every product is the zero 0
+
+
+def test_hintless_validation_accepts_random_semigroups():
+    for S in random_semigroups(60, seed=5):
+        assert _all_triples_witness(S.table) is None
+        assert validate_table(S.table).n == S.n
+
+
+def test_hintless_validation_rejects_random_magmas_with_a_failing_triple():
+    sizes = set()
+    for table in _non_associative_tables(80, seed=3, sizes=(3, 41)):
+        assert _all_triples_witness(table) is not None
+        with pytest.raises(NotAssociativeError) as err:
+            validate_table(table)
+        a, b, c = err.value.witness
+        assert table[table[a, b], c] != table[a, table[b, c]]
+        assert b in _greedy_reference(table.tolist())
+        sizes.add(table.shape[0])
+    assert min(sizes) <= 5 and max(sizes) >= 35
+
+
+def test_greedy_generators_match_the_from_scratch_reference():
+    tables = [S.table for S in random_semigroups(40, seed=9)]
+    tables += _non_associative_tables(40, seed=4, sizes=(3, 41))
+    tables.append(_null_table(40))
+    for table in tables:
+        S = Semigroup.trusted(table)
+        assert S._greedy_generators() == _greedy_reference(table_of(S)), table_of(S)
+    null = Semigroup.trusted(_null_table(512))
+    assert null._greedy_generators() == list(range(512))
+    assert validate_table(null.table).n == 512
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 5), (20, 30)])
+def test_rectangular_bands_revalidate_from_scratch(p, q):
+    R = zoo.make_rectangular_band(p, q)
+    gens = zoo.rectangular_band_generators(p, q)
+    assert validate_table(R.table, gens_hint=gens).n == p * q
+    assert closure(R, gens) == ElementSet.full(p * q)
+
+
+def _non_associative_tables(count: int, seed: int, sizes=(3, 7)):
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        n = int(rng.integers(3, 7))
+        n = int(rng.integers(*sizes))
         table = rng.integers(0, n, size=(n, n))
         if not np.array_equal(table[table, :], table[:, table]):  # (ab)c vs a(bc)
             out.append(table)

@@ -87,6 +87,17 @@ def test_obstruction_sizes_exact():
             assert got.cardinality == w.semigroup.n
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_obstruction_witnesses_satisfy_their_identities(n):
+    x, y = OmegaTerm.var(0), OmegaTerm.var(1)
+    lrb = zoo.make_obstruction_witness("LRB", n).semigroup
+    assert satisfies_identity(lrb, *IDENTITY_BAND) and satisfies_identity(lrb, *IDENTITY_LRB)
+    rrb = zoo.make_obstruction_witness("RRB", n).semigroup
+    assert satisfies_identity(rrb, *IDENTITY_BAND) and satisfies_identity(rrb, *IDENTITY_RRB)
+    t = zoo.make_obstruction_witness("T", n).semigroup
+    assert satisfies_identity(t, x * x, ZERO) and satisfies_identity(t, x * y * x, ZERO)
+
+
 def test_lrb_witness_matches_congruence_oracle():
     for n in (2, 3, 4, 5):
         w = zoo.make_obstruction_witness("LRB", n)
