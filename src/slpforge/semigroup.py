@@ -36,7 +36,8 @@ DIRECT_PRODUCT_MAX = 20_000
 _V = TypeVar("_V")
 
 
-def _min_dtype(n: int):
+def table_dtype(n: int):
+    """The dtype a table on n elements is stored at: the narrowest that fits."""
     if n <= 0x100:
         return np.uint8
     if n <= 0x10000:
@@ -60,7 +61,7 @@ class Semigroup:
                 f"entry at ({bad[0]}, {bad[1]}) = {table[bad[0], bad[1]]} outside [0, {n})"
             )
         self.n = n
-        self.table = np.ascontiguousarray(table.astype(_min_dtype(n), copy=True))
+        self.table = np.ascontiguousarray(table.astype(table_dtype(n), copy=True))
         self.table.setflags(write=False)
         self.name = name
         self._omega = None
@@ -160,9 +161,11 @@ class Semigroup:
         long as this object.  The key must name everything ``build`` depends on
         besides the table.  An exception from ``build`` propagates and leaves
         nothing behind, so a failed build is retried on the next call.  Cached
-        values are shared between callers and must not be mutated, with one
-        exception: the ``group-bsz`` cube list, which only grows by append
-        (``reachability.cube_covering``), so every prefix stays valid.
+        values are shared between callers and must not be mutated, with two
+        exceptions that only grow, so what a caller already read stays valid:
+        the ``group-bsz`` cube list, appended to by
+        ``reachability.cube_covering``, and the ``shortest_word`` search tree,
+        which gains whole BFS levels as deeper targets are asked.
         """
         try:
             return self._memo[key]
@@ -324,59 +327,86 @@ def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
     return S.cached(("closure", key), lambda: closure(S, key))
 
 
+class _WordTree:
+    """Breadth-first search tree of shortest words over one generator tuple.
+
+    ``via[x]`` is the position in the tuple of the last letter of x's word and
+    ``parent[x]`` the element before it (-1 for a one-letter word); both are
+    meaningful only where ``seen[x]``.  ``frontier`` is the deepest level so
+    far, in the lexicographic order of its words.  Levels are expanded only
+    on demand, and each one is written whole (parent, via, seen) before the
+    frontier moves to it, so a search never stops mid-level and a tree that
+    stopped early for one target is still exact for the next.
+    """
+
+    def __init__(self, S: Semigroup, gens: tuple[int, ...]):
+        n = S.n
+        self.table = S.table
+        self.gen_vals = np.asarray(gens, dtype=np.int64)
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.via = np.full(n, -1, dtype=np.int64)
+        self.seen = np.zeros(n, dtype=bool)
+        level: list[int] = []
+        for i, g in enumerate(gens):
+            if not self.seen[g]:
+                self.seen[g] = True
+                self.via[g] = i
+                level.append(g)
+        self.frontier = np.asarray(level, dtype=np.int64)
+
+    def _grow(self) -> None:
+        """Expand the frontier by one level.
+
+        The first discovery of an element keeps the lex-least shortest word:
+        the products are scanned in (frontier word, letter) order.
+        """
+        lvl, m = self.frontier, self.gen_vals.size
+        flat = self.table[np.ix_(lvl, self.gen_vals)].astype(np.int64).ravel()
+        uniq, first = np.unique(flat, return_index=True)
+        fresh = ~self.seen[uniq]
+        uniq, first = uniq[fresh], first[fresh]
+        order = np.argsort(first, kind="stable")
+        uniq, first = uniq[order], first[order]
+        self.parent[uniq] = lvl[first // m]
+        self.via[uniq] = first % m
+        self.seen[uniq] = True
+        self.frontier = uniq
+
+    def word(self, t: int) -> Optional[list[int]]:
+        while not self.seen[t] and self.frontier.size:
+            self._grow()
+        if not self.seen[t]:
+            return None
+        word: list[int] = []
+        x = t
+        while x != -1:
+            word.append(int(self.via[x]))
+            x = int(self.parent[x])
+        word.reverse()
+        return word
+
+
 def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[int]]:
     """Minimum-length word over ``gens`` whose left-to-right product is t.
 
     Returns generator *positions* into ``gens``; ties broken by the
     lexicographically smallest index sequence.  None when t is unreachable.
-    BFS levels are kept in lexicographic order of the witness word, so the
-    first discovery of an element is its lex-minimal shortest word.
+    The search tree is memoised on S under the generator tuple as given
+    (order and repeats included, since the answer indexes it) and grown
+    level by level only as deep as the targets asked so far need.  Raises
+    OutOfRangeError for a target or generator outside S.
     """
+    gens = tuple(int(g) for g in gens)
     if not gens:
         raise EmptyGeneratorsError("no generators")
-    gens = [int(g) for g in gens]
-    gen_vals = np.asarray(gens, dtype=np.int64)
-    m = len(gens)
-    n = S.n
-    parent = np.full(n, -1, dtype=np.int64)
-    via = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    check_element(S, t, "target")
 
-    level: list[int] = []
-    for i, g in enumerate(gens):
-        if not seen[g]:
-            seen[g] = True
-            via[g] = i
-            level.append(g)
-            if g == t:
-                return [i]
-    table = S.table
-    while level:
-        lvl = np.asarray(level, dtype=np.int64)
-        prods = table[np.ix_(lvl, gen_vals)].astype(np.int64)
-        flat = prods.ravel()
-        uniq, first = np.unique(flat, return_index=True)
-        fresh = ~seen[uniq]
-        uniq, first = uniq[fresh], first[fresh]
-        if uniq.size == 0:
-            return None
-        order = np.argsort(first, kind="stable")
-        uniq, first = uniq[order], first[order]
-        seen[uniq] = True
-        parent[uniq] = lvl[first // m]
-        via[uniq] = first % m
-        level = uniq.tolist()
-        if seen[t]:
-            break
-    if not seen[t]:
-        return None
-    word: list[int] = []
-    x = t
-    while x != -1:
-        word.append(int(via[x]))
-        x = int(parent[x])
-    word.reverse()
-    return word
+    def build() -> _WordTree:
+        for g in gens:
+            check_element(S, g, "generator")
+        return _WordTree(S, gens)
+
+    return S.cached(("word_tree", gens), build).word(int(t))
 
 
 def ideal_chain(S: Semigroup) -> tuple[np.ndarray, ...]:

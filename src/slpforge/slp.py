@@ -85,8 +85,14 @@ class Slp:
         return seen
 
     def canonical(self) -> "Slp":
-        """Renumber registers in first-assignment order (0, 1, 2, ...)."""
-        ren = {r: i for i, r in enumerate(self.registers())}
+        """Renumber registers in first-assignment order (0, 1, 2, ...).
+
+        A program already numbered that way is returned as it is.
+        """
+        regs = self.registers()
+        if regs == list(range(len(regs))):
+            return self
+        ren = {r: i for i, r in enumerate(regs)}
         out = []
         for ins in self.instructions:
             if ins[0] == "L":
@@ -466,19 +472,6 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
                 b.mul(kreg, scratch, kreg)
 
     sigma_min_set = set(sigma_min)
-    word_cache: dict[int, list[int]] = {}
-
-    def word_over_min(g: int) -> list[int]:
-        w = word_cache.get(g)
-        if w is None:
-            positions = shortest_word(G.base, sigma_min, g)
-            if positions is None:
-                raise InvalidProgramError(
-                    f"generator {g} not expressible over the minimal subset"
-                )
-            w = [sigma_min[p] for p in positions]
-            word_cache[g] = w
-        return w
 
     state = _MirrorState(first_free=b._next_reg)
     state.pinned.update(inv_reg.values())
@@ -491,7 +484,13 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
                 b.load(p, g)
                 state.rebind(dst, p, inv_reg[g])
             else:
-                w = word_over_min(g)
+                # the word search tree is memoised on the table across programs
+                positions = shortest_word(G.base, sigma_min, g)
+                if positions is None:
+                    raise InvalidProgramError(
+                        f"generator {g} not expressible over the minimal subset"
+                    )
+                w = [sigma_min[i] for i in positions]
                 p, nreg = state.writable_pair(dst)
                 b.load(p, w[0])
                 for letter in w[1:]:

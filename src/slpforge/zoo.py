@@ -31,6 +31,7 @@ from .semigroup import (
     cached_closure,
     direct_product,
     ideal_power,
+    table_dtype,
     validate_table,
 )
 
@@ -381,8 +382,9 @@ def make_rectangular_band(p: int, q: int) -> Semigroup:
     if p < 1 or q < 1 or p * q > 10**4:
         raise BudgetExceededError("rectangular band needs p, q >= 1 and pq <= 10^4")
     n = p * q
-    idx = np.arange(n, dtype=np.int64)
-    table = (idx[:, None] // q) * q + (idx[None, :] % q)
+    idx = np.arange(n, dtype=table_dtype(n))
+    # (a*q + b)(c*q + d) = a*q + d, summed at the stored dtype: the sum is < n
+    table = (idx // q * q)[:, None] + (idx % q)[None, :]
     return Semigroup.trusted(table, name=f"RB({p},{q})")
 
 

@@ -250,3 +250,40 @@ def test_one_shot_auto_reuses_validation_structure(monkeypatch, S, gens):
         assert not any(args[0] is parsed for args in closures), t
         # the group route and the polycyclic set share one derived series
         assert len(series) == before + 1, t
+
+
+@pytest.mark.parametrize(
+    "S,gens",
+    [
+        (zoo.make_dihedral(8), zoo.dihedral_generators(8)),
+        (zoo.make_heisenberg(3), zoo.heisenberg_generators(3)),
+    ],
+    ids=["D16", "H3"],
+)
+def test_word_trees_grow_each_level_once(monkeypatch, S, gens):
+    targets = random.Random(S.n).choices(sorted(closure(S, gens)), k=20)
+    fresh = [_fresh(S, gens, t, "group-solvable") for t in targets]
+    grows: dict = {}  # tree -> levels expanded
+    words: dict = {}  # tree -> answers given
+    grow, word = semigroup_mod._WordTree._grow, semigroup_mod._WordTree.word
+
+    def counted_grow(tree):
+        grows[tree] = grows.get(tree, 0) + 1
+        grow(tree)
+
+    def recorded_word(tree, t):
+        words.setdefault(tree, []).append(word(tree, t))
+        return words[tree][-1]
+
+    monkeypatch.setattr(semigroup_mod._WordTree, "_grow", counted_grow)
+    monkeypatch.setattr(semigroup_mod._WordTree, "word", recorded_word)
+    reused = Semigroup(S.table)
+    for t, expect in zip(targets, fresh):
+        assert _answer(reused, gens, t, "group-solvable") == expect, t
+    # one tree per quotient table serves every target
+    assert words and all(len(answers) > 1 for answers in words.values())
+    for tree, answers in words.items():
+        assert None not in answers
+        # the tree is built holding the one-letter words; every later level
+        # is expanded once, and none past the deepest word asked of it
+        assert grows.get(tree, 0) == max(map(len, answers)) - 1

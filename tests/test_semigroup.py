@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,63 @@ def test_shortest_word_lrb_needs_every_generator():
     w = zoo.make_obstruction_witness("LRB", 5)
     word = shortest_word(w.semigroup, w.generators, w.target)
     assert word == [0, 1, 2, 3, 4]
+
+
+def _query_orders(S, gens, oracle):
+    """Two target sequences: unreachable first, then deep to shallow; and a
+    generator first, then deep to shallow with every target asked twice."""
+    deep_first = sorted(oracle, key=lambda t: (-len(oracle[t]), t))
+    unreachable = [t for t in range(S.n) if t not in oracle]
+    return (
+        unreachable[:1] + deep_first + unreachable,
+        [gens[-1]] + [t for t in deep_first for _ in range(2)],
+    )
+
+
+def test_word_tree_matches_fresh_search_in_every_query_order():
+    rng = random.Random(11)
+    tables = [S for S in random_semigroups(40, seed=11) if S.n >= 2]
+    for S in tables:
+        # the transformation semigroup's own generators come first
+        pool = range(min(S.n, 6))
+        base = rng.sample(pool, k=min(len(pool), rng.randint(2, 4)))
+        # one set in two orders, and with repeats: each tuple is its own
+        # tree on the shared table, since the answer is positions into it
+        tuples = (base, base[::-1], base[:1] + base, base + base[1:2])
+        oracles = [py_shortest_words(table_of(S), gens) for gens in tuples]
+        for order in range(2):
+            reused = Semigroup.trusted(S.table)
+            for gens, oracle in zip(tuples, oracles):
+                for t in _query_orders(S, gens, oracle)[order]:
+                    assert shortest_word(reused, gens, t) == oracle.get(t), (gens, t)
+
+
+def test_word_tree_keys_are_generator_tuples():
+    S = zoo.make_dihedral(4)
+    r, s = zoo.dihedral_generators(4)
+    for gens in ([r, s], [s, r], [r, r, s], [s, r, s]):
+        oracle = py_shortest_words(table_of(S), gens)
+        for t in range(S.n):
+            assert shortest_word(S, gens, t) == oracle[t], (gens, t)
+    trees = {key: v for key, v in S._memo.items() if key[0] == "word_tree"}
+    assert set(trees) == {("word_tree", g) for g in [(r, s), (s, r), (r, r, s), (s, r, s)]}
+
+
+@pytest.mark.parametrize(
+    "gens,t,message",
+    [
+        ([1, 4], -1, "target -1 outside"),
+        ([1, 4], 8, "target 8 outside"),
+        ([1, -1], 3, "generator -1 outside"),
+        ([1, 8], 3, "generator 8 outside"),
+    ],
+)
+def test_shortest_word_range_checks(gens, t, message):
+    S = zoo.make_dihedral(4)
+    with pytest.raises(OutOfRangeError, match=message):
+        shortest_word(S, gens, t)
+    # a rejected generator tuple leaves no tree behind
+    assert not any(key[0] == "word_tree" for key in S._memo)
 
 
 def test_ideal_power_basics(zoo_small):

@@ -281,3 +281,13 @@ def test_canonical_renumbering_first_use():
     canon = prog.canonical()
     assert [ins[1] for ins in canon.instructions] == [0, 1, 2]
     assert canon.output == 2
+
+
+def test_canonical_keeps_a_canonical_program():
+    prog = Slp((1,), (("L", 5, 0), ("L", 3, 0), ("M", 7, 5, 3)), 7)
+    canon = prog.canonical()
+    assert canon is not prog
+    assert canon.canonical() is canon
+    # registers numbered in first-use order but read out of order
+    prog = Slp((1, 2), (("L", 0, 1), ("L", 1, 0), ("M", 1, 1, 0), ("M", 0, 0, 1)), 0)
+    assert prog.canonical() is prog

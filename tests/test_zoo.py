@@ -233,6 +233,15 @@ def test_rectangular_band():
     assert closure(zoo.make_rectangular_band(5, 7), gens).cardinality == 35
 
 
+@pytest.mark.parametrize("p,q", [(16, 16), (256, 1), (1, 257), (257, 1), (3, 100), (40, 50)])
+def test_rectangular_band_closed_form_at_stored_dtype(p, q):
+    R = zoo.make_rectangular_band(p, q)
+    n = p * q
+    assert R.table.dtype == (np.uint8 if n <= 256 else np.uint16)
+    a = np.arange(n)
+    np.testing.assert_array_equal(R.table, (a[:, None] // q) * q + a[None, :] % q)
+
+
 def test_subset_semilattice():
     w = zoo.make_subset_semilattice(4)
     S = w.semigroup
