@@ -334,8 +334,7 @@ class _WordTree:
     ``parent[x]`` the element before it (-1 for a one-letter word); both are
     meaningful only where ``seen[x]``.  ``frontier`` is the deepest level so
     far, in the lexicographic order of its words.  Levels are expanded only
-    on demand, and each one is written whole (parent, via, seen) before the
-    frontier moves to it, so a search never stops mid-level and a tree that
+    on demand and whole: a search never stops mid-level, so a tree that
     stopped early for one target is still exact for the next.
     """
 
@@ -393,7 +392,8 @@ def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[in
     lexicographically smallest index sequence.  None when t is unreachable.
     The search tree is memoised on S under the generator tuple as given
     (order and repeats included, since the answer indexes it) and grown
-    level by level only as deep as the targets asked so far need.  Raises
+    level by level only as deep as the targets asked so far need; a search
+    that raises drops the tree, so a half-grown level is never reused.  Raises
     OutOfRangeError for a target or generator outside S.
     """
     gens = tuple(int(g) for g in gens)
@@ -406,7 +406,16 @@ def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[in
             check_element(S, g, "generator")
         return _WordTree(S, gens)
 
-    return S.cached(("word_tree", gens), build).word(int(t))
+    key = ("word_tree", gens)
+    tree = S.cached(key, build)
+    try:
+        return tree.word(int(t))
+    except BaseException:
+        # an expansion cut short (say by KeyboardInterrupt) may have marked a
+        # level seen without moving the frontier to it; drop the tree rather
+        # than let it report deeper elements unreachable
+        S._memo.pop(key, None)
+        raise
 
 
 def ideal_chain(S: Semigroup) -> tuple[np.ndarray, ...]:

@@ -382,9 +382,11 @@ def make_rectangular_band(p: int, q: int) -> Semigroup:
     if p < 1 or q < 1 or p * q > 10**4:
         raise BudgetExceededError("rectangular band needs p, q >= 1 and pq <= 10^4")
     n = p * q
-    idx = np.arange(n, dtype=table_dtype(n))
-    # (a*q + b)(c*q + d) = a*q + d, summed at the stored dtype: the sum is < n
-    table = (idx // q * q)[:, None] + (idx % q)[None, :]
+    idx, dt = np.arange(n), table_dtype(n)
+    # (a*q + b)(c*q + d) = a*q + d: the index arithmetic stays in int64 (q may
+    # not fit the stored dtype, as in RB(1, 256)); only the two length-n
+    # vectors are narrowed, so the n x n sum is written at the stored dtype
+    table = (idx // q * q).astype(dt)[:, None] + (idx % q).astype(dt)[None, :]
     return Semigroup.trusted(table, name=f"RB({p},{q})")
 
 

@@ -21,6 +21,7 @@ from slpforge.semigroup import (
     shortest_word,
     sub_semigroup,
     validate_table,
+    _WordTree,
 )
 from slpforge.sets import ElementSet
 
@@ -342,6 +343,31 @@ def test_word_tree_keys_are_generator_tuples():
             assert shortest_word(S, gens, t) == oracle[t], (gens, t)
     trees = {key: v for key, v in S._memo.items() if key[0] == "word_tree"}
     assert set(trees) == {("word_tree", g) for g in [(r, s), (s, r), (r, r, s), (s, r, s)]}
+
+
+def test_word_tree_interrupted_mid_level_is_dropped(monkeypatch):
+    S = zoo.make_dihedral(8)
+    gens = list(zoo.dihedral_generators(8))
+    oracle = py_shortest_words(table_of(S), gens)
+    deep = max(oracle, key=lambda t: len(oracle[t]))
+    shortest_word(S, gens, gens[0])
+    first = S._memo[("word_tree", tuple(gens))]
+
+    def interrupted(tree):
+        # the window between marking a level seen and moving the frontier
+        lvl = tree.frontier
+        nxt = tree.table[np.ix_(lvl, tree.gen_vals)].ravel()
+        tree.seen[nxt] = True
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(_WordTree, "_grow", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            shortest_word(S, gens, deep)
+    assert ("word_tree", tuple(gens)) not in S._memo
+    for t in range(S.n):
+        assert shortest_word(S, gens, t) == oracle[t], t
+    assert S._memo[("word_tree", tuple(gens))] is not first
 
 
 @pytest.mark.parametrize(

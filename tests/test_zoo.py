@@ -233,7 +233,7 @@ def test_rectangular_band():
     assert closure(zoo.make_rectangular_band(5, 7), gens).cardinality == 35
 
 
-@pytest.mark.parametrize("p,q", [(16, 16), (256, 1), (1, 257), (257, 1), (3, 100), (40, 50)])
+@pytest.mark.parametrize("p,q", [(16, 16), (256, 1), (1, 256), (1, 257), (257, 1), (3, 100), (40, 50)])
 def test_rectangular_band_closed_form_at_stored_dtype(p, q):
     R = zoo.make_rectangular_band(p, q)
     n = p * q
