@@ -89,7 +89,7 @@ def compress_normal_band(
             bgens.append(bv)
     kstar_b = 0 if np.array_equal(B.table, B.table.T) else 1
     bprog = compress_permutative(B, bgens, alpha, kstar=kstar_b)
-    lift = Slp(tuple(rep[bv] for bv in bprog.alphabet), bprog.instructions, bprog.output)
+    lift = bprog.relabel(rep)
     t_alpha = evaluate(S, lift).output_value
     e_alpha = S.omega_power(t_alpha)
     if e_alpha != decomp.idempotents[alpha]:
@@ -106,12 +106,7 @@ def compress_normal_band(
     )
     gsub = [int(to_sub[v]) for v in sigma_alpha]
     gprog, _ = compress_in_group(view, gsub, int(to_sub[t]), group_route(view))
-    gparent = Slp(
-        tuple(int(to_parent[v]) for v in gprog.alphabet),
-        gprog.instructions,
-        gprog.output,
-        is_group=False,
-    )
+    gparent = gprog.relabel(to_parent)
     witness_of = {v: w for v, w in zip(sigma_alpha, witnesses)}
 
     b = SlpBuilder()
@@ -119,17 +114,12 @@ def compress_normal_band(
     aux = b.fresh() if mode == "wide" else None
     base = b._next_reg
 
-    lift_ren = {r: base + i for i, r in enumerate(lift.registers())}
-    for ins in lift.instructions:
-        if ins[0] == "L":
-            b.load(lift_ren[ins[1]], lift.alphabet[ins[2]])
-        else:
-            b.mul(lift_ren[ins[1]], lift_ren[ins[2]], lift_ren[ins[3]])
+    r_t = b.splice(lift, {r: base + i for i, r in enumerate(lift.registers())})
     om_exp = int(S.omega_exponents[t_alpha])
     if om_exp >= 2:
-        b.fast_exp_into(r_e, lift_ren[lift.output], om_exp)
+        b.fast_exp_into(r_e, r_t, om_exp)
     else:
-        b.mul(r_e, lift_ren[lift.output], lift_ren[lift.output])
+        b.mul(r_e, r_t, r_t)
 
     gren = {r: base + i for i, r in enumerate(gparent.registers())}
     live_vals: dict[int, int] = {}

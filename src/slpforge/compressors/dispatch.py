@@ -108,11 +108,7 @@ def compress(
         inner = compress(
             sub, [int(to_sub[g]) for g in gens], int(to_sub[t]), strategy, cfg
         )
-        prog = Slp(
-            tuple(int(to_parent[v]) for v in inner.slp.alphabet),
-            inner.slp.instructions,
-            inner.slp.output,
-        )
+        prog = inner.slp.relabel(to_parent)
         report = verify(S, prog, t, inner.strategy)
         if not report.verified:
             raise SlpforgeError("lifted program failed verification")

@@ -95,20 +95,11 @@ def _compress_sandwich(
     band = compress_normal_band(
         sub, [int(to_sub[g]) for g in tilde_gens], int(to_sub[t_tilde])
     )
-    tilde_prog = band.slp
-    rewritten_alphabet = tuple(
-        preimage[int(to_parent[a])] for a in tilde_prog.alphabet
-    )
-    rewritten = Slp(rewritten_alphabet, tilde_prog.instructions, tilde_prog.output)
+    rewritten = band.slp.relabel({a: preimage[int(to_parent[a])] for a in band.slp.alphabet})
 
     b = SlpBuilder()
     ren = {r: i for i, r in enumerate(rewritten.registers())}
-    for ins in rewritten.instructions:
-        if ins[0] == "L":
-            b.load(ren[ins[1]], rewritten.alphabet[ins[2]])
-        else:
-            b.mul(ren[ins[1]], ren[ins[2]], ren[ins[3]])
-    out = ren[rewritten.output]
+    out = b.splice(rewritten, ren)
     aux = next((r for r in ren.values() if r != out), len(ren))
     b.load(aux, u)
     b.mul(out, aux, out)

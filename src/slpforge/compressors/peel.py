@@ -2,9 +2,11 @@
 
 If the target misses the ideal S^k it is a short product.  Otherwise the
 ideal is generated by the values of generator words of length at most 2k - 1,
-the inner strategy compresses inside the ideal over those values, and every
-inner load is inlined with its witness word through one shared scratch
-register (one extra register, factor 4k - 3 in length).
+listed from the table's memoised word tree (``shortest_words``).  The inner
+strategy compresses inside the ideal over those values, its program is
+relabelled onto S, and every inner load is inlined with its witness word
+through one shared scratch register (one extra register, factor 4k - 3 in
+length).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..errors import SlpforgeError, UnreachableError
-from ..semigroup import Semigroup, closure, ideal_power, shortest_word, sub_semigroup
+from ..semigroup import (
+    Semigroup, closure, ideal_power, shortest_word, shortest_words, sub_semigroup,
+)
 from ..slp import Slp, inline_subroutine
 from .base import word_program
 
@@ -25,32 +29,9 @@ def ideal_generators(
     """Values of generator words of length <= 2k - 1 inside S^k, with their
     shortest (lex-least) witness words; their closure is all of S^k."""
     sk = ideal_power(S, k)
-    discovered: dict[int, list[int]] = {}
-    level: list[tuple[int, list[int]]] = []
-    for g in gens:
-        if g not in discovered:
-            discovered[g] = [g]
-            level.append((g, [g]))
-    delta: list[tuple[int, list[int]]] = [
-        (v, w) for v, w in level if v in sk
+    delta = [
+        (v, [gens[i] for i in w]) for v, w in shortest_words(S, gens, 2 * k - 1) if v in sk
     ]
-    table = S.table
-    for _ in range(2 * k - 2):
-        nxt: list[tuple[int, list[int]]] = []
-        seen_this_level: set[int] = set()
-        for val, w in level:
-            for g in gens:
-                p = int(table[val, g])
-                if p in seen_this_level:
-                    continue
-                seen_this_level.add(p)
-                pw = w + [g]
-                nxt.append((p, pw))
-                if p not in discovered:
-                    discovered[p] = pw
-                    if p in sk:
-                        delta.append((p, pw))
-        level = nxt
     vals = [v for v, _ in delta]
     if vals and closure(S, vals) != sk:
         raise SlpforgeError("short-word values do not generate the ideal")
@@ -77,8 +58,7 @@ def nilpotent_peel(
     sub, to_sub, to_parent = sub_semigroup(S, sk, name=f"{S.name}^({k})" if S.name else "")
     delta_sub = [int(to_sub[v]) for v, _ in delta]
     inner_prog = inner(sub, delta_sub, int(to_sub[t]))
-    parent_alphabet = tuple(int(to_parent[v]) for v in inner_prog.alphabet)
-    lifted = Slp(parent_alphabet, inner_prog.instructions, inner_prog.output)
+    lifted = inner_prog.relabel(to_parent)
     subs = {}
     by_value = {v: w for v, w in delta}
     for idx, val in enumerate(lifted.alphabet):

@@ -4,8 +4,9 @@ sets, and polycyclic sets with width-3 provenance programs.
 Three layers:
 
 * ``adapt_subnormal`` lifts per-quotient programs along a subnormal series
-  with an adapted generating set, accumulating the target left to right in
-  one extra register.
+  with an adapted generating set (each relabelled from quotient values to
+  generators) and splices them after one another, accumulating the target
+  left to right in one extra register.
 
 * ``compress_group_solvable`` builds a generating set adapted to the derived
   series out of conjugates and commutators (each rederivable in at most 7
@@ -14,7 +15,9 @@ Three layers:
   width unbounded.
 
 * ``compress_group_solvable_bounded`` builds a polycyclic generating set by
-  layered conjugate-commutator closure.  Every record is a value
+  layered conjugate-commutator closure, conjugating by the values of the
+  generator words of length <= log2 |G| that the table's memoised word tree
+  lists (``shortest_words``).  Every record is a value
   u^-1 g^-1 v^-1 g^-1 v g v^-1 g v u  over the previous layer; holding either
   the running prefix or its inverse lets three registers evaluate it with a
   constant number of omega-minus-one exponentiations, so the whole program
@@ -47,13 +50,14 @@ from ..groups import (
     normal_closure_set,
     quotient_group,
 )
-from ..semigroup import closure
+from ..semigroup import closure, shortest_words
 from ..sets import ElementSet
 from ..slp import (
     Slp,
     SlpBuilder,
     append_compose,
     eliminate_inverses,
+    evaluate,
     fast_exp,
     inverting_power,
 )
@@ -103,12 +107,8 @@ def adapt_subnormal(
                 rep[q] = s
                 qgens.append(q)
         qprog = compress_permutative(Q.semigroup, qgens, x, kstar=0)
-        lifted = Slp(
-            tuple(rep[qv] for qv in qprog.alphabet),
-            qprog.instructions,
-            qprog.output,
-        )
-        t_i = _eval_plain(G, lifted)
+        lifted = qprog.relabel(rep)
+        t_i = evaluate(G.base, lifted).output_value
         level_programs.append(lifted)
         t_prime = int(table[G.inverse[t_i], t_prime])
     if t_prime != G.identity:
@@ -137,38 +137,18 @@ def _level_quotient(
     return to_sub, quotient_group(sub_view, ElementSet(lower.mask[to_parent]))
 
 
-def _eval_plain(G: GroupView, prog: Slp) -> int:
-    from ..slp import evaluate
-
-    return evaluate(G.base, prog, group=G).output_value
-
-
 def _accumulate(programs: list[Slp]) -> Slp:
     """Concatenate level programs over a shared block plus one accumulator."""
-    block = max(len(p.registers()) for p in programs)
-    acc = block
+    acc = max(len(p.registers()) for p in programs)
+    first, *rest = programs
     out = SlpBuilder()
-    first = True
-    for prog in programs:
-        ren: dict[int, int] = {}
-        order = prog.registers()
-        if first:
-            ren[prog.output] = acc
-        nxt = 0
-        for r in order:
-            if r not in ren:
-                ren[r] = nxt
-                nxt += 1
-        for ins in prog.instructions:
-            if ins[0] == "L":
-                out.load(ren[ins[1]], prog.alphabet[ins[2]])
-            elif ins[0] == "M":
-                out.mul(ren[ins[1]], ren[ins[2]], ren[ins[3]])
-            else:
-                raise SlpforgeError("level programs must be inverse-free")
-        if not first:
-            out.mul(acc, acc, ren[prog.output])
-        first = False
+    scratch = [r for r in first.registers() if r != first.output]
+    ren = {r: i for i, r in enumerate(scratch)}
+    ren[first.output] = acc
+    out.splice(first, ren)
+    for prog in rest:
+        ren = {r: i for i, r in enumerate(prog.registers())}
+        out.mul(acc, acc, out.splice(prog, ren))
     return out.finish(acc)
 
 
@@ -363,26 +343,10 @@ class PolycyclicGenSet:
 def _conjugator_words(G: GroupView, sigma: Sequence[int], k: int) -> list[tuple[int, list[int]]]:
     """Values of sigma-words of length <= k with lex-least shortest words,
     starting with the empty conjugator."""
-    out: list[tuple[int, list[int]]] = [(G.identity, [])]
-    seen = {G.identity}
-    level: list[tuple[int, list[int]]] = []
-    for g in sigma:
-        if g not in seen:
-            seen.add(g)
-            level.append((g, [g]))
-    out.extend(level)
-    table = G.base.table
-    for _ in range(k - 1):
-        nxt: list[tuple[int, list[int]]] = []
-        for val, w in level:
-            for g in sigma:
-                p = int(table[val, g])
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append((p, w + [g]))
-        out.extend(nxt)
-        level = nxt
-    return out
+    words = shortest_words(G.base, sigma, k)
+    return [(G.identity, [])] + [
+        (v, [sigma[i] for i in w]) for v, w in words if v != G.identity
+    ]
 
 
 def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet:

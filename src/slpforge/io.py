@@ -140,9 +140,13 @@ def parse_slp(text: str) -> Slp:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "SLP":
         raise FormatError("missing SLP header")
-    if len(lines) < 3 or not lines[1].startswith("A"):
+    head = lines[1].split() if len(lines) >= 3 else []
+    if not head or head[0] != "A":
         raise FormatError("missing alphabet line")
-    alphabet = tuple(int(x) for x in lines[1].split()[1:])
+    try:
+        alphabet = tuple(int(x) for x in head[1:])
+    except ValueError as exc:
+        raise FormatError(f"bad alphabet line: {lines[1]!r}") from exc
     instrs: list[tuple] = []
     output: Optional[int] = None
     has_inv = False
@@ -157,6 +161,8 @@ def parse_slp(text: str) -> Slp:
                 instrs.append(("I", int(parts[1]), int(parts[2])))
                 has_inv = True
             elif parts[0] == "O" and len(parts) == 2:
+                if output is not None:
+                    raise FormatError(f"second output line: {ln!r}")
                 output = int(parts[1])
             else:
                 raise FormatError(f"bad instruction line: {ln!r}")

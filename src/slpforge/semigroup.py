@@ -64,9 +64,6 @@ class Semigroup:
         self.table = np.ascontiguousarray(table.astype(table_dtype(n), copy=True))
         self.table.setflags(write=False)
         self.name = name
-        self._omega = None
-        self._omega_exp = None
-        self._period = None
         self._memo: dict = {}
         if not _trusted:
             self._check_associativity()
@@ -196,7 +193,7 @@ class Semigroup:
 
     # -- omega caches --------------------------------------------------------
 
-    def _build_power_caches(self) -> None:
+    def _build_power_caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, table = self.n, self.table
         base = np.arange(n, dtype=np.int64)
         pw = base.copy()
@@ -228,29 +225,21 @@ class Semigroup:
             p += 1
             if p > n + 1:
                 raise AssertionError("period iteration overran; table corrupt")
-        self._omega = omega
-        self._omega_exp = omega_exp
-        self._period = period
+        return omega, omega_exp, period
 
     @property
     def omega_powers(self) -> np.ndarray:
-        if self._omega is None:
-            self._build_power_caches()
-        return self._omega
+        return self.cached(("power_caches",), self._build_power_caches)[0]
 
     @property
     def omega_exponents(self) -> np.ndarray:
         """Least e >= 1 with s^e idempotent, per element."""
-        if self._omega_exp is None:
-            self._build_power_caches()
-        return self._omega_exp
+        return self.cached(("power_caches",), self._build_power_caches)[1]
 
     @property
     def periods(self) -> np.ndarray:
         """Cycle length of the power sequence of each element."""
-        if self._period is None:
-            self._build_power_caches()
-        return self._period
+        return self.cached(("power_caches",), self._build_power_caches)[2]
 
     def omega_power(self, s: int) -> int:
         return int(self.omega_powers[s])
@@ -332,10 +321,11 @@ class _WordTree:
 
     ``via[x]`` is the position in the tuple of the last letter of x's word and
     ``parent[x]`` the element before it (-1 for a one-letter word); both are
-    meaningful only where ``seen[x]``.  ``frontier`` is the deepest level so
-    far, in the lexicographic order of its words.  Levels are expanded only
-    on demand and whole: a search never stops mid-level, so a tree that
-    stopped early for one target is still exact for the next.
+    meaningful only where ``seen[x]``.  ``levels[d]`` holds the elements whose
+    shortest word has d + 1 letters, in the lexicographic order of their
+    words; ``frontier`` is the deepest of them.  Levels are expanded only on
+    demand and whole: a search never stops mid-level, so a tree that stopped
+    early for one target is still exact for the next.
     """
 
     def __init__(self, S: Semigroup, gens: tuple[int, ...]):
@@ -352,6 +342,7 @@ class _WordTree:
                 self.via[g] = i
                 level.append(g)
         self.frontier = np.asarray(level, dtype=np.int64)
+        self.levels = [self.frontier]
 
     def _grow(self) -> None:
         """Expand the frontier by one level.
@@ -370,6 +361,7 @@ class _WordTree:
         self.via[uniq] = first % m
         self.seen[uniq] = True
         self.frontier = uniq
+        self.levels.append(uniq)
 
     def word(self, t: int) -> Optional[list[int]]:
         while not self.seen[t] and self.frontier.size:
@@ -383,6 +375,40 @@ class _WordTree:
             x = int(self.parent[x])
         word.reverse()
         return word
+
+    def listing(self, depth: int) -> list[tuple[int, list[int]]]:
+        """(element, word) for every element with a word of at most ``depth``
+        letters, level by level."""
+        while len(self.levels) < depth and self.frontier.size:
+            self._grow()
+        words: dict[int, list[int]] = {-1: []}
+        out: list[tuple[int, list[int]]] = []
+        for lvl in self.levels[:depth]:
+            for x, p, i in zip(lvl.tolist(), self.parent[lvl].tolist(), self.via[lvl].tolist()):
+                words[x] = words[p] + [i]
+                out.append((x, words[x]))
+        return out
+
+
+def _search(S: Semigroup, gens: tuple[int, ...], ask: Callable[[_WordTree], _V]) -> _V:
+    """``ask`` the memoised word tree of ``gens``; a search that raises drops
+    the tree, so a half-grown level is never reused."""
+
+    def build() -> _WordTree:
+        for g in gens:
+            check_element(S, g, "generator")
+        return _WordTree(S, gens)
+
+    key = ("word_tree", gens)
+    tree = S.cached(key, build)
+    try:
+        return ask(tree)
+    except BaseException:
+        # an expansion cut short (say by KeyboardInterrupt) may have marked a
+        # level seen without moving the frontier to it; drop the tree rather
+        # than let it report deeper elements unreachable
+        S._memo.pop(key, None)
+        raise
 
 
 def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[int]]:
@@ -400,22 +426,18 @@ def shortest_word(S: Semigroup, gens: Sequence[int], t: int) -> Optional[list[in
     if not gens:
         raise EmptyGeneratorsError("no generators")
     check_element(S, t, "target")
+    return _search(S, gens, lambda tree: tree.word(int(t)))
 
-    def build() -> _WordTree:
-        for g in gens:
-            check_element(S, g, "generator")
-        return _WordTree(S, gens)
 
-    key = ("word_tree", gens)
-    tree = S.cached(key, build)
-    try:
-        return tree.word(int(t))
-    except BaseException:
-        # an expansion cut short (say by KeyboardInterrupt) may have marked a
-        # level seen without moving the frontier to it; drop the tree rather
-        # than let it report deeper elements unreachable
-        S._memo.pop(key, None)
-        raise
+def shortest_words(S: Semigroup, gens: Sequence[int], depth: int) -> list[tuple[int, list[int]]]:
+    """Every element that is the value of a word over ``gens`` of at most
+    ``depth`` letters, with its ``shortest_word``, in breadth-first order:
+    by word length, then lexicographically.  Reads and grows the same
+    memoised tree as ``shortest_word``."""
+    gens = tuple(int(g) for g in gens)
+    if not gens:
+        raise EmptyGeneratorsError("no generators")
+    return _search(S, gens, lambda tree: tree.listing(depth))
 
 
 def ideal_chain(S: Semigroup) -> tuple[np.ndarray, ...]:

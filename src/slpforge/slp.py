@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InvalidProgramError,
@@ -65,14 +65,8 @@ class Slp:
 
     @property
     def width(self) -> int:
-        regs: set[int] = set()
-        for ins in self.instructions:
-            regs.update(ins[1:2])
-            if ins[0] == "M":
-                regs.update(ins[2:4])
-            elif ins[0] == "I":
-                regs.add(ins[2])
-        return len(regs)
+        # every register read was assigned earlier, so the written ones are all
+        return len(self.registers())
 
     def registers(self) -> list[int]:
         """Registers in first-assignment order."""
@@ -87,21 +81,27 @@ class Slp:
     def canonical(self) -> "Slp":
         """Renumber registers in first-assignment order (0, 1, 2, ...).
 
-        A program already numbered that way is returned as it is.
+        A program already numbered that way is returned as it is; otherwise a
+        load of a repeated alphabet value reads its first symbol.
         """
         regs = self.registers()
         if regs == list(range(len(regs))):
             return self
-        ren = {r: i for i, r in enumerate(regs)}
-        out = []
-        for ins in self.instructions:
-            if ins[0] == "L":
-                out.append(("L", ren[ins[1]], ins[2]))
-            elif ins[0] == "M":
-                out.append(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
-            else:
-                out.append(("I", ren[ins[1]], ren[ins[2]]))
-        return Slp(self.alphabet, tuple(out), ren[self.output], self.is_group)
+        b = SlpBuilder(self.is_group)
+        b.alphabet = list(self.alphabet)
+        b._sym_index = {v: k for k, v in reversed(list(enumerate(self.alphabet)))}
+        out = b.splice(self, {r: i for i, r in enumerate(regs)})
+        return Slp(self.alphabet, tuple(b.instructions), out, self.is_group)
+
+    def relabel(self, values) -> "Slp":
+        """The same program over new alphabet values: symbol value v becomes
+        ``values[v]`` (a mapping, or a sequence indexed by value)."""
+        return Slp(
+            tuple(int(values[v]) for v in self.alphabet),
+            self.instructions,
+            self.output,
+            self.is_group,
+        )
 
 
 @dataclass
@@ -218,7 +218,30 @@ class SlpBuilder:
             self.mul(acc, acc, acc)
             if b == "1":
                 self.mul(acc, acc, base)
-        return
+
+    def _copy(self, ins: tuple, alphabet: Sequence[int], ren: Mapping[int, int], dst: int) -> None:
+        """Emit one instruction of a program over ``alphabet`` into ``dst``,
+        each register r it reads written as ren[r]."""
+        if ins[0] == "L":
+            self.instructions.append(("L", dst, self.symbol(alphabet[ins[2]])))
+        elif ins[0] == "M":
+            self.instructions.append(("M", dst, ren[ins[2]], ren[ins[3]]))
+        else:
+            self.instructions.append(("I", dst, ren[ins[2]]))
+
+    def splice(self, prog: Slp, ren: Mapping[int, int]) -> int:
+        """Re-emit ``prog`` with each register r written as ren[r]; returns the
+        register that holds its output.  Its alphabet values are interned."""
+        # ``_copy`` inlined: ``finish`` runs this on every non-canonical program
+        emit, symbol, alphabet = self.instructions.append, self.symbol, prog.alphabet
+        for ins in prog.instructions:
+            if ins[0] == "M":
+                emit(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
+            elif ins[0] == "L":
+                emit(("L", ren[ins[1]], symbol(alphabet[ins[2]])))
+            else:
+                emit(("I", ren[ins[1]], ren[ins[2]]))
+        return ren[prog.output]
 
     def finish(self, output: int) -> Slp:
         return Slp(
@@ -276,32 +299,18 @@ def append_compose(
                 raise MissingSubvalueError(
                     f"prog_b does not hold value {prog_a.alphabet[k]} for symbol {k}"
                 )
-    base = max((ins[1] for ins in prog_b.instructions), default=-1) + 1
+    base = max(prog_b.registers()) + 1
     out = SlpBuilder(is_group=prog_a.is_group or prog_b.is_group)
-    for ins in prog_b.instructions:
-        if ins[0] == "L":
-            out.load(ins[1], prog_b.alphabet[ins[2]])
-        elif ins[0] == "M":
-            out.mul(*ins[1:])
-        else:
-            out.inv(*ins[1:])
+    out.splice(prog_b, {r: r for r in prog_b.registers()})
+    # an outsourced load emits nothing and rebinds its register to b's copy
+    # until the next write, so a's reads follow the latest binding
     cur: dict[int, int] = {}
     for ins in prog_a.instructions:
-        if ins[0] == "L":
-            k = ins[2]
-            if k in outsource_set:
-                cur[ins[1]] = holding[prog_a.alphabet[k]]
-            else:
-                cur[ins[1]] = base + ins[1]
-                out.load(base + ins[1], prog_a.alphabet[k])
-        elif ins[0] == "M":
-            a, b_ = cur[ins[2]], cur[ins[3]]
-            cur[ins[1]] = base + ins[1]
-            out.mul(base + ins[1], a, b_)
+        if ins[0] == "L" and ins[2] in outsource_set:
+            cur[ins[1]] = holding[prog_a.alphabet[ins[2]]]
         else:
-            a = cur[ins[2]]
+            out._copy(ins, prog_a.alphabet, cur, base + ins[1])
             cur[ins[1]] = base + ins[1]
-            out.inv(base + ins[1], a)
     return out.finish(cur[prog_a.output])
 
 
@@ -324,36 +333,18 @@ def inline_subroutine(
         if subprograms[k].is_group and not prog_a.is_group:
             raise InvalidProgramError("group subprogram inside a plain program")
     delta_set = set(delta)
-    a_regs = {ins[1] for ins in prog_a.instructions}
-    for ins in prog_a.instructions:
-        if ins[0] == "M":
-            a_regs.update(ins[2:4])
-        elif ins[0] == "I":
-            a_regs.add(ins[2])
-    pool_base = max(a_regs) + 1
+    same = {r: r for r in prog_a.registers()}
+    pool_base = max(same) + 1
     out = SlpBuilder(is_group=prog_a.is_group)
     for ins in prog_a.instructions:
         if ins[0] == "L" and ins[2] in delta_set:
             sub = subprograms[ins[2]]
-            ren: dict[int, int] = {sub.output: ins[1]}
-            next_scratch = 0
-            for sreg in sub.registers():
-                if sreg not in ren:
-                    ren[sreg] = pool_base + next_scratch
-                    next_scratch += 1
-            for sins in sub.instructions:
-                if sins[0] == "L":
-                    out.load(ren[sins[1]], sub.alphabet[sins[2]])
-                elif sins[0] == "M":
-                    out.mul(ren[sins[1]], ren[sins[2]], ren[sins[3]])
-                else:
-                    out.inv(ren[sins[1]], ren[sins[2]])
-        elif ins[0] == "L":
-            out.load(ins[1], prog_a.alphabet[ins[2]])
-        elif ins[0] == "M":
-            out.mul(*ins[1:])
+            scratch = [r for r in sub.registers() if r != sub.output]
+            ren = {r: pool_base + i for i, r in enumerate(scratch)}
+            ren[sub.output] = ins[1]
+            out.splice(sub, ren)
         else:
-            out.inv(*ins[1:])
+            out._copy(ins, prog_a.alphabet, same, ins[1])
     return out.finish(prog_a.output)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from slpforge import zoo
 from slpforge.classify import Config
+from slpforge.compressors import peel, solvable
 from slpforge.compressors import (
     adapt_subnormal,
     build_cube,
@@ -35,7 +36,7 @@ from slpforge.groups import derived_series, group_view, is_adapted, subgroup_clo
 from slpforge.semigroup import closure, ideal_power, shortest_word
 from slpforge.slp import Slp, eliminate_inverses, evaluate
 
-from conftest import py_shortest_words, table_of
+from conftest import py_shortest_words, random_semigroups, table_of
 
 
 # -- bounded diameter ----------------------------------------------------------
@@ -540,3 +541,85 @@ def test_compress_inside_proper_subsemigroup():
     Z12 = zoo.make_cyclic(12)
     rep = compress(Z12, [4], 8, "auto")
     assert rep.verified and set(rep.slp.alphabet) <= {4}
+
+
+# -- word listings against the per-compressor searches they replaced ----------
+
+
+def _ref_conjugator_words(G, sigma, k):
+    out = [(G.identity, [])]
+    seen = {G.identity}
+    level = []
+    for g in sigma:
+        if g not in seen:
+            seen.add(g)
+            level.append((g, [g]))
+    out.extend(level)
+    for _ in range(k - 1):
+        nxt = []
+        for val, w in level:
+            for g in sigma:
+                p = int(G.base.table[val, g])
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append((p, w + [g]))
+        out.extend(nxt)
+        level = nxt
+    return out
+
+
+def _ref_ideal_generators(S, gens, k):
+    sk = ideal_power(S, k)
+    discovered = {}
+    level = []
+    for g in gens:
+        if g not in discovered:
+            discovered[g] = [g]
+            level.append((g, [g]))
+    delta = [(v, w) for v, w in level if v in sk]
+    for _ in range(2 * k - 2):
+        nxt, seen_this_level = [], set()
+        for val, w in level:
+            for g in gens:
+                p = int(S.table[val, g])
+                if p in seen_this_level:
+                    continue
+                seen_this_level.add(p)
+                nxt.append((p, w + [g]))
+                if p not in discovered:
+                    discovered[p] = w + [g]
+                    if p in sk:
+                        delta.append((p, w + [g]))
+        level = nxt
+    return delta
+
+
+@pytest.mark.parametrize(
+    "S",
+    [zoo.make_sym(4), zoo.make_alt(4), zoo.make_dihedral(4), zoo.make_heisenberg(3)],
+    ids=["S4", "A4", "D8", "H3"],
+)
+def test_word_listings_match_reference_searches_on_groups(S):
+    G = group_view(S)
+    k = math.ceil(math.log2(S.n))
+    pairs = 0
+    for gens in itertools.permutations(range(S.n), 2):
+        if closure(S, gens).cardinality != S.n:
+            continue
+        pairs += 1
+        gens = list(gens)
+        assert solvable._conjugator_words(G, gens, k) == _ref_conjugator_words(G, gens, k)
+        for depth in (1, 2, 3):
+            assert peel.ideal_generators(S, gens, depth) == _ref_ideal_generators(S, gens, depth)
+    assert pairs > 0
+
+
+def test_ideal_generators_match_reference_search_on_random_tables():
+    rng = random.Random(60)
+    for S in random_semigroups(60, seed=60):
+        # random tables are generated by a prefix of their elements
+        m = next(m for m in range(1, S.n + 1) if closure(S, range(m)).cardinality == S.n)
+        gens = list(range(m))
+        gens.insert(rng.randrange(m + 1), rng.randrange(m))  # a repeat
+        for k in (1, 2, 3):
+            assert peel.ideal_generators(S, gens, k) == _ref_ideal_generators(S, gens, k), k

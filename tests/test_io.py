@@ -78,12 +78,16 @@ def test_slp_group_flag_from_inv():
 
 
 def test_slp_errors():
-    with pytest.raises(FormatError):
-        parse_slp("A 1 2\nL 0 0\nO 0\n")
-    with pytest.raises(FormatError):
-        parse_slp("SLP\nA 1\nL 0 0\n")
-    with pytest.raises(FormatError):
-        parse_slp("SLP\nA 1\nX 0 0\nO 0\n")
+    for text in (
+        "A 1 2\nL 0 0\nO 0\n",
+        "SLP\nA 1\nL 0 0\n",
+        "SLP\nA 1\nX 0 0\nO 0\n",
+        "SLP\nA x\nL 0 0\nO 0\n",  # not an element index
+        "SLP\nAB 1\nL 0 0\nO 0\n",  # not the alphabet keyword
+        "SLP\nA 1\nL 0 0\nL 1 0\nO 0\nO 1\n",  # a second output line
+    ):
+        with pytest.raises(FormatError):
+            parse_slp(text)
 
 
 Z3_ROWS = "0 1 2\n1 2 0\n2 0 1\n"

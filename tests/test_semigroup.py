@@ -19,6 +19,7 @@ from slpforge.semigroup import (
     is_ideal,
     rees_quotient,
     shortest_word,
+    shortest_words,
     sub_semigroup,
     validate_table,
     _WordTree,
@@ -368,6 +369,26 @@ def test_word_tree_interrupted_mid_level_is_dropped(monkeypatch):
     for t in range(S.n):
         assert shortest_word(S, gens, t) == oracle[t], t
     assert S._memo[("word_tree", tuple(gens))] is not first
+
+
+def test_word_listing_matches_bfs_at_every_depth():
+    rng = random.Random(5)
+    for S in random_semigroups(30, seed=5):
+        gens = [rng.randrange(S.n) for _ in range(rng.randint(1, 3))]
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))  # a repeat
+        table = table_of(S)
+        depths = list(range(1, 7))
+        rng.shuffle(depths)
+        for d in depths:
+            if rng.random() < 0.3:  # deepen the shared tree through a target
+                shortest_word(S, gens, rng.randrange(S.n))
+            listing = shortest_words(S, gens, d)
+            oracle = py_shortest_words(table, gens, max_len=d)
+            assert dict(listing) == oracle, d
+            # each element once, by word length and then lexicographically
+            words = [w for _, w in listing]
+            assert len(listing) == len(oracle)
+            assert words == sorted(words, key=lambda w: (len(w), w))
 
 
 @pytest.mark.parametrize(

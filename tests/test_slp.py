@@ -23,6 +23,9 @@ from slpforge.slp import (
     verify,
 )
 
+D8 = zoo.make_dihedral(4)
+D8_VIEW = group_view(D8)
+
 
 def test_evaluate_square():
     Z5 = zoo.make_cyclic(5)
@@ -291,3 +294,57 @@ def test_canonical_keeps_a_canonical_program():
     # registers numbered in first-use order but read out of order
     prog = Slp((1, 2), (("L", 0, 1), ("L", 1, 0), ("M", 1, 1, 0), ("M", 0, 0, 1)), 0)
     assert prog.canonical() is prog
+
+
+@st.composite
+def programs(draw):
+    """A valid program over D8 on at most five registers, INV included when
+    it is a group program; the alphabet may repeat a value."""
+    alphabet = tuple(draw(st.lists(st.integers(0, D8.n - 1), min_size=1, max_size=4)))
+    is_group = draw(st.booleans())
+    symbol = st.integers(0, len(alphabet) - 1)
+    register = st.integers(0, 4)
+    instrs = [("L", draw(register), draw(symbol))]
+    assigned = [instrs[0][1]]
+    for _ in range(draw(st.integers(0, 20))):
+        dst, op = draw(register), draw(st.sampled_from("LMI" if is_group else "LM"))
+        if op == "L":
+            instrs.append(("L", dst, draw(symbol)))
+        elif op == "M":
+            instrs.append(("M", dst, draw(st.sampled_from(assigned)), draw(st.sampled_from(assigned))))
+        else:
+            instrs.append(("I", dst, draw(st.sampled_from(assigned))))
+        if dst not in assigned:
+            assigned.append(dst)
+    return Slp(alphabet, tuple(instrs), draw(st.sampled_from(assigned)), is_group)
+
+
+@given(programs(), st.permutations(range(12)))
+def test_splice_under_injective_renaming(prog, perm):
+    ren = {r: perm[r] for r in prog.registers()}
+    b = SlpBuilder(prog.is_group)
+    b.load(perm[11], 0)  # a register the splice must leave alone
+    out = b.splice(prog, ren)
+    assert out == ren[prog.output]
+    spliced = Slp(tuple(b.alphabet), tuple(b.instructions), out, prog.is_group)
+    before = evaluate(D8, prog, group=D8_VIEW).registers
+    after = evaluate(D8, spliced, group=D8_VIEW).registers
+    assert after == {perm[11]: 0, **{ren[r]: v for r, v in before.items()}}
+    assert (spliced.length, spliced.width) == (prog.length + 1, prog.width + 1)
+    canon = SlpBuilder(prog.is_group)
+    done = canon.finish(canon.splice(prog, ren))
+    assert (done.length, done.width) == (prog.length, prog.width)
+    assert evaluate(D8, done, group=D8_VIEW).output_value == before[prog.output]
+
+
+@given(programs(), st.integers(0, D8.n - 1))
+def test_relabel_through_an_automorphism(prog, c):
+    # conjugation by c is an automorphism, so it commutes with the program
+    table, inverse = D8.table, D8_VIEW.inverse
+    phi = [int(table[table[inverse[c], x], c]) for x in range(D8.n)]
+    relabelled = prog.relabel(phi)
+    assert relabelled.instructions == prog.instructions
+    assert relabelled.alphabet == tuple(phi[v] for v in prog.alphabet)
+    value = evaluate(D8, prog, group=D8_VIEW).output_value
+    assert evaluate(D8, relabelled, group=D8_VIEW).output_value == phi[value]
+    assert prog.relabel(dict(enumerate(phi))) == relabelled
