@@ -223,24 +223,22 @@ def stable_ideal_level(S: Semigroup) -> tuple[int, list[int]]:
     return len(chain), sizes + sizes[-1:]
 
 
-def _flag(S: Semigroup, fn, *args):
+def cached_flag(S: Semigroup, fn, *args):
     """``fn(S, *args)``, memoised on S under (fn name, *args).
 
-    An exception (a BudgetExceededError, say) is not memoised; it is raised
-    again on every call.
+    The one memo for every flag: ``recommend``, ``classify`` and the
+    strategies that read a level (``permutative``, ``general``) pass the
+    module-level function and share its entry.  An exception (a
+    BudgetExceededError, say) is not memoised; it is raised again on every
+    call.
     """
     return S.cached((fn.__name__, *args), lambda: fn(S, *args))
-
-
-def cached_commutation_level(S: Semigroup, kmax: int, budget: int) -> Optional[int]:
-    """``central_commutation_level``, memoised on S under (kmax, budget)."""
-    return _flag(S, central_commutation_level, kmax, budget)
 
 
 def _level_or_unknown(S: Semigroup, fn, kmax: int, budget: int) -> tuple[Optional[int], bool]:
     """(memoised level, False), or (None, True) when the scan is over budget."""
     try:
-        return _flag(S, fn, kmax, budget), False
+        return cached_flag(S, fn, kmax, budget), False
     except BudgetExceededError:
         return None, True
 
@@ -255,7 +253,7 @@ def _is_group(S: Semigroup) -> bool:
 
 def _solvable_or_none(S: Semigroup) -> Optional[bool]:
     try:
-        return _flag(S, maximal_subgroups_solvable)
+        return cached_flag(S, maximal_subgroups_solvable)
     except SlpforgeError:
         return None
 
@@ -289,7 +287,7 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
     kmax, budget = cfg.kmax, cfg.scan_budget
 
     def ladder() -> str:
-        if _flag(S, rb_ideal_level, kmax) is not None:
+        if cached_flag(S, rb_ideal_level, kmax) is not None:
             return "bounded-diameter"
         if _level_or_unknown(S, central_commutation_level, kmax, budget)[0] is not None:
             return "permutative"
@@ -310,15 +308,15 @@ def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassR
     kmax, budget = cfg.kmax, cfg.scan_budget
     comm_level, comm_unknown = _level_or_unknown(S, central_commutation_level, kmax, budget)
     sand_level, sand_unknown = _level_or_unknown(S, sandwich_ideal_level, kmax, budget)
-    stable_k, sizes = _flag(S, stable_ideal_level)
-    is_band, is_nb, is_lrb, is_rrb = _flag(S, _band_flags)
+    stable_k, sizes = cached_flag(S, stable_ideal_level)
+    is_band, is_nb, is_lrb, is_rrb = cached_flag(S, _band_flags)
     return ClassReport(
         completely_regular=S.is_completely_regular(),
         commutation_level=comm_level,
         commutation_unknown=comm_unknown,
         sandwich_level=sand_level,
         sandwich_unknown=sand_unknown,
-        rb_ideal_level=_flag(S, rb_ideal_level, kmax),
+        rb_ideal_level=cached_flag(S, rb_ideal_level, kmax),
         stable_ideal_level=stable_k,
         is_band=is_band,
         is_normal_band=is_nb,

@@ -19,8 +19,8 @@ import numpy as np
 from ..classify import group_route
 from ..decomposition import BandDecomposition, cached_decomposition
 from ..errors import DecompositionFailedError, SlpforgeError
-from ..groups import extract_group
-from ..semigroup import Semigroup, closure
+from ..groups import cached_group_view
+from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup
 from ..slp import Slp, SlpBuilder, evaluate
 from .permutative import compress_permutative
 
@@ -97,13 +97,12 @@ def compress_normal_band(
 
     sigma_alpha, witnesses = class_generators(S, decomp, gens, alpha)
     carrier = decomp.carriers[alpha]
-    if closure(S, sigma_alpha) != carrier:
+    if cached_closure(S, sigma_alpha) != carrier:
         raise SlpforgeError("class generators do not generate the class group")
 
     # memoised, so the class group's builders keep their own memo across targets
-    sub, view, to_sub, to_parent = S.cached(
-        ("extract_group", carrier), lambda: extract_group(S, carrier, name="S_alpha")
-    )
+    sub, to_sub, to_parent = cached_sub_semigroup(S, carrier)
+    view = cached_group_view(sub)
     gsub = [int(to_sub[v]) for v in sigma_alpha]
     gprog, _ = compress_in_group(view, gsub, int(to_sub[t]), group_route(view))
     gparent = gprog.relabel(to_parent)

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 from ..classify import Config, recommend
 from ..errors import SlpforgeError, UnreachableError
 from ..groups import GroupView, cached_group_view
-from ..semigroup import Semigroup, cached_closure, check_element, sub_semigroup
+from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, check_element
 from ..slp import Slp, eliminate_inverses, verify
 from .base import CompressionReport
 from .bands import compress_normal_band
@@ -102,9 +102,7 @@ def compress(
     if t not in members:
         raise UnreachableError(f"target {t} is outside the generated subsemigroup")
     if members.cardinality != S.n:
-        sub, to_sub, to_parent = S.cached(
-            ("sub_semigroup", members), lambda: sub_semigroup(S, members, name="<gens>")
-        )
+        sub, to_sub, to_parent = cached_sub_semigroup(S, members)
         inner = compress(
             sub, [int(to_sub[g]) for g in gens], int(to_sub[t]), strategy, cfg
         )
@@ -121,12 +119,13 @@ def compress(
         chosen = recommended = recommend(S, cfg)
         try:
             slp, extras = _run_strategy(S, gens, t, chosen, cfg)
-        except SlpforgeError:
+        except SlpforgeError as exc:
             if chosen == "bounded-diameter":
                 raise
             chosen = "bounded-diameter"
             slp, extras = _run_strategy(S, gens, t, chosen, cfg)
             extras["fallback"] = True
+            extras["fallback_reason"] = f"{type(exc).__name__}: {exc}"
         extras["classified"] = recommended
     else:
         chosen = strategy

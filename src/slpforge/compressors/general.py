@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..classify import Config, sandwich_ideal_level
+from ..classify import Config, cached_flag, sandwich_ideal_level
 from ..errors import NotEligibleError, UnreachableError
-from ..semigroup import Semigroup, closure, shortest_word, sub_semigroup
+from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, shortest_word
 from ..slp import Slp, SlpBuilder, evaluate
 from .base import word_program
 from .bands import BandCompression, compress_normal_band
@@ -42,7 +42,7 @@ def compress_general(
     config: Optional[Config] = None,
 ) -> GeneralCompression:
     cfg = config or Config()
-    k = sandwich_ideal_level(S, cfg.kmax, cfg.scan_budget)
+    k = cached_flag(S, sandwich_ideal_level, cfg.kmax, cfg.scan_budget)
     if k is None:
         raise NotEligibleError(
             f"no ideal power up to {cfg.kmax} satisfies the sandwich identity"
@@ -90,8 +90,7 @@ def _compress_sandwich(
             tilde_gens.append(ts)
     t_tilde = S.word_value(tilde)
 
-    members = closure(S, tilde_gens)
-    sub, to_sub, to_parent = sub_semigroup(S, members, name="S~")
+    sub, to_sub, to_parent = cached_sub_semigroup(S, cached_closure(S, tilde_gens))
     band = compress_normal_band(
         sub, [int(to_sub[g]) for g in tilde_gens], int(to_sub[t_tilde])
     )

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from ..errors import SlpforgeError, UnreachableError
 from ..semigroup import (
-    Semigroup, closure, ideal_power, shortest_word, shortest_words, sub_semigroup,
+    Semigroup, cached_sub_semigroup, closure, ideal_power, shortest_word, shortest_words,
 )
 from ..slp import Slp, inline_subroutine
 from .base import word_program
@@ -54,8 +54,9 @@ def nilpotent_peel(
         if len(word) >= k:
             raise SlpforgeError("word of length >= k evaluated outside the ideal")
         return word_program([gens[i] for i in word])
-    delta = ideal_generators(S, gens, k)
-    sub, to_sub, to_parent = sub_semigroup(S, sk, name=f"{S.name}^({k})" if S.name else "")
+    gens = tuple(int(g) for g in gens)
+    delta = S.cached(("ideal_generators", gens, k), lambda: ideal_generators(S, gens, k))
+    sub, to_sub, to_parent = cached_sub_semigroup(S, sk)
     delta_sub = [int(to_sub[v]) for v, _ in delta]
     inner_prog = inner(sub, delta_sub, int(to_sub[t]))
     lifted = inner_prog.relabel(to_parent)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..classify import Config, cached_commutation_level
+from ..classify import Config, cached_flag, central_commutation_level
 from ..errors import NotPermutativeError, UnreachableError
 from ..semigroup import Semigroup, shortest_word
 from ..slp import Slp, SlpBuilder
@@ -121,7 +121,7 @@ def compress_permutative(
     """Two-register program of length O(log |S|) for permutative structures."""
     cfg = config or Config()
     if kstar is None:
-        kstar = cached_commutation_level(S, cfg.kmax, cfg.scan_budget)
+        kstar = cached_flag(S, central_commutation_level, cfg.kmax, cfg.scan_budget)
         if kstar is None:
             raise NotPermutativeError(
                 f"no central commutation level <= {cfg.kmax} holds"

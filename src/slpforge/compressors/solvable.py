@@ -43,14 +43,14 @@ from ..groups import (
     GroupView,
     QuotientGroup,
     SeriesChain,
+    cached_group_view,
     cached_on_group,
     derived_series,
-    extract_group,
     is_adapted,
     normal_closure_set,
     quotient_group,
 )
-from ..semigroup import closure, shortest_words
+from ..semigroup import cached_sub_semigroup, closure, shortest_words
 from ..sets import ElementSet
 from ..slp import (
     Slp,
@@ -114,11 +114,7 @@ def adapt_subnormal(
     if t_prime != G.identity:
         raise SlpforgeError("chain walk did not exhaust the target")
     if not level_programs:
-        g = sigma[0]
-        order = G.element_order(g)
-        if order == 1:
-            return fast_exp(g, 1)
-        return fast_exp(g, order if t == G.identity else 1)
+        return fast_exp(sigma[0], G.element_order(sigma[0]))
     return _accumulate(level_programs)
 
 
@@ -133,8 +129,8 @@ def _level_quotient(
 ) -> tuple[np.ndarray, QuotientGroup]:
     """upper/lower as a quotient of the carved-out group upper, with the map
     from G's indices into upper's."""
-    _, sub_view, to_sub, to_parent = extract_group(G.base, upper)
-    return to_sub, quotient_group(sub_view, ElementSet(lower.mask[to_parent]))
+    sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
+    return to_sub, quotient_group(cached_group_view(sub), ElementSet(lower.mask[to_parent]))
 
 
 def _accumulate(programs: list[Slp]) -> Slp:
@@ -358,11 +354,11 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
     k = max(1, math.ceil(math.log2(max(2, G.order))))
     conj = _conjugator_words(G, sigma, k)
     records: list[PolyRecord] = []
-    seen: set[int] = set()
+    seen: set[tuple[int, int]] = set()  # (layer, value)
 
     def register(rec: PolyRecord) -> None:
-        if rec.value != G.identity and rec.value not in seen:
-            seen.add(rec.value)
+        if rec.value != G.identity and (rec.layer, rec.value) not in seen:
+            seen.add((rec.layer, rec.value))
             records.append(rec)
 
     layer_members: list[tuple[int, int]] = []  # (record index, value)
@@ -386,7 +382,7 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
                 if not vword:
                     continue
                 gt = G.conjugate(gval, vval)
-                c = _commutator(G, gval, gt)
+                c = G.commutator(gval, gt)
                 if c == G.identity or c in seen_c:
                     continue
                 seen_c.add(c)
@@ -433,11 +429,6 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
             raise ChainVerificationFailedError("non-Lagrangian chain step")
     chain = SeriesChain(terms)
     return PolycyclicGenSet(records, kept, chain, G.exponent())
-
-
-def _commutator(G: GroupView, g: int, h: int) -> int:
-    t = G.base.table
-    return int(t[t[t[G.inverse[g], G.inverse[h]], g], h])
 
 
 class _BoundedEmitter:
@@ -538,9 +529,7 @@ def compress_group_solvable_bounded(
         (j, a) for j, a in enumerate(exps) if a > 0
     ]
     if not contributions:
-        g = sigma[0]
-        order = G.element_order(g)
-        return fast_exp(g, order if order >= 1 else 1), pcs
+        return fast_exp(sigma[0], G.element_order(sigma[0])), pcs
 
     em = _BoundedEmitter(G, pcs, inv_exp)
     b = em.b

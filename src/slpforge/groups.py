@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NotAGroupError, NotNormalError
-from .semigroup import Semigroup, closure, products_outside, sub_semigroup
+from .semigroup import Semigroup, closure, products_outside
 from .sets import ElementSet
 
 
@@ -119,15 +119,6 @@ def cached_on_group(G: GroupView, name: str, gens: Sequence[int], build: Callabl
     """
     gens = [int(g) for g in gens]
     return G.base.cached((name, G.carrier, tuple(gens)), lambda: build(G, gens))
-
-
-def extract_group(
-    S: Semigroup, carrier: ElementSet, name: str = ""
-) -> tuple[Semigroup, GroupView, np.ndarray, np.ndarray]:
-    """Carve the carrier out as a standalone semigroup with its group view."""
-    sub, to_sub, to_parent = sub_semigroup(S, carrier, name=name)
-    view = group_view(sub)
-    return sub, view, to_sub, to_parent
 
 
 def subgroup_closure(G: GroupView, gens: Sequence[int]) -> ElementSet:

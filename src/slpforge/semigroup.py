@@ -316,6 +316,18 @@ def cached_closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:
     return S.cached(("closure", key), lambda: closure(S, key))
 
 
+def cached_sub_semigroup(
+    S: Semigroup, members: ElementSet
+) -> tuple[Semigroup, np.ndarray, np.ndarray]:
+    """``sub_semigroup(S, members)``, memoised on S under the member set.
+
+    The one way a strategy carves out a sub-table, so every caller that
+    lands on one member set shares the sub-table and whatever is memoised on
+    it.  ``to_sub`` and ``to_parent`` are shared and read-only.
+    """
+    return S.cached(("sub_semigroup", members), lambda: sub_semigroup(S, members))
+
+
 class _WordTree:
     """Breadth-first search tree of shortest words over one generator tuple.
 
@@ -526,7 +538,7 @@ def direct_product(S: Semigroup, T: Semigroup, budget: int = DIRECT_PRODUCT_MAX)
     return Semigroup.trusted(st * T.n + tt, name=name)
 
 
-def sub_semigroup(S: Semigroup, members: ElementSet, name: str = "") -> tuple[Semigroup, np.ndarray, np.ndarray]:
+def sub_semigroup(S: Semigroup, members: ElementSet) -> tuple[Semigroup, np.ndarray, np.ndarray]:
     """Restrict S to a product-closed subset.
 
     Returns (sub, to_sub, to_parent): ``to_sub[x]`` is the sub-index of parent
@@ -537,5 +549,7 @@ def sub_semigroup(S: Semigroup, members: ElementSet, name: str = "") -> tuple[Se
         raise ValueError("subset is not product-closed")
     to_sub = np.full(S.n, -1, dtype=np.int64)
     to_sub[mem] = np.arange(mem.size)
+    to_sub.setflags(write=False)
+    mem.setflags(write=False)
     sub_table = to_sub[S.table[np.ix_(mem, mem)].astype(np.int64)]
-    return Semigroup.trusted(sub_table, name=name), to_sub, mem
+    return Semigroup.trusted(sub_table), to_sub, mem

@@ -428,6 +428,25 @@ def test_solvable_bounded_width_and_value():
             assert not any(ins[0] == "I" for ins in slp.instructions)
 
 
+@pytest.mark.parametrize("family,n", [("sym", 3), ("alt", 4), ("sym", 4)], ids=["S3", "A4", "S4"])
+def test_solvable_bounded_on_every_generating_pair(family, n):
+    # a generator that already lies in G' must still start a layer-1 record,
+    # or the pruned chain skips a derived term and a step is not normal
+    S = zoo.make_group(family, [n])
+    pairs = [
+        [a, b] for a, b in itertools.permutations(range(S.n), 2)
+        if closure(S, [a, b]).cardinality == S.n
+    ]
+    assert pairs
+    for gens in pairs:
+        for t in range(S.n):
+            rep = compress(S, gens, t, "group-solvable-bw")
+            assert rep.verified and rep.width <= 4, (gens, t)
+            auto = compress(S, gens, t, "auto")
+            assert auto.strategy == "group-solvable-bw", (gens, t)
+            assert "fallback" not in auto.extras, (gens, t)
+
+
 def test_solvable_cyclic_collapses_to_fast_exp():
     Z = zoo.make_cyclic(97)
     G = group_view(Z)
@@ -529,6 +548,14 @@ def test_compress_reports_and_verifies(zoo_small):
             rep = compress(S, gens, t, "auto")
             assert rep.verified, (name, t)
             assert rep.length == rep.slp.length and rep.width == rep.slp.width
+
+
+def test_auto_records_why_it_fell_back():
+    S, gens, _ = zoo.build_family("lrb-witness", [4])
+    rep = compress(S, gens, S.n - 1, "auto")
+    assert rep.verified and rep.strategy == "bounded-diameter"
+    assert rep.extras["classified"] == "normal-band" and rep.extras["fallback"]
+    assert rep.extras["fallback_reason"].startswith("BandNotNormalError: ")
 
 
 def test_compress_unreachable():

@@ -41,10 +41,10 @@ GROUPS = {"S4": ("sym", [4]), "A4": ("alt", [4]), "D8": ("dihedral", [4])}
 
 PINNED = {
     'S4/group-solvable': '32f56b430ec0ec17e2243f5cda28e7205acee205cd2bda3bf08658faeec4e9b9',
-    'S4/group-solvable-bw': 'ea597f7fc25082a1f49f2e01d0364a22a553038b8a5582ea43015c63bba03b92',
+    'S4/group-solvable-bw': '63d97ba9a7fbbc9f8a8f07522a27d4aafd558fc61f0d5fe0cce08cfd674b19e2',
     'S4/group-bsz': '9315a6beddd73ab18ad608895f4768503776ea6f2d77b162e4573d55fb520b4d',
     'A4/group-solvable': '994b8f555d80139d20bb32681b12481b8621cbc122336330cca95a66de70af37',
-    'A4/group-solvable-bw': '2616a30fb66bbe2b42c610d2ec5109d695611635bbe8d1587a437f88244918c6',
+    'A4/group-solvable-bw': 'e758c49cfe6081626c75de49926a4bd592e98d47c89e06489596787d11d3d947',
     'A4/group-bsz': '83c3815995c8d91c2796a7eec6648fbc5e17122ab7699d131f70ad17618e8b71',
     'D8/group-solvable': '9a77f4f8b90ac4b55f2e4ee6c2387158cd1a3683a6c69dfac2fc6f34129ac71a',
     'D8/group-solvable-bw': '2f010fdef0734a802a4c4a225a2efa8dd4ac72015f3c41dfa8695e4cff58bd98',

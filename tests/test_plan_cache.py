@@ -8,12 +8,14 @@ generator list, so new views of one table share them and a subgroup view
 does not lend its entries to the whole group.
 """
 
+import functools
 import importlib
 import random
 
 import pytest
 
 from slpforge import zoo
+from slpforge.classify import classify
 from slpforge.compressors import (
     compress,
     compress_group_reachability,
@@ -28,8 +30,9 @@ from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure
 
 # the package re-exports functions under some of these modules' names
-bands_mod = importlib.import_module("slpforge.compressors.bands")
+classify_mod = importlib.import_module("slpforge.classify")
 decomposition_mod = importlib.import_module("slpforge.decomposition")
+general_mod = importlib.import_module("slpforge.compressors.general")
 groups_mod = importlib.import_module("slpforge.groups")
 semigroup_mod = importlib.import_module("slpforge.semigroup")
 
@@ -204,7 +207,7 @@ def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, par
     random.Random(family).shuffle(targets)
     fresh = {t: dump_slp(compress_normal_band(Semigroup(S.table), gens, t).slp) for t in targets}
     builds = _counting(monkeypatch, decomposition_mod, "band_of_groups_decomposition")
-    extracts = _counting(monkeypatch, bands_mod, "extract_group")
+    carves = _counting(monkeypatch, semigroup_mod, "sub_semigroup")
     # the zoo checks its construction with the decomposition every target reuses
     S, _ = _instance(family, params)
     classes = set()
@@ -214,7 +217,36 @@ def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, par
         classes.add(bc.alpha)
     assert len(builds) == 1
     # one class group per class the targets fall in, each carved out once
-    assert len(extracts) == len(classes) > 1
+    assert len(carves) == len(classes) > 1
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3, 3), (3, 3, 4, 2)])
+def test_general_plan_built_once_per_table(monkeypatch, params):
+    S, gens = _instance("nilpotent-rb", params)
+    targets = sorted(closure(S, gens))
+    random.Random(str(params)).shuffle(targets)
+    fresh = [_fresh(S, gens, t, "general") for t in targets]
+    scans = []
+    scan = classify_mod.sandwich_ideal_level
+
+    @functools.wraps(scan)  # keeps the name ``cached_flag`` keys its entry by
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    # ``classify`` and ``general`` each hold the scan under its own name
+    for module in (classify_mod, general_mod):
+        monkeypatch.setattr(module, "sandwich_ideal_level", counted_scan)
+    carves = _counting(monkeypatch, semigroup_mod, "sub_semigroup")
+    reused = Semigroup(S.table)
+    assert classify(reused).sandwich_level is not None
+    for t, expect in zip(targets, fresh):
+        assert _answer(reused, gens, t, "general") == expect, t
+    # ``general`` reads the level ``classify`` found, through the flag memo
+    assert [args[0] is reused for args in scans] == [True]
+    # the ideal S^k, each S~ and each class group are carved once each
+    carved = [(id(args[0]), args[1]) for args in carves]
+    assert len(carved) == len(set(carved)) > 2
 
 
 def test_zoo_band_check_shares_the_decomposition_with_auto(monkeypatch):
