@@ -259,7 +259,7 @@ def _solvable_or_none(S: Semigroup) -> Optional[bool]:
 
 
 def group_route(G: GroupView) -> str:
-    """The group strategy for G: group-solvable-bw if solvable, else group-bsz.
+    """The ``GROUP_STRATEGIES`` key for G: group-solvable-bw if solvable, else group-bsz.
 
     Rung 3 of ``recommend`` for a group table, and the class-group step of
     ``normal-band``, which must not walk the whole ladder: rungs 1 and 2
@@ -269,7 +269,7 @@ def group_route(G: GroupView) -> str:
 
 
 def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
-    """The strategy ``auto`` dispatches to, memoised on S.
+    """The ``STRATEGIES`` key ``auto`` dispatches to, memoised on S.
 
     Walks the ladder in order and stops at the first rung that decides, so
     only the flags that rung and the ones above it need are computed:

@@ -17,7 +17,7 @@ import time
 
 from . import zoo
 from .classify import Config, classify
-from .compressors import compress
+from .compressors import STRATEGIES, check_strategy, compress
 from .errors import SlpforgeError
 from .io import read_cay, read_slp, write_cay, write_slp
 from .membership import member_oracle
@@ -157,6 +157,8 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     instances = [s for s in args.instances.split(";") if s] if args.instances else []
     strategies = [s for s in args.strategies.split(",") if s]
+    for strat in strategies:
+        check_strategy(strat)
     cases = []
     for inst in instances:
         params = [int(x) for x in inst.split(",")]
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cayley", required=True)
     p.add_argument("--gens", default=None)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--strategy", default="auto")
+    p.add_argument("--strategy", default="auto", choices=("auto", *STRATEGIES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--kmax", type=int, default=None)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cayley", required=True)
     p.add_argument("--gens", default=None)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--strategy", default="auto")
+    p.add_argument("--strategy", default="auto", choices=("auto", *STRATEGIES))
     p.add_argument("--certify", action="store_true", help="also emit a verified certificate")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)

@@ -1,8 +1,9 @@
 from .base import CompressionReport, word_program
 from .bands import BandCompression, class_generators, compress_normal_band
 from .diameter import compress_bounded_diameter
-from .dispatch import STRATEGIES, compress, compress_in_group
+from .dispatch import STRATEGIES, check_strategy, compress
 from .general import GeneralCompression, compress_general
+from .in_group import GROUP_STRATEGIES
 from .peel import ideal_generators, nilpotent_peel
 from .permutative import PermNormalForm, compress_permutative, minimize_exponents
 from .reachability import (
@@ -30,6 +31,7 @@ __all__ = [
     "CompressionReport",
     "CubeState",
     "DeltaSet",
+    "GROUP_STRATEGIES",
     "GeneralCompression",
     "PermNormalForm",
     "PolycyclicGenSet",
@@ -39,6 +41,7 @@ __all__ = [
     "build_cube",
     "build_derived_adapted_set",
     "build_polycyclic_set",
+    "check_strategy",
     "class_generators",
     "compress",
     "compress_bounded_diameter",
@@ -46,7 +49,6 @@ __all__ = [
     "compress_group_reachability",
     "compress_group_solvable",
     "compress_group_solvable_bounded",
-    "compress_in_group",
     "compress_normal_band",
     "compress_permutative",
     "emit_delta_program",

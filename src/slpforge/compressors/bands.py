@@ -3,7 +3,8 @@
 The class idempotent e_a is produced by lifting a width-2 program for the
 class index in the quotient band (a normal band is permutative) and raising
 the lift to its idempotent power.  The group part runs over the generators
-e_a s e_a with s a product of at most two input generators lying J-above e_a.
+e_a s e_a with s a product of at most two input generators lying J-above e_a,
+with the class group's entry ``GROUP_STRATEGIES[group_route(view)]``.
 Wide mode pins e_a in a register and expands each group load with one helper
 register; narrow mode spends only one extra register and recomputes e_a by
 exponentiating a live group value whenever it had to be overwritten.
@@ -22,6 +23,7 @@ from ..errors import DecompositionFailedError, SlpforgeError
 from ..groups import cached_group_view
 from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup
 from ..slp import Slp, SlpBuilder, evaluate
+from .in_group import GROUP_STRATEGIES
 from .permutative import compress_permutative
 
 
@@ -30,9 +32,6 @@ class BandCompression:
     slp: Slp
     alpha: int
     group_width: int
-    group_length: int
-    sigma_alpha: list[int]
-    decomposition: BandDecomposition
 
 
 def class_generators(
@@ -70,9 +69,6 @@ def compress_normal_band(
     t: int,
     mode: str = "wide",
 ) -> BandCompression:
-    # dispatch imports this module, so its group path is imported on use
-    from .dispatch import compress_in_group
-
     if mode not in ("wide", "narrow"):
         raise ValueError("mode must be 'wide' or 'narrow'")
     gens = [int(g) for g in gens]
@@ -104,7 +100,7 @@ def compress_normal_band(
     sub, to_sub, to_parent = cached_sub_semigroup(S, carrier)
     view = cached_group_view(sub)
     gsub = [int(to_sub[v]) for v in sigma_alpha]
-    gprog, _ = compress_in_group(view, gsub, int(to_sub[t]), group_route(view))
+    gprog = GROUP_STRATEGIES[group_route(view)](view, gsub, int(to_sub[t]))
     gparent = gprog.relabel(to_parent)
     witness_of = {v: w for v, w in zip(sigma_alpha, witnesses)}
 
@@ -174,6 +170,4 @@ def compress_normal_band(
     trace = evaluate(S, slp)
     if trace.output_value != t:
         raise DecompositionFailedError("band splice produced a wrong value")
-    return BandCompression(
-        slp, alpha, gprog.width, gprog.length, sigma_alpha, decomp
-    )
+    return BandCompression(slp, alpha, gprog.width)

@@ -26,7 +26,6 @@ from .peel import nilpotent_peel
 @dataclass
 class GeneralCompression:
     slp: Slp
-    peel_level: int
     group_width: Optional[int]
     band: Optional[BandCompression]
     # three-way split diagnostics (None when the word was too short to split)
@@ -60,7 +59,6 @@ def compress_general(
     split = info.get("split") or (None, None, None)
     return GeneralCompression(
         slp,
-        k,
         band.group_width if band is not None else None,
         band,
         left=split[0],

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .classify import Config
-from .compressors import CompressionReport, compress
+from .compressors import CompressionReport, check_strategy, compress
 from .errors import BudgetExceededError, CompressorFailedError, SlpforgeError
 from .semigroup import Semigroup, cached_closure, check_element, closure
 from .slp import Slp
@@ -40,8 +40,10 @@ def member_certified(
     """Oracle plus, for members, a verified straight-line certificate.
 
     A member whose compression fails is a broken invariant and raises
-    CompressorFailedError instead of being masked as a non-member.
+    CompressorFailedError instead of being masked as a non-member.  An
+    unknown strategy name raises ValueError before the oracle runs.
     """
+    check_strategy(strategy)
     is_member = member_oracle(S, gens, t)
     if not is_member:
         return MembershipAnswer(False, None, True, None)

@@ -50,18 +50,14 @@ class Semigroup:
 
     def __init__(self, table: np.ndarray, name: str = "", _trusted: bool = False):
         table = np.asarray(table)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise OutOfRangeError("table must be square")
+        if not _trusted:
+            _check_entries(table)
         n = table.shape[0]
-        if n == 0:
-            raise OutOfRangeError("empty table")
-        if table.size and (table.min() < 0 or table.max() >= n):
-            bad = np.argwhere((table < 0) | (table >= n))[0]
-            raise OutOfRangeError(
-                f"entry at ({bad[0]}, {bad[1]}) = {table[bad[0], bad[1]]} outside [0, {n})"
-            )
+        # copy a writeable table; share a read-only one at the stored dtype, as ElementSet does
+        if table.flags.writeable or table.dtype != table_dtype(n):
+            table = table.astype(table_dtype(n))
         self.n = n
-        self.table = np.ascontiguousarray(table.astype(table_dtype(n), copy=True))
+        self.table = np.ascontiguousarray(table)
         self.table.setflags(write=False)
         self.name = name
         self._memo: dict = {}
@@ -72,11 +68,12 @@ class Semigroup:
 
     @classmethod
     def trusted(cls, table: np.ndarray, name: str = "") -> "Semigroup":
-        """Wrap a table whose associativity is guaranteed structurally.
+        """Wrap a table the library built, square and associative by construction.
 
         Used for subsemigroups, quotients and direct products of validated
         semigroups, and for rectangular bands, whose closed form
-        (a,b)(c,d) = (a,d) is associative; checking them would be wasted work.
+        (a,b)(c,d) = (a,d) is associative; neither the range scan nor
+        Light's test runs on them.
         """
         return cls(table, name=name, _trusted=True)
 
@@ -286,12 +283,29 @@ def validate_table(raw, name: str = "", gens_hint: Optional[Sequence[int]] = Non
     table, and NotAssociativeError (with a witness triple) when associativity
     fails.
     """
-    sg = Semigroup(np.asarray(raw), name=name, _trusted=True)
+    table = np.asarray(raw)
+    _check_entries(table)
+    sg = Semigroup(table, name=name, _trusted=True)
     if gens_hint is not None:
         for g in gens_hint:
             check_element(sg, g, "generator hint")
     sg._check_associativity(gens_hint=gens_hint)
     return sg
+
+
+def _check_entries(table: np.ndarray) -> None:
+    """Raise OutOfRangeError unless a table from outside is square, nonempty
+    and holds only indices of its rows."""
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise OutOfRangeError("table must be square")
+    n = table.shape[0]
+    if n == 0:
+        raise OutOfRangeError("empty table")
+    if table.min() < 0 or table.max() >= n:
+        bad = np.argwhere((table < 0) | (table >= n))[0]
+        raise OutOfRangeError(
+            f"entry at ({bad[0]}, {bad[1]}) = {table[bad[0], bad[1]]} outside [0, {n})"
+        )
 
 
 def closure(S: Semigroup, gens: Iterable[int]) -> ElementSet:

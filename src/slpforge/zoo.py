@@ -387,6 +387,7 @@ def make_rectangular_band(p: int, q: int) -> Semigroup:
     # not fit the stored dtype, as in RB(1, 256)); only the two length-n
     # vectors are narrowed, so the n x n sum is written at the stored dtype
     table = (idx // q * q).astype(dt)[:, None] + (idx % q).astype(dt)[None, :]
+    table.setflags(write=False)  # read-only at the stored dtype: wrapped, not copied
     return Semigroup.trusted(table, name=f"RB({p},{q})")
 
 

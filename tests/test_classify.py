@@ -17,6 +17,7 @@ from slpforge.classify import (
     recommend,
     sandwich_ideal_level,
 )
+from slpforge.compressors import GROUP_STRATEGIES, STRATEGIES
 from slpforge.errors import BudgetExceededError, SlpforgeError
 from slpforge.groups import cached_group_view, group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
@@ -355,3 +356,17 @@ def test_group_route_is_rung_three(zoo_small):
             assert recommend(T) == routed[name] == group_route(cached_group_view(T)), name
     assert routed["A5"] == "group-bsz"
     assert routed["S4"] == routed["D8"] == routed["H3"] == "group-solvable-bw"
+
+
+def test_ladder_answers_are_table_keys(zoo_small):
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(120, seed=11)
+    tables.append(zoo.make_alt(5))
+    routes = set()
+    for S in tables:
+        assert recommend(_fresh(S)) in STRATEGIES, S.table.tolist()
+        try:
+            G = group_view(S)
+        except SlpforgeError:
+            continue
+        routes.add(group_route(G))
+    assert routes == set(GROUP_STRATEGIES) - {"group-solvable"}

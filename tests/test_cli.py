@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from slpforge import zoo
 from slpforge.cli import main
 from slpforge.compressors import compress
@@ -38,6 +40,29 @@ def test_gen_compress_verify_member(tmp_path, capsys):
 def test_input_error_exit_codes(tmp_path):
     assert run(["gen", "--family", "nonsense", "--n", "3", "--out", str(tmp_path / "x.cay")]) == 2
     assert run(["member", "--cayley", str(tmp_path / "missing.cay"), "--target", "0"]) == 2
+
+
+def test_unknown_strategy_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    cay = str(tmp_path / "z.cay")
+    run(["gen", "--family", "cyclic", "--n", "6", "--out", cay])
+    capsys.readouterr()
+    for argv in (
+        ["compress", "--cayley", cay, "--gens", "2", "--target", "2", "--strategy", "bogus"],
+        ["member", "--cayley", cay, "--gens", "2", "--target", "1", "--certify", "--strategy", "bogus"],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in captured.err and captured.out == "", argv
+
+    def no_build(*args):
+        raise AssertionError("an instance was built before the names were checked")
+
+    monkeypatch.setattr(zoo, "build_family", no_build)
+    argv = ["bench", "--family", "cyclic", "--instances", "6", "--strategies", "auto,bogus"]
+    assert run(argv) == 2
+    assert "unknown strategy 'bogus'" in capsys.readouterr().err
 
 
 def test_classify_output(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from slpforge import zoo
 from slpforge.classify import Config
 from slpforge.compressors import peel, solvable
 from slpforge.compressors import (
+    GROUP_STRATEGIES,
+    STRATEGIES,
     adapt_subnormal,
     build_cube,
     build_derived_adapted_set,
@@ -33,6 +37,7 @@ from slpforge.errors import (
     UnreachableError,
 )
 from slpforge.groups import derived_series, group_view, is_adapted, subgroup_closure
+from slpforge.membership import member_certified
 from slpforge.semigroup import closure, ideal_power, shortest_word
 from slpforge.slp import Slp, eliminate_inverses, evaluate
 
@@ -550,12 +555,44 @@ def test_compress_reports_and_verifies(zoo_small):
             assert rep.length == rep.slp.length and rep.width == rep.slp.width
 
 
+@pytest.mark.parametrize("t", [0, 5, -1, 8], ids=["member", "non-member", "below", "above"])
+def test_unknown_strategy_rejected_before_any_work(t):
+    S = zoo.make_dihedral(4)
+    assert 5 not in closure(S, [1]) and 0 in closure(S, [1])
+    before = set(S._memo)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        compress(S, [1], t, "bogus")
+    if 0 <= t < S.n:
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            member_certified(S, [1], t, "bogus")
+    assert set(S._memo) == before
+
+
+def test_named_strategy_reports_no_extras(zoo_small):
+    S, gens, _ = zoo_small["RB(2,2)xZ3"]
+    for strategy in ("normal-band", "bounded-diameter", "general"):
+        assert compress(S, gens, 5, strategy).extras == {}, strategy
+    G = zoo.make_dihedral(8)
+    for strategy in GROUP_STRATEGIES:
+        assert compress(G, zoo.dihedral_generators(8), 13, strategy).extras == {}, strategy
+    assert set(compress(G, zoo.dihedral_generators(8), 13).extras) == {"classified"}
+
+
+def test_readme_lists_the_strategy_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| strategy ", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\s*\| `([a-z-]+)` ", table, flags=re.M)
+    assert sorted(listed) == sorted([*STRATEGIES, "auto"])
+    assert set(GROUP_STRATEGIES) < set(STRATEGIES)
+
+
 def test_auto_records_why_it_fell_back():
     S, gens, _ = zoo.build_family("lrb-witness", [4])
     rep = compress(S, gens, S.n - 1, "auto")
     assert rep.verified and rep.strategy == "bounded-diameter"
     assert rep.extras["classified"] == "normal-band" and rep.extras["fallback"]
     assert rep.extras["fallback_reason"].startswith("BandNotNormalError: ")
+    assert set(rep.extras) == {"classified", "fallback", "fallback_reason"}
 
 
 def test_compress_unreachable():

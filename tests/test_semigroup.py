@@ -63,6 +63,43 @@ def test_out_of_range_entry():
         validate_table([[0, 1], [1, 5]])
 
 
+@pytest.mark.parametrize("read_only", [False, True])
+@pytest.mark.parametrize(
+    "dtype,entry", [(np.int64, -1), (np.int64, 2), (np.uint8, 2), (np.uint8, 255), (np.int16, -3)]
+)
+def test_out_of_range_entry_from_outside_at_any_dtype(dtype, entry, read_only):
+    table = np.zeros((2, 2), dtype=dtype)
+    table[1, 0] = entry
+    table.setflags(write=not read_only)
+    with pytest.raises(OutOfRangeError, match=r"entry at \(1, 0\)"):
+        Semigroup(table)
+    with pytest.raises(OutOfRangeError, match=r"entry at \(1, 0\)"):
+        validate_table(table)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+def test_non_square_or_empty_table_from_outside(shape):
+    with pytest.raises(OutOfRangeError):
+        Semigroup(np.zeros(shape, dtype=np.int64))
+    with pytest.raises(OutOfRangeError):
+        validate_table(np.zeros(shape, dtype=np.int64))
+
+
+def test_read_only_table_at_stored_dtype_is_shared():
+    R = zoo.make_rectangular_band(3, 5)
+    assert not R.table.flags.writeable and R.table.dtype == np.uint8
+    gens = zoo.rectangular_band_generators(3, 5)
+    for wrapped in (Semigroup.trusted(R.table), Semigroup(R.table), validate_table(R.table, gens_hint=gens)):
+        assert np.shares_memory(wrapped.table, R.table)
+    writeable = np.array(R.table)
+    wider = R.table.astype(np.int64)
+    wider.setflags(write=False)
+    for source in (writeable, wider):
+        S = Semigroup.trusted(source)
+        assert not np.shares_memory(S.table, source)
+        assert S.table.dtype == np.uint8 and not S.table.flags.writeable
+
+
 def test_lights_test_over_a_one_element_hint():
     S = zoo.make_cyclic(30)
     revalidated = validate_table(S.table, gens_hint=[1])
