@@ -51,12 +51,15 @@ def compress(
 ) -> CompressionReport:
     """Compress t over gens with the named strategy; 'auto' dispatches.
 
-    Work happens inside the generated subsemigroup, so identities verified by
-    the classifier hold exactly where the program lives.  Target-independent
-    structure (the closure, the sub-semigroup, the ``auto`` recommendation,
-    and the group builders' plans and cubes) is memoised on S, so later
-    targets on the same table reuse it.  An unknown strategy name raises
-    ValueError before any of it is built.
+    The generated subsemigroup is carved once, and the strategy (or ``auto``'s
+    recommendation) runs there, so identities verified by the classifier hold
+    exactly where the program lives.  The program is relabelled to S and
+    verified once, by evaluation on S; a mismatch raises SlpforgeError and is
+    never a reason to fall back.  Target-independent structure (the closure,
+    the sub-semigroup, the ``auto`` recommendation, and the group builders'
+    plans and cubes) is memoised on S, so later targets on the same table
+    reuse it.  An unknown strategy name raises ValueError before any of it is
+    built.
     """
     check_strategy(strategy)
     cfg = config or Config()
@@ -65,33 +68,27 @@ def compress(
     members = cached_closure(S, gens)
     if t not in members:
         raise UnreachableError(f"target {t} is outside the generated subsemigroup")
+    sub, sub_gens, sub_t, to_parent = S, gens, t, None
     if members.cardinality != S.n:
         sub, to_sub, to_parent = cached_sub_semigroup(S, members)
-        inner = compress(
-            sub, [int(to_sub[g]) for g in gens], int(to_sub[t]), strategy, cfg
-        )
-        prog = inner.slp.relabel(to_parent)
-        report = verify(S, prog, t, inner.strategy)
-        if not report.verified:
-            raise SlpforgeError("lifted program failed verification")
-        return CompressionReport(
-            inner.strategy, prog, prog.length, prog.width, True, t, inner.extras
-        )
+        sub_gens, sub_t = [int(to_sub[g]) for g in gens], int(to_sub[t])
 
     # a named strategy reports no extras; ``auto`` reports its decision
     extras: dict = {}
     chosen = strategy
     if strategy == "auto":
-        chosen = extras["classified"] = recommend(S, cfg)
+        chosen = extras["classified"] = recommend(sub, cfg)
     try:
-        slp = STRATEGIES[chosen](S, gens, t, cfg)
+        slp = STRATEGIES[chosen](sub, sub_gens, sub_t, cfg)
     except SlpforgeError as exc:
         if strategy != "auto" or chosen == "bounded-diameter":
             raise
         chosen = "bounded-diameter"
-        slp = STRATEGIES[chosen](S, gens, t, cfg)
+        slp = STRATEGIES[chosen](sub, sub_gens, sub_t, cfg)
         extras.update(fallback=True, fallback_reason=f"{type(exc).__name__}: {exc}")
-    report = verify(S, slp, t, chosen)
-    return CompressionReport(
-        chosen, slp, report.length, report.width, report.verified, t, extras
-    )
+    if to_parent is not None:
+        slp = slp.relabel(to_parent)
+    report = verify(S, slp, t)
+    if not report.verified:
+        raise SlpforgeError(f"{chosen} program failed verification")
+    return CompressionReport(chosen, slp, report.length, report.width, True, t, extras)

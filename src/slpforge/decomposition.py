@@ -17,7 +17,7 @@ from .errors import (
     HNotCongruenceError,
     NotCompletelyRegularError,
 )
-from .groups import GroupView, group_view
+from .groups import group_view
 from .classify import _row_classes, is_medial
 from .semigroup import Semigroup
 from .sets import ElementSet
@@ -27,12 +27,10 @@ from .sets import ElementSet
 class BandDecomposition:
     """S partitioned into disjoint subgroups indexed by a normal band."""
 
-    semigroup: Semigroup
     band: Semigroup
     projection: np.ndarray
     idempotents: list[int]
     carriers: list[ElementSet]
-    views: list[GroupView]
 
     @property
     def class_count(self) -> int:
@@ -56,21 +54,7 @@ def cached_decomposition(S: Semigroup) -> BandDecomposition:
 
     A failed decomposition raises again on every call, as it stores nothing.
     """
-
-    def parts():
-        d = band_of_groups_decomposition(S)
-        views = [(v.carrier, v.identity, v.inverse) for v in d.views]
-        return d.band, d.projection, d.idempotents, d.carriers, views
-
-    # the memo keeps the parts, not the decomposition: it and its views refer
-    # back to S, and that cycle would keep the table alive until the cyclic
-    # collector runs
-    band, projection, idempotents, carriers, views = S.cached(
-        ("band_of_groups_decomposition",), parts
-    )
-    return BandDecomposition(
-        S, band, projection, idempotents, carriers, [GroupView(S, *v) for v in views]
-    )
+    return S.cached(("band_of_groups_decomposition",), lambda: band_of_groups_decomposition(S))
 
 
 def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
@@ -103,10 +87,10 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     reps = first[order].astype(np.int64)
 
     carriers = [ElementSet(cls == i) for i in range(m)]
-    views = []
+    idempotents = []
     for i, carrier in enumerate(carriers):
         try:
-            views.append(group_view(S, carrier))
+            idempotents.append(group_view(S, carrier).identity)
         except Exception as exc:
             raise HNotCongruenceError(
                 f"H-class of element {reps[i]} is not a group: {exc}"
@@ -127,5 +111,4 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     if not is_medial(band):
         raise BandNotNormalError("quotient band fails uxyv = uyxv")
 
-    idempotents = [v.identity for v in views]
-    return BandDecomposition(S, band, cls, idempotents, carriers, views)
+    return BandDecomposition(band, cls, idempotents, carriers)

@@ -74,14 +74,6 @@ class InverseOutsideGroupError(SlpforgeError):
     """INV instruction evaluated without a group carrier."""
 
 
-class MissingSubvalueError(SlpforgeError):
-    """Composition: subroutine program does not provide a needed value."""
-
-
-class MissingSubprogramError(SlpforgeError):
-    """Inlining: a loaded symbol has no subprogram."""
-
-
 class DiameterExceededError(SlpforgeError):
     """No generator word of length <= D evaluates to the target."""
 

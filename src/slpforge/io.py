@@ -140,7 +140,7 @@ def parse_slp(text: str) -> Slp:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "SLP":
         raise FormatError("missing SLP header")
-    head = lines[1].split() if len(lines) >= 3 else []
+    head = lines[1].split() if len(lines) >= 2 else []
     if not head or head[0] != "A":
         raise FormatError("missing alphabet line")
     try:

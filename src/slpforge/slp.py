@@ -14,17 +14,11 @@ that metrics and file round-trips are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    InvalidProgramError,
-    InverseOutsideGroupError,
-    MissingSubprogramError,
-    MissingSubvalueError,
-)
-from .groups import GroupView, minimal_generating_subset
+from .errors import InvalidProgramError, InverseOutsideGroupError
+from .groups import GroupView, group_view, minimal_generating_subset
 from .semigroup import Semigroup, closure, shortest_word
 
 
@@ -107,33 +101,23 @@ class Slp:
 @dataclass
 class EvalTrace:
     registers: dict[int, int]
-    value_set: set[int]
     output_value: int
-    values_log: Optional[list[int]] = None
 
 
 @dataclass
 class CostReport:
     length: int
     width: int
-    strategy: str = ""
     verified: bool = False
 
 
-def evaluate(
-    S: Semigroup,
-    prog: Slp,
-    group: Optional[GroupView] = None,
-    log_values: bool = False,
-) -> EvalTrace:
+def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> EvalTrace:
     """Execute the program over S.  INV needs a group view for the carrier."""
     for v in prog.alphabet:
         if not 0 <= v < S.n:
             raise InvalidProgramError(f"alphabet value {v} outside semigroup")
     table = S.table
     regs: dict[int, int] = {}
-    values: set[int] = set()
-    log: Optional[list[int]] = [] if log_values else None
     for ins in prog.instructions:
         if ins[0] == "L":
             val = prog.alphabet[ins[2]]
@@ -147,21 +131,13 @@ def evaluate(
                 raise InverseOutsideGroupError(f"value {src} outside the group carrier")
             val = group.inverse[src]
         regs[ins[1]] = val
-        values.add(val)
-        if log is not None:
-            log.append(val)
-    return EvalTrace(regs, values, regs[prog.output], log)
+    return EvalTrace(regs, regs[prog.output])
 
 
-def verify(S: Semigroup, prog: Slp, t: int, strategy: str = "", group=None) -> CostReport:
+def verify(S: Semigroup, prog: Slp, t: int, group=None) -> CostReport:
     """Evaluate and compare against the target; metrics from static analysis."""
     trace = evaluate(S, prog, group=group)
-    return CostReport(
-        length=prog.length,
-        width=prog.width,
-        strategy=strategy,
-        verified=trace.output_value == t,
-    )
+    return CostReport(prog.length, prog.width, trace.output_value == t)
 
 
 class SlpBuilder:
@@ -273,32 +249,16 @@ def _final_value_registers(S: Semigroup, prog: Slp, group=None) -> dict[int, int
     return out
 
 
-def append_compose(
-    S: Semigroup,
-    prog_a: Slp,
-    prog_b: Slp,
-    outsource: Optional[Sequence[int]] = None,
-    group=None,
-) -> Slp:
+def append_compose(S: Semigroup, prog_a: Slp, prog_b: Slp, group=None) -> Slp:
     """Run prog_b first, then prog_a with outsourced loads wired to b's registers.
 
-    ``outsource`` lists symbol indices of prog_a whose loads are replaced by
-    references to the register of prog_b holding that value at the end of its
-    run (no copy is emitted).  Default: every a-symbol whose value prog_b
-    ends up holding.  Length <= len(a) + len(b); width <= width(a) + width(b).
+    Every load of prog_a whose value prog_b ends up holding is outsourced: it
+    is replaced by a reference to the register of prog_b holding that value at
+    the end of its run (no copy is emitted).  Length <= len(a) + len(b);
+    width <= width(a) + width(b).
     """
     holding = _final_value_registers(S, prog_b, group=group)
-    if outsource is None:
-        outsource_set = {
-            k for k, v in enumerate(prog_a.alphabet) if v in holding
-        }
-    else:
-        outsource_set = set(outsource)
-        for k in outsource_set:
-            if prog_a.alphabet[k] not in holding:
-                raise MissingSubvalueError(
-                    f"prog_b does not hold value {prog_a.alphabet[k]} for symbol {k}"
-                )
+    outsource_set = {k for k, v in enumerate(prog_a.alphabet) if v in holding}
     base = max(prog_b.registers()) + 1
     out = SlpBuilder(is_group=prog_a.is_group or prog_b.is_group)
     out.splice(prog_b, {r: r for r in prog_b.registers()})
@@ -314,30 +274,21 @@ def append_compose(
     return out.finish(cur[prog_a.output])
 
 
-def inline_subroutine(
-    prog_a: Slp,
-    subprograms: dict[int, Slp],
-    delta: Optional[Sequence[int]] = None,
-) -> Slp:
-    """Replace loads of the given symbols by re-emitted subprograms.
+def inline_subroutine(prog_a: Slp, subprograms: dict[int, Slp]) -> Slp:
+    """Replace loads of the symbols keyed in ``subprograms`` by re-emitted
+    subprograms.
 
     Each subprogram's output register is retargeted to the load destination;
     its scratch registers map into one shared pool, so the composite width is
     width(a) + max(sub width - 1).
     """
-    if delta is None:
-        delta = sorted(subprograms)
-    for k in delta:
-        if k not in subprograms:
-            raise MissingSubprogramError(f"no subprogram for symbol {k}")
-        if subprograms[k].is_group and not prog_a.is_group:
-            raise InvalidProgramError("group subprogram inside a plain program")
-    delta_set = set(delta)
+    if any(sub.is_group for sub in subprograms.values()) and not prog_a.is_group:
+        raise InvalidProgramError("group subprogram inside a plain program")
     same = {r: r for r in prog_a.registers()}
     pool_base = max(same) + 1
     out = SlpBuilder(is_group=prog_a.is_group)
     for ins in prog_a.instructions:
-        if ins[0] == "L" and ins[2] in delta_set:
+        if ins[0] == "L" and ins[2] in subprograms:
             sub = subprograms[ins[2]]
             scratch = [r for r in sub.registers() if r != sub.output]
             ren = {r: pool_base + i for i, r in enumerate(scratch)}
@@ -520,29 +471,11 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Minimal generating subset of the group the alphabet generates, and the
     power that inverts every element of that group."""
-    sub = closure(G.base, sigma)
-    sub_view = GroupView(
-        G.base,
-        sub,
-        G.identity if G.identity in sub else _sub_identity(G, sub),
-        G.inverse,
-    )
+    sub_view = group_view(G.base, closure(G.base, sigma))
     sigma_min = tuple(sorted(minimal_generating_subset(sub_view, sigma)))
-    exponent = 1
-    for g in sub:
-        exponent = math.lcm(exponent, int(G.base.periods[g]))
-    return sigma_min, inverting_power(exponent)
+    return sigma_min, inverting_power(sub_view.exponent())
 
 
 def inverting_power(exponent: int) -> int:
     """A power k >= 2 with g^k = g^-1 for every g of a group of this exponent."""
     return exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
-
-
-def _sub_identity(G: GroupView, sub) -> int:
-    for g in sub:
-        if G.base.table[g, g] == g:
-            ok = all(int(G.base.table[g, x]) == x for x in sub)
-            if ok:
-                return g
-    raise InvalidProgramError("alphabet closure has no identity; not a subgroup")

@@ -8,7 +8,7 @@ import pytest
 
 from slpforge import zoo
 from slpforge.classify import Config
-from slpforge.compressors import peel, solvable
+from slpforge.compressors import dispatch, peel, solvable
 from slpforge.compressors import (
     GROUP_STRATEGIES,
     STRATEGIES,
@@ -29,11 +29,14 @@ from slpforge.compressors import (
     minimize_exponents,
     nilpotent_peel,
     solvable_plan,
+    word_program,
 )
 from slpforge.errors import (
+    CompressorFailedError,
     DiameterExceededError,
     NotInSubgroupError,
     NotSolvableError,
+    SlpforgeError,
     UnreachableError,
 )
 from slpforge.groups import derived_series, group_view, is_adapted, subgroup_closure
@@ -341,7 +344,7 @@ def test_delta_program_computes_all_records():
     delta, chain, dprog = solvable_plan(G, gens)
     trace = evaluate(S, dprog, group=G)
     for rec in delta.records:
-        assert rec.value in trace.value_set
+        assert rec.value in trace.registers.values()
 
 
 def test_solvable_not_solvable():
@@ -605,6 +608,48 @@ def test_compress_inside_proper_subsemigroup():
     Z12 = zoo.make_cyclic(12)
     rep = compress(Z12, [4], 8, "auto")
     assert rep.verified and set(rep.slp.alphabet) <= {4}
+
+
+# (S, gens, t): the generators close to the whole table, or to a proper part
+WRONG_PROGRAM_CASES = {
+    "full-table": (zoo.make_cyclic(7), [1], 3),
+    "proper-closure": (zoo.make_cyclic(12), [2], 6),
+}
+
+
+@pytest.mark.parametrize("strategy", ["permutative", "auto"])
+@pytest.mark.parametrize("case", sorted(WRONG_PROGRAM_CASES))
+def test_failed_verification_raises_without_fallback(monkeypatch, case, strategy):
+    S, gens, t = WRONG_PROGRAM_CASES[case]
+    ran = []
+
+    def wrong(S, gens, t, cfg):
+        ran.append(S.n)
+        return word_program([gens[0]])
+
+    for name in STRATEGIES:
+        monkeypatch.setitem(STRATEGIES, name, wrong)
+    with pytest.raises(SlpforgeError, match="failed verification"):
+        compress(S, gens, t, strategy)
+    assert len(ran) == 1
+    with pytest.raises(CompressorFailedError):
+        member_certified(S, gens, t, strategy)
+
+
+def test_proper_closure_is_verified_once(monkeypatch):
+    counts = {"compress": 0, "verify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dispatch, "verify", counting("verify", dispatch.verify))
+    monkeypatch.setattr(dispatch, "compress", counting("compress", dispatch.compress))
+    rep = dispatch.compress(zoo.make_cyclic(12), [4], 8, "auto")
+    assert rep.verified and counts == {"compress": 1, "verify": 1}
 
 
 # -- word listings against the per-compressor searches they replaced ----------

@@ -39,8 +39,8 @@ def test_group_view_on_decomposed_carrier():
 
     dec = band_of_groups_decomposition(S)
     assert dec.band.n == 4
-    for view in dec.views:
-        assert view.order == 3
+    for carrier in dec.carriers:
+        assert group_view(S, carrier).order == 3
 
 
 def test_group_view_rejects_free_lrb():

@@ -90,6 +90,13 @@ def test_slp_errors():
             parse_slp(text)
 
 
+def test_slp_short_file_names_the_missing_line():
+    with pytest.raises(FormatError, match="missing output line"):
+        parse_slp("SLP\nA 1 2\n")
+    with pytest.raises(FormatError, match="missing alphabet line"):
+        parse_slp("SLP\n")
+
+
 Z3_ROWS = "0 1 2\n1 2 0\n2 0 1\n"
 
 
