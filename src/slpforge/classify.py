@@ -19,8 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, SlpforgeError
-from .groups import GroupView, cached_group_view, derived_series, group_view, is_solvable
-from .semigroup import Semigroup, ideal_chain, products_outside
+from .groups import GroupView, group_view, is_solvable
+from .semigroup import (
+    Semigroup, cached_closure, cached_sub_semigroup, ideal_chain, products_outside, sub_semigroup
+)
 from .sets import ElementSet
 
 DEFAULT_KMAX = 6
@@ -210,8 +212,9 @@ def maximal_subgroups_solvable(S: Semigroup) -> bool:
         unit = exe & (om == e)
         if np.count_nonzero(unit) == 1:
             continue
-        view = group_view(S, ElementSet(unit))
-        if not derived_series(view).is_trivial_terminal:
+        # H_e is the group of units of eSe, so the carve and the view hold
+        H, _, _ = sub_semigroup(S, ElementSet(unit))
+        if not is_solvable(group_view(H)):
             return False
     return True
 
@@ -245,7 +248,7 @@ def _level_or_unknown(S: Semigroup, fn, kmax: int, budget: int) -> tuple[Optiona
 
 def _is_group(S: Semigroup) -> bool:
     try:
-        cached_group_view(S)
+        group_view(S)
         return True
     except SlpforgeError:
         return False
@@ -292,7 +295,7 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
         if _level_or_unknown(S, central_commutation_level, kmax, budget)[0] is not None:
             return "permutative"
         if _is_group(S):
-            return group_route(cached_group_view(S))
+            return group_route(group_view(S))
         if S.is_completely_regular():
             return "normal-band"
         if _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0] is not None:
@@ -303,7 +306,13 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
 
 
 def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassReport:
-    """Compute all dispatch flags; ``recommended`` comes from ``recommend``."""
+    """Compute all dispatch flags; ``recommended`` comes from ``recommend``.
+
+    With ``gens``, the flags are those of the sub-semigroup they generate,
+    the table ``auto`` decides on."""
+    if gens is not None:
+        members = cached_closure(S, gens)
+        S = S if members.cardinality == S.n else cached_sub_semigroup(S, members)[0]
     cfg = config or Config()
     kmax, budget = cfg.kmax, cfg.scan_budget
     comm_level, comm_unknown = _level_or_unknown(S, central_commutation_level, kmax, budget)

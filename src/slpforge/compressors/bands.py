@@ -20,7 +20,7 @@ import numpy as np
 from ..classify import group_route
 from ..decomposition import BandDecomposition, cached_decomposition
 from ..errors import DecompositionFailedError, SlpforgeError
-from ..groups import cached_group_view
+from ..groups import group_view
 from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup
 from ..slp import Slp, SlpBuilder, evaluate
 from .in_group import GROUP_STRATEGIES
@@ -98,7 +98,7 @@ def compress_normal_band(
 
     # memoised, so the class group's builders keep their own memo across targets
     sub, to_sub, to_parent = cached_sub_semigroup(S, carrier)
-    view = cached_group_view(sub)
+    view = group_view(sub)
     gsub = [int(to_sub[v]) for v in sigma_alpha]
     gprog = GROUP_STRATEGIES[group_route(view)](view, gsub, int(to_sub[t]))
     gparent = gprog.relabel(to_parent)

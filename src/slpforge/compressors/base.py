@@ -14,7 +14,7 @@ class CompressionReport:
     slp: Slp
     length: int
     width: int
-    verified: bool
+    verified: bool = field(default=True, init=False)  # compress raises instead
     target: int
     extras: dict = field(default_factory=dict)
 

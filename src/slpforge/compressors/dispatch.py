@@ -6,7 +6,7 @@ from typing import Callable, Optional, Sequence
 
 from ..classify import Config, recommend
 from ..errors import SlpforgeError, UnreachableError
-from ..groups import cached_group_view
+from ..groups import group_view
 from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, check_element
 from ..slp import Slp, verify
 from .base import CompressionReport
@@ -21,7 +21,7 @@ Runner = Callable[[Semigroup, list[int], int, Config], Slp]
 
 
 def _in_group(name: str) -> Runner:
-    return lambda S, gens, t, cfg: GROUP_STRATEGIES[name](cached_group_view(S), gens, t)
+    return lambda S, gens, t, cfg: GROUP_STRATEGIES[name](group_view(S), gens, t)
 
 
 # Every named strategy but ``auto``, as a runner (S, gens, t, cfg) -> Slp;
@@ -91,4 +91,4 @@ def compress(
     report = verify(S, slp, t)
     if not report.verified:
         raise SlpforgeError(f"{chosen} program failed verification")
-    return CompressionReport(chosen, slp, report.length, report.width, True, t, extras)
+    return CompressionReport(chosen, slp, report.length, report.width, t, extras)

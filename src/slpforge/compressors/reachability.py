@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..errors import NotInSubgroupError
-from ..groups import GroupView, cached_on_group
+from ..groups import GroupView
 from ..slp import Slp, SlpBuilder
 
 
@@ -232,10 +232,10 @@ def compress_group_reachability(
 ) -> tuple[Slp, CubeState]:
     """Group SLP for t over gens; width <= rounds + 3, strict cube doubling.
 
-    The doubling sequence is kept on the table per (carrier, generator list)
-    and grown only as far as the targets asked so far need (see
-    ``cube_covering``).
+    The doubling sequence is kept on the table per generator list and grown
+    only as far as the targets asked so far need (see ``cube_covering``).
     """
-    cubes = cached_on_group(G, "cubes", gens, lambda G, _: [start_cube(G)])
+    gens = [int(g) for g in gens]
+    cubes = G.base.cached(("cubes", tuple(gens)), lambda: [start_cube(G)])
     state = cube_covering(G, gens, cubes, t)
     return emit_from_cube(G, gens, state, t), state

@@ -43,12 +43,12 @@ from ..groups import (
     GroupView,
     QuotientGroup,
     SeriesChain,
-    cached_group_view,
-    cached_on_group,
     derived_series,
+    group_view,
     is_adapted,
     normal_closure_set,
     quotient_group,
+    subgroup_closure,
 )
 from ..semigroup import cached_sub_semigroup, closure, shortest_words
 from ..sets import ElementSet
@@ -95,14 +95,14 @@ def adapt_subnormal(
         )
         if t_prime not in prev_term:
             raise SlpforgeError("residual target escaped its chain term")
-        x = Q.projection[int(to_sub[t_prime])]
+        x = int(Q.projection[to_sub[t_prime]])
         if x == Q.group.identity:
             continue
         sigma_i = [s for s in sigma if s in prev_term]
         rep: dict[int, int] = {}
         qgens: list[int] = []
         for s in sigma_i:
-            q = Q.projection[int(to_sub[s])]
+            q = int(Q.projection[to_sub[s]])
             if q not in rep:
                 rep[q] = s
                 qgens.append(q)
@@ -130,7 +130,7 @@ def _level_quotient(
     """upper/lower as a quotient of the carved-out group upper, with the map
     from G's indices into upper's."""
     sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
-    return to_sub, quotient_group(cached_group_view(sub), ElementSet(lower.mask[to_parent]))
+    return to_sub, quotient_group(group_view(sub), ElementSet(lower.mask[to_parent]))
 
 
 def _accumulate(programs: list[Slp]) -> Slp:
@@ -180,18 +180,19 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
             registry[rec.value] = len(records)
             records.append(rec)
 
+    def span(Q: QuotientGroup, values: Sequence[int]) -> ElementSet:
+        return subgroup_closure(Q.group, Q.projection[values].tolist())
+
     # level 0: a minimal subset of sigma generating G modulo G'
-    Qg = quotient_group(G, chain.terms[1] if len(chain.terms) > 1 else _trivial(G))
-    proj1 = Qg.projection
-    full = _proj_span(Qg, [proj1[s] for s in sigma])
-    if len(full) != Qg.semigroup.n:
+    Qg = quotient_group(G, chain.terms[1] if len(chain.terms) > 1 else subgroup_closure(G, []))
+    if span(Qg, sigma).cardinality != Qg.semigroup.n:
         raise SlpforgeError("sigma does not generate G modulo G'")
     delta0 = list(sigma)
     for s in sigma:
         if len(delta0) == 1:
             break
         trial = [x for x in delta0 if x != s]
-        if trial and len(_proj_span(Qg, [proj1[x] for x in trial])) == Qg.semigroup.n:
+        if trial and span(Qg, trial).cardinality == Qg.semigroup.n:
             delta0 = trial
     for s in delta0:
         register(DeltaRecord(s, "gen"))
@@ -199,12 +200,10 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
 
     prev_vals = list(delta0)
     for i in range(1, len(chain.terms) - 1):
-        term_next = chain.terms[i + 1] if i + 1 < len(chain.terms) else _trivial(G)
-        Q = quotient_group(G, term_next)
+        Q = quotient_group(G, chain.terms[i + 1])
         proj = Q.projection
-        pget = proj.get
 
-        xi_set, xi_log = normal_closure_set(G, prev_vals, sigma, membership_quotient=pget)
+        _, xi_log = normal_closure_set(G, prev_vals, sigma, quotient=Q)
         for step in xi_log:
             register(DeltaRecord(step.value, "conj", g=step.g, h=step.h))
         d1 = prev_vals + [s.value for s in xi_log]
@@ -217,42 +216,30 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
                 if c not in seen_c:
                     seen_c.add(c)
                     comms.append((c, g, h))
-        target = _proj_span(Q, [proj[c] for c, _, _ in comms])
+        target = span(Q, [c for c, _, _ in comms])
         theta: list[int] = []
-        cur: set[int] = {proj[G.identity]}
+        cur = subgroup_closure(Q.group, [])
         for c, g, h in comms:
             if proj[c] not in cur:
                 theta.append(c)
                 register(DeltaRecord(c, "comm", g=g, h=h))
-                cur = _proj_span(Q, [proj[x] for x in theta])
+                cur = span(Q, theta)
                 if cur == target:
                     break
         if not theta:
             per_level.append([])
             prev_vals = []
             continue
-        xi2_set, xi2_log = normal_closure_set(G, theta, sigma, membership_quotient=pget)
+        _, xi2_log = normal_closure_set(G, theta, sigma, quotient=Q)
         for step in xi2_log:
             register(DeltaRecord(step.value, "conj", g=step.g, h=step.h))
         delta_i = theta + [s.value for s in xi2_log]
-        span = _proj_span(Q, [proj[v] for v in delta_i])
-        expect = {proj[x] for x in chain.terms[i]}
-        if span != expect:
+        image = ElementSet.from_indices(Q.semigroup.n, proj[chain.terms[i].mask])
+        if span(Q, delta_i) != image:
             raise SlpforgeError(f"level {i} generators miss their derived term")
         per_level.append(delta_i)
         prev_vals = delta_i
     return DeltaSet(records, per_level)
-
-
-def _trivial(G: GroupView) -> ElementSet:
-    return ElementSet.from_indices(G.base.n, [G.identity])
-
-
-def _proj_span(Q: QuotientGroup, images: Sequence[int]) -> set[int]:
-    imgs = sorted(set(int(x) for x in images))
-    if not imgs:
-        return {Q.group.identity}
-    return set(closure(Q.semigroup, imgs))
 
 
 def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
@@ -302,10 +289,11 @@ def compress_group_solvable(
 ) -> tuple[Slp, DeltaSet, SeriesChain]:
     """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
 
-    The plan is built once per (carrier, generator list) and memoised on the
-    table, so later targets only run the adapted-series walk.
+    The plan is built once per generator list and memoised on the table, so
+    later targets only run the adapted-series walk.
     """
-    delta, chain, dprog = cached_on_group(G, "solvable_plan", sigma, solvable_plan)
+    sigma = tuple(int(s) for s in sigma)
+    delta, chain, dprog = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
     aprog = adapt_subnormal(G, delta.values, chain, t)
     composed = append_compose(G.base, aprog, dprog, group=G)
     plain = eliminate_inverses(G, composed)
@@ -407,7 +395,7 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
     # prune right to left, keeping records that grow the suffix subgroup;
     # suffixes[-1] is generated by the records kept so far
     kept: list[int] = []
-    suffixes = [_trivial(G)]
+    suffixes = [subgroup_closure(G, [])]
     for idx in range(len(records) - 1, -1, -1):
         if records[idx].value not in suffixes[-1]:
             kept.append(idx)
@@ -497,11 +485,11 @@ def compress_group_solvable_bounded(
 ) -> tuple[Slp, PolycyclicGenSet]:
     """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G.
 
-    The polycyclic set is built once per (carrier, generator list) and
-    memoised on the table.
+    The polycyclic set is built once per generator list and memoised on the
+    table.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
-    pcs = cached_on_group(G, "polycyclic_set", sigma, build_polycyclic_set)
+    pcs = G.base.cached(("polycyclic_set", tuple(sigma)), lambda: build_polycyclic_set(G, sigma))
     exponent = pcs.exponent
     inv_exp = inverting_power(exponent)
 

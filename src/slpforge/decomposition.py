@@ -1,9 +1,10 @@
 """Decomposition of a completely regular semigroup into a band of groups.
 
-H-classes are computed from mutual left/right divisibility, verified to be
-groups, and the class partition is verified to be a congruence.  The quotient
-band must be normal (uxyv = uyxv); anything else is reported as the
-corresponding structural failure.
+H-classes are computed from mutual left/right divisibility; each is a group
+(Clifford and Preston, vol. I), checked to hold one idempotent, and the
+partition is checked to be a congruence.  The quotient band must be normal
+(uxyv = uyxv); anything else is reported as the corresponding structural
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import (
     HNotCongruenceError,
     NotCompletelyRegularError,
 )
-from .groups import group_view
 from .classify import _row_classes, is_medial
 from .semigroup import Semigroup
 from .sets import ElementSet
@@ -66,13 +66,14 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
             f"element {int(bad)} has s^(w+1) != s; not a union of groups"
         )
     n, table = S.n, S.table
+    idx = np.arange(n)
     lmat = np.zeros((n, n), dtype=bool)
     rmat = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), n)
+    rows = np.repeat(idx, n)
     lmat[rows, np.ascontiguousarray(table.T).ravel()] = True
     rmat[rows, table.ravel()] = True
-    lmat[np.arange(n), np.arange(n)] = True
-    rmat[np.arange(n), np.arange(n)] = True
+    lmat[idx, idx] = True
+    rmat[idx, idx] = True
     l_id = _row_classes(np.packbits(lmat, axis=1))
     r_id = _row_classes(np.packbits(rmat, axis=1))
     pair = l_id.astype(np.int64) * (r_id.max() + 1) + r_id
@@ -87,14 +88,15 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     reps = first[order].astype(np.int64)
 
     carriers = [ElementSet(cls == i) for i in range(m)]
-    idempotents = []
-    for i, carrier in enumerate(carriers):
-        try:
-            idempotents.append(group_view(S, carrier).identity)
-        except Exception as exc:
-            raise HNotCongruenceError(
-                f"H-class of element {reps[i]} is not a group: {exc}"
-            ) from exc
+    # the identity of each class is the idempotent power of its members
+    idems = S.omega_powers[reps]
+    stray = np.flatnonzero(cls[idems] != np.arange(m))
+    if stray.size:
+        raise HNotCongruenceError(
+            f"H-class of element {int(reps[stray[0]])} misses its idempotent power"
+        )
+    if np.count_nonzero(table[idx, idx] == idx) != m:
+        raise HNotCongruenceError(f"more idempotents than the {m} H-classes")
 
     prod_cls = cls[table.astype(np.int64)]
     repmap = reps[cls]
@@ -111,4 +113,4 @@ def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     if not is_medial(band):
         raise BandNotNormalError("quotient band fails uxyv = uyxv")
 
-    return BandDecomposition(band, cls, idempotents, carriers)
+    return BandDecomposition(band, cls, idems.tolist(), carriers)

@@ -51,7 +51,7 @@ class BandNotNormalError(SlpforgeError):
 
 
 class NotAGroupError(SlpforgeError):
-    """Carrier is not a group; carries a witness element."""
+    """Table is not a group; carries a witness element."""
 
     def __init__(self, message, witness=None):
         self.witness = witness
@@ -71,7 +71,7 @@ class InvalidProgramError(SlpforgeError):
 
 
 class InverseOutsideGroupError(SlpforgeError):
-    """INV instruction evaluated without a group carrier."""
+    """INV instruction evaluated without a group."""
 
 
 class DiameterExceededError(SlpforgeError):

@@ -1,10 +1,12 @@
 """Group structure on top of Cayley tables.
 
-A GroupView pins down a product-closed carrier inside an ambient semigroup
-that happens to be a group: identity, inverse table, exponent.  The functions
-here are the group-theoretic workhorses for the compressors: minimal
-generating subsets, normal closures with conjugation provenance, derived
-series, and quotient groups with liftable sections.
+A GroupView is a whole table verified to be a group: identity, inverse
+table, exponent.  A subgroup is held the same way, as a table carved out
+with ``cached_sub_semigroup``, and element sets inside a group or one of its
+quotients are ``ElementSet``s.  The functions here are the group-theoretic
+workhorses for the compressors: minimal generating subsets, normal closures
+with conjugation provenance, derived series, and quotient groups with
+liftable sections.
 
 Everything is deterministic: scans run in ascending element order and greedy
 loops restart from the smallest candidate.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,19 +27,19 @@ from .sets import ElementSet
 
 @dataclass(frozen=True)
 class GroupView:
-    """A subset of a semigroup verified to be a group."""
+    """A whole table verified to be a group; a subgroup is a carved table."""
 
     base: Semigroup
-    carrier: ElementSet
     identity: int
     inverse: dict[int, int]
 
     @property
-    def order(self) -> int:
-        return self.carrier.cardinality
+    def carrier(self) -> ElementSet:
+        return ElementSet.full(self.base.n)
 
-    def inv(self, g: int) -> int:
-        return self.inverse[g]
+    @property
+    def order(self) -> int:
+        return self.base.n
 
     def conjugate(self, g: int, h: int) -> int:
         t = self.base.table
@@ -51,74 +53,47 @@ class GroupView:
         return int(self.base.periods[g])
 
     def exponent(self) -> int:
-        return math.lcm(*self.base.periods[self.carrier.mask].tolist())
+        return math.lcm(*self.base.periods.tolist())
 
 
-def group_view(S: Semigroup, carrier: Optional[ElementSet] = None) -> GroupView:
-    """Verify that the carrier is a group and return its view.
+def group_view(S: Semigroup) -> GroupView:
+    """Verify that the table S is a group and return its view, memoised on S.
 
-    Checks: product closure (a whole table is closed), a unique idempotent
-    acting neutrally, and a two-sided inverse for every element.  Raises
-    NotAGroupError with a witness element otherwise.
+    Raises NotAGroupError with a witness element otherwise; a failure stores
+    nothing, so it raises again on every call.
     """
+    # the memo keeps the parts, not the view: a view refers back to S, and
+    # that cycle would keep the table alive until the cyclic collector runs
+    return GroupView(S, *S.cached(("group_view",), lambda: _group_parts(S)))
+
+
+def _group_parts(S: Semigroup) -> tuple[int, dict[int, int]]:
+    """Identity and inverse table of S, checking a unique idempotent acting
+    neutrally and a two-sided inverse for every element."""
     table = S.table
-    if carrier is None:
-        carrier = ElementSet.full(S.n)
-    if carrier.cardinality == S.n:
-        mem = np.arange(S.n, dtype=np.int64)
-    else:
-        mem = carrier.to_array()
-        outside = products_outside(S, mem)
-        if outside.size:
-            p = int(outside[0])
-            raise NotAGroupError(f"carrier not product-closed at {p}", witness=p)
+    mem = np.arange(S.n, dtype=np.int64)
     idems = mem[table[mem, mem] == mem].tolist()
     neutral = None
     for e in idems:
-        if (table[e, mem] == mem).all() and (table[mem, e] == mem).all():
+        if (table[e] == mem).all() and (table[:, e] == mem).all():
             if neutral is not None:
                 raise NotAGroupError(
                     f"two neutral idempotents {neutral} and {e}", witness=e
                 )
             neutral = e
     if neutral is None:
-        witness = idems[0] if idems else int(mem[0])
-        raise NotAGroupError("no neutral element in carrier", witness=witness)
+        witness = idems[0] if idems else 0
+        raise NotAGroupError("no neutral element in the table", witness=witness)
     for e in idems:
         if e != neutral:
             raise NotAGroupError(f"extra idempotent {e}", witness=e)
-    block = table[np.ix_(mem, mem)]
-    # is_inv[i, j]: mem[j] is a two-sided inverse of mem[i]; the first one wins
-    is_inv = (block == neutral) & (block.T == neutral)
+    # is_inv[i, j]: j is a two-sided inverse of i; the first one wins
+    is_inv = (table == neutral) & (table.T == neutral)
     has_inv = is_inv.any(axis=1)
     if not has_inv.all():
-        g = int(mem[np.argmin(has_inv)])
+        g = int(np.argmin(has_inv))
         raise NotAGroupError(f"element {g} has no inverse", witness=g)
-    inverse = dict(zip(mem.tolist(), mem[is_inv.argmax(axis=1)].tolist()))
-    return GroupView(S, carrier, neutral, inverse)
-
-
-def cached_group_view(S: Semigroup) -> GroupView:
-    """``group_view(S)`` of the whole table, memoised on S."""
-
-    def parts():
-        view = group_view(S)
-        return view.carrier, view.identity, view.inverse
-
-    # the memo keeps the parts, not the view: a view refers back to S, and
-    # that cycle would keep the table alive until the cyclic collector runs
-    return GroupView(S, *S.cached(("group_view",), parts))
-
-
-def cached_on_group(G: GroupView, name: str, gens: Sequence[int], build: Callable):
-    """``build(G, gens)``, memoised on G's table under (name, carrier, gens).
-
-    The carrier is part of the key because one table holds many groups: a
-    subgroup view and the whole group take one generator list to different
-    structures.  Views are rebuilt per call, so the memo lives on the table.
-    """
-    gens = [int(g) for g in gens]
-    return G.base.cached((name, G.carrier, tuple(gens)), lambda: build(G, gens))
+    return neutral, dict(enumerate(is_inv.argmax(axis=1).tolist()))
 
 
 def subgroup_closure(G: GroupView, gens: Sequence[int]) -> ElementSet:
@@ -138,7 +113,7 @@ def minimal_generating_subset(G: GroupView, sigma: Sequence[int]) -> ElementSet:
     sigma = sorted(set(int(g) for g in sigma))
     target = subgroup_closure(G, sigma)
     keep: list[int] = []
-    span = ElementSet.from_indices(G.base.n, [G.identity])
+    span = subgroup_closure(G, [])
     for g in sigma:
         if g in span:
             continue
@@ -164,15 +139,15 @@ def normal_closure_set(
     G: GroupView,
     delta: Sequence[int],
     sigma: Sequence[int],
-    membership_quotient=None,
+    quotient: Optional[QuotientGroup] = None,
 ) -> tuple[ElementSet, list[ConjugationStep]]:
     """Grow <delta> to its normal closure under <sigma>-conjugation.
 
     Returns (xi, log) where every step logs (g, h, g^h) so the element can be
-    re-derived by a straight-line program (5 instructions per step).  When
-    ``membership_quotient`` is given (a callable mapping elements to a
-    quotient key), closure growth is measured modulo that map instead of in G
-    itself; the logged values remain genuine G-elements.
+    re-derived by a straight-line program (5 instructions per step).  When a
+    ``quotient`` of G is given, closure growth is measured by the span of the
+    images in the quotient's table instead of in G itself; the logged values
+    remain genuine G-elements.
     """
     delta = sorted(set(int(g) for g in delta))
     sigma_l = sorted(set(int(h) for h in sigma))
@@ -180,30 +155,22 @@ def normal_closure_set(
     log: list[ConjugationStep] = []
     if not delta:
         return ElementSet.from_indices(G.base.n, []), log
+    if quotient is None:
+        span_group, proj = G, np.arange(G.base.n)
+    else:
+        span_group, proj = quotient.group, quotient.projection
 
-    def span(extra: list[int]) -> ElementSet:
-        members = subgroup_closure(G, delta + extra)
-        return members
-
-    def key_set(es: ElementSet) -> frozenset:
-        if membership_quotient is None:
-            return frozenset(es)
-        return frozenset(membership_quotient(x) for x in es)
-
-    cur = span(xi)
-    cur_keys = key_set(cur)
+    cur = subgroup_closure(span_group, proj[delta].tolist())
     changed = True
     while changed:
         changed = False
         for g in delta + xi:
             for h in sigma_l:
                 c = G.conjugate(g, h)
-                key = c if membership_quotient is None else membership_quotient(c)
-                if key not in cur_keys:
+                if proj[c] not in cur:
                     xi.append(c)
                     log.append(ConjugationStep(g, h, c))
-                    cur = span(xi)
-                    cur_keys = key_set(cur)
+                    cur = subgroup_closure(span_group, proj[delta + xi].tolist())
                     changed = True
                     break
             if changed:
@@ -232,17 +199,17 @@ _COMMUTATOR_ROWS = 256
 def derived_series(G: GroupView) -> SeriesChain:
     """G >= G' >= G'' >= ... until stabilisation (all commutator pairs, no sampling).
 
-    Memoised on G's table under the carrier, which is all the series depends
-    on; the returned chain is shared and must not be mutated.
+    Memoised on G's table; the returned chain is shared and must not be
+    mutated.
     """
-    return G.base.cached(("derived_series", G.carrier), lambda: _derived_series(G))
+    return G.base.cached(("derived_series",), lambda: _derived_series(G))
 
 
 def _derived_series(G: GroupView) -> SeriesChain:
     """Commutators of each term are gathered in blocks of rows g, so the
     temporaries stay at ``_COMMUTATOR_ROWS`` x |term| table entries."""
-    terms = [G.carrier]
     cur = G.carrier
+    terms = [cur]
     table = G.base.table
     while True:
         mem = cur.to_array()
@@ -274,7 +241,7 @@ class QuotientGroup:
 
     semigroup: Semigroup
     group: GroupView
-    projection: dict[int, int]
+    projection: np.ndarray                  # read-only int64: element -> coset
     section: list[int]
 
 
@@ -290,24 +257,23 @@ def quotient_group(G: GroupView, N: ElementSet) -> QuotientGroup:
     outside = products_outside(G.base, nm)
     if outside.size:
         raise NotAGroupError("subgroup set not product-closed", witness=int(outside[0]))
-    carrier = G.carrier.to_array()
-    for h in carrier.tolist():
+    for h in range(G.base.n):
         escaped = ~N.mask[table[table[G.inverse[h], nm], h]]
         if escaped.any():
             raise NotNormalError(int(nm[escaped.argmax()]), h)
     # scanning x upwards, an x in no coset yet is the least element of xN
     coset = np.full(G.base.n, -1, dtype=np.int64)
     reps: list[int] = []
-    for x in carrier.tolist():
+    for x in range(G.base.n):
         if coset[x] < 0:
             coset[table[x, nm]] = len(reps)
             reps.append(x)
-    projection = dict(zip(carrier.tolist(), coset[carrier].tolist()))
+    coset.setflags(write=False)
     qtable = coset[table[np.ix_(reps, reps)]]
     name = f"{G.base.name}/N" if G.base.name else ""
     qsg = Semigroup.trusted(qtable, name=name)
     qview = group_view(qsg)
-    return QuotientGroup(qsg, qview, projection, reps)
+    return QuotientGroup(qsg, qview, coset, reps)
 
 
 def is_adapted(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> bool:

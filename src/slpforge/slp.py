@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidProgramError, InverseOutsideGroupError
 from .groups import GroupView, group_view, minimal_generating_subset
-from .semigroup import Semigroup, closure, shortest_word
+from .semigroup import Semigroup, closure, shortest_word, sub_semigroup
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class CostReport:
 
 
 def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> EvalTrace:
-    """Execute the program over S.  INV needs a group view for the carrier."""
+    """Execute the program over S.  INV needs the group view of S."""
     for v in prog.alphabet:
         if not 0 <= v < S.n:
             raise InvalidProgramError(f"alphabet value {v} outside semigroup")
@@ -125,11 +125,8 @@ def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> Eval
             val = int(table[regs[ins[2]], regs[ins[3]]])
         else:
             if group is None:
-                raise InverseOutsideGroupError("INV without a group carrier")
-            src = regs[ins[2]]
-            if src not in group.carrier:
-                raise InverseOutsideGroupError(f"value {src} outside the group carrier")
-            val = group.inverse[src]
+                raise InverseOutsideGroupError("INV without a group")
+            val = group.inverse[regs[ins[2]]]
         regs[ins[1]] = val
     return EvalTrace(regs, regs[prog.output])
 
@@ -365,8 +362,8 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
     omega-minus-one exponentiation, then mirror the program so each original
     register is paired with one holding the inverse value.  INV becomes a
     role swap realised by renaming; no copies are emitted.  The prelude's
-    inputs (minimal subset, inverting power) depend only on the identity and
-    the alphabet, and are memoised on the table.
+    inputs (minimal subset, inverting power) depend only on the alphabet, and
+    are memoised on the table.
     """
     if not prog.is_group:
         return prog
@@ -375,7 +372,7 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
 
     sigma = tuple(sorted(set(prog.alphabet)))
     sigma_min, inv_exp = G.base.cached(
-        ("inverse_prelude", G.identity, sigma), lambda: _inverse_prelude(G, sigma)
+        ("inverse_prelude", sigma), lambda: _inverse_prelude(G, sigma)
     )
     s = len(sigma_min)
 
@@ -471,9 +468,10 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Minimal generating subset of the group the alphabet generates, and the
     power that inverts every element of that group."""
-    sub_view = group_view(G.base, closure(G.base, sigma))
-    sigma_min = tuple(sorted(minimal_generating_subset(sub_view, sigma)))
-    return sigma_min, inverting_power(sub_view.exponent())
+    span = closure(G.base, sigma)
+    sub = G.base if span.cardinality == G.base.n else sub_semigroup(G.base, span)[0]
+    sigma_min = tuple(sorted(minimal_generating_subset(G, sigma)))
+    return sigma_min, inverting_power(group_view(sub).exponent())
 
 
 def inverting_power(exponent: int) -> int:

@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from slpforge.classify import (
     recommend,
     sandwich_ideal_level,
 )
-from slpforge.compressors import GROUP_STRATEGIES, STRATEGIES
+from slpforge.compressors import GROUP_STRATEGIES, STRATEGIES, compress
 from slpforge.errors import BudgetExceededError, SlpforgeError
-from slpforge.groups import cached_group_view, group_view
+from slpforge.groups import group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
-from slpforge.semigroup import Semigroup
+from slpforge.semigroup import Semigroup, closure
 
 from conftest import random_semigroups
 
@@ -262,7 +263,7 @@ def test_recommend_skips_flags_past_the_deciding_rung(monkeypatch, zoo_small):
     bands = _counting(monkeypatch, "_band_flags")
     # a failed group view is not memoised, so only the memoised
     # recommendation keeps a reused non-group table from retrying it
-    views = _counting(monkeypatch, "cached_group_view")
+    views = _counting(monkeypatch, "group_view")
     # small members of the families the benchmark's zoo-auto workload uses;
     # all of them are decided above the sandwich rung
     decided_early = {
@@ -353,7 +354,7 @@ def test_group_route_is_rung_three(zoo_small):
         routed[name] = group_route(G)
         T = _fresh(S)
         if recommend(T) not in ("bounded-diameter", "permutative"):
-            assert recommend(T) == routed[name] == group_route(cached_group_view(T)), name
+            assert recommend(T) == routed[name] == group_route(group_view(T)), name
     assert routed["A5"] == "group-bsz"
     assert routed["S4"] == routed["D8"] == routed["H3"] == "group-solvable-bw"
 
@@ -370,3 +371,22 @@ def test_ladder_answers_are_table_keys(zoo_small):
             continue
         routes.add(group_route(G))
     assert routes == set(GROUP_STRATEGIES) - {"group-solvable"}
+
+
+def test_classify_decides_on_the_generated_sub_semigroup(zoo_small):
+    rng = random.Random(13)
+    cases = [(S, gens) for S, gens, _ in zoo_small.values()]
+    for S in random_semigroups(40, seed=13):
+        cases.append((S, rng.sample(range(S.n), rng.randint(1, 2))))
+    # one rotation of D8 generates Z4: permutative, not the group route
+    cases.append((zoo.make_dihedral(4), [1]))
+    for S, gens in cases:
+        members = sorted(closure(S, gens))
+        t = members[len(members) // 2]
+        report = compress(_fresh(S), gens, t, "auto")
+        assert classify(_fresh(S), gens).recommended == report.extras["classified"], (
+            S.table.tolist(),
+            gens,
+        )
+    assert classify(zoo.make_dihedral(4), [1]).recommended == "permutative"
+    assert classify(zoo.make_dihedral(4)).recommended == "group-solvable-bw"

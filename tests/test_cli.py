@@ -8,6 +8,7 @@ import pytest
 from slpforge import zoo
 from slpforge.cli import main
 from slpforge.compressors import compress
+from slpforge.io import write_cay
 from slpforge.semigroup import Semigroup
 
 
@@ -156,3 +157,16 @@ def test_bench_group_sweep_matches_fresh_tables(tmp_path):
         assert verified == "true"
         report = compress(Semigroup(S.table), gens, int(t), strategy)
         assert (int(length), int(width)) == (report.length, report.width), (t, strategy)
+
+
+def test_classify_honours_the_sidecar_generators(tmp_path, capsys):
+    # one rotation of D8 generates Z4, which ``compress --strategy auto`` sends
+    # to permutative; the whole group would take the group route
+    cay = str(tmp_path / "d8.cay")
+    write_cay(cay, zoo.make_dihedral(4), gens=[1])
+    assert run(["classify", "--cayley", cay]) == 0
+    assert "recommended=permutative" in capsys.readouterr().out
+    assert run(["compress", "--cayley", cay, "--target", "3"]) == 0
+    assert "strategy=permutative" in capsys.readouterr().out
+    assert run(["classify", "--cayley", cay, "--gens", "1,4"]) == 0
+    assert "recommended=group-solvable-bw" in capsys.readouterr().out

@@ -2,10 +2,10 @@ import pytest
 
 from slpforge import zoo
 from slpforge.decomposition import band_of_groups_decomposition
-from slpforge.errors import BandNotNormalError, NotCompletelyRegularError
+from slpforge.errors import BandNotNormalError, NotCompletelyRegularError, SlpforgeError
 from slpforge.semigroup import validate_table
 
-from conftest import table_of
+from conftest import random_semigroups, table_of
 
 
 def test_group_decomposes_trivially():
@@ -91,3 +91,20 @@ def test_j_below_matches_two_sided_ideal_reference(zoo_small):
                 assert dec.j_below(alpha, val) == expect, (name, alpha, val)
         checked.append(name)
     assert {"RB(2,2)xZ3", "Clifford", "Sl2^4", "D8"} <= set(checked)
+
+
+def test_class_idempotents_are_identities_of_their_classes(zoo_small):
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(120, seed=13)
+    decomposed = 0
+    for S in tables:
+        try:
+            dec = band_of_groups_decomposition(S)
+        except SlpforgeError:
+            continue
+        decomposed += 1
+        assert len(dec.idempotents) == len(dec.carriers) == dec.band.n
+        for e, carrier in zip(dec.idempotents, dec.carriers):
+            assert int(S.table[e, e]) == e and e in carrier
+            mem = carrier.to_array()
+            assert (S.table[e, mem] == mem).all() and (S.table[mem, e] == mem).all()
+    assert decomposed >= 10

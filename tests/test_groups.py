@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from slpforge import zoo
@@ -13,7 +14,7 @@ from slpforge.groups import (
     quotient_group,
     subgroup_closure,
 )
-from slpforge.semigroup import closure
+from slpforge.semigroup import closure, sub_semigroup
 from slpforge.sets import ElementSet
 
 from conftest import py_closure, table_of
@@ -40,7 +41,7 @@ def test_group_view_on_decomposed_carrier():
     dec = band_of_groups_decomposition(S)
     assert dec.band.n == 4
     for carrier in dec.carriers:
-        assert group_view(S, carrier).order == 3
+        assert group_view(sub_semigroup(S, carrier)[0]).order == 3
 
 
 def test_group_view_rejects_free_lrb():
@@ -258,3 +259,46 @@ def test_quotient_by_each_cyclic_subgroup_matches_cosets(family, params):
             assert cosets[Q.projection[a]] == min(t[a][g] for g in N), (x, a)
             for b in range(S.n):
                 assert Q.semigroup.table[Q.projection[a], Q.projection[b]] == Q.projection[t[a][b]]
+
+
+def test_group_view_builds_once_and_stores_no_failure(monkeypatch):
+    import slpforge.groups as groups_mod
+
+    builds = []
+    parts = groups_mod._group_parts
+    monkeypatch.setattr(groups_mod, "_group_parts", lambda S: builds.append(S) or parts(S))
+    S = zoo.make_dihedral(4)
+    first, second = group_view(S), group_view(S)
+    assert len(builds) == 1
+    assert (first.identity, first.inverse) == (second.identity, second.inverse)
+    assert first.order == S.n and first.carrier == ElementSet.full(S.n)
+
+    w = zoo.make_obstruction_witness("LRB", 2)
+    for _ in range(2):
+        with pytest.raises(NotAGroupError):
+            group_view(w.semigroup)
+    assert len(builds) == 3
+    assert ("group_view",) not in w.semigroup._memo
+
+
+@pytest.mark.parametrize("name", ["S4", "D8"])
+def test_normal_closure_modulo_the_derived_subgroup(zoo_small, name):
+    S, sigma, _ = zoo_small[name]
+    G = group_view(S)
+    Q = quotient_group(G, derived_series(G).terms[1])
+    proj = Q.projection
+    assert not proj.flags.writeable and proj.dtype == np.int64
+    for x in range(S.n):
+        xi, log = normal_closure_set(G, [x], sigma, quotient=Q)
+        known = {x}
+        for step in log:
+            # every logged value is a genuine conjugate g^h in G
+            assert step.g in known and step.h in sigma, (x, step)
+            assert step.value == int(S.table[G.inverse[step.h], S.table[step.g, step.h]])
+            known.add(step.value)
+        assert set(xi) == known - {x}
+        # the span grown modulo G' is the image of the normal closure in G
+        xi_g, _ = normal_closure_set(G, [x], sigma)
+        in_g = subgroup_closure(G, [x] + list(xi_g))
+        span = subgroup_closure(Q.group, proj[[x] + list(xi)].tolist())
+        assert span == ElementSet.from_indices(Q.semigroup.n, proj[in_g.mask]), x
