@@ -3,7 +3,8 @@
 The target is rewritten as  u * s_1^v1 ... s_m^vm * v  with u, v words of
 exactly k* generators (k* = verified central-commutation level) and the
 middle grouped by first occurrence.  A backward-reachability dynamic program
-picks the lexicographically minimal exponent tuple, which bounds the product
+(one pointer-doubling orbit pass per generator) picks the lexicographically
+minimal exponent tuple, which bounds the product
 of (v_i + 1) by |S| and hence the emitted length by O(log |S|).  The program
 itself is a simultaneous square-and-multiply over all generators at once.
 """
@@ -49,9 +50,10 @@ def minimize_exponents(
 ) -> PermNormalForm:
     """Lexicographically minimal exponents with prefix*order^exps*suffix = t.
 
-    Backward pass: R_i is the set of partial products completable through
-    generators i+1..m and the suffix; forward pass greedily takes the least
-    exponent staying inside R_i.  Exponents of zero are pruned from the form.
+    Backward pass (``reach_sets``): R_i is the set of partial products
+    completable through generators i+1..m and the suffix; forward pass
+    greedily takes the least exponent staying inside R_i.  Exponents of zero
+    are pruned from the form.
     """
     n = S.n
     table = S.table
@@ -61,29 +63,13 @@ def minimize_exponents(
     base = np.zeros(n + 1, dtype=bool)
     if suffix:
         v_val = S.word_value(list(suffix))
-        base[:n] = table[:, v_val].astype(np.int64) == t
+        base[:n] = table[:, v_val] == t
         base[virt] = v_val == t
     else:
         base[t] = True
 
     caps = [int(S.omega_exponents[s] + S.periods[s] - 1) for s in order]
-    r_sets: list[np.ndarray] = [base]
-    cur = base
-    for i in range(m - 1, -1, -1):
-        s = order[i]
-        col = table[:, s].astype(np.int64)
-        acc = cur.copy()
-        stage = cur
-        for _ in range(caps[i]):
-            nxt = np.zeros(n + 1, dtype=bool)
-            nxt[:n] = stage[col]
-            nxt[virt] = stage[s]
-            acc |= nxt
-            stage = nxt
-        r_sets.append(acc)
-        cur = acc
-    r_sets.reverse()  # r_sets[i] = feasible before generator i+1 (0-indexed)
-
+    r_sets = reach_sets(S, order, caps, base)
     p = S.word_value(list(prefix)) if prefix else virt
     if not r_sets[0][p]:
         raise UnreachableError("no exponent tuple realises the target")
@@ -93,7 +79,7 @@ def minimize_exponents(
         e = 0
         q = p
         while not r_sets[i + 1][q]:
-            q = s if q == virt else int(table[q, s])
+            q = s if q == virt else table.item(q, s)
             e += 1
             if e > caps[i]:
                 raise UnreachableError("exponent search overran its cap")
@@ -109,6 +95,32 @@ def minimize_exponents(
     else:
         raise UnreachableError("empty normal form")
     return nf
+
+
+def reach_sets(S: Semigroup, order, caps, base: np.ndarray) -> list[np.ndarray]:
+    """R_0, ..., R_m over the n elements and the empty product n; R_m = base.
+
+    x < n is in R_i when x * s^e is in R_(i+1) for some 0 <= e <= cap, s the
+    i-th generator.  Powers past the cap repeat, so that is "the forward orbit
+    of x under right multiplication by s meets R_(i+1)", decided for all x by
+    pointer doubling in O(n log cap): acc covers exponents below span, and f
+    maps x to x * s^span.
+    """
+    n = S.n
+    r_sets = [base]
+    for s, cap in zip(reversed(order), reversed(caps)):
+        cur = r_sets[-1]
+        f = S.table[:, s]
+        acc = cur[:n].copy()
+        span = 1
+        while span <= cap:
+            acc |= acc[f]
+            f = f[f]
+            span *= 2
+        # the empty product times s^e is s^e, and s * s^(e-1) for e >= 1
+        r_sets.append(np.append(acc, cur[n] or acc[s]))
+    r_sets.reverse()
+    return r_sets
 
 
 def compress_permutative(

@@ -110,7 +110,7 @@ def adapt_subnormal(
         lifted = qprog.relabel(rep)
         t_i = evaluate(G.base, lifted).output_value
         level_programs.append(lifted)
-        t_prime = int(table[G.inverse[t_i], t_prime])
+        t_prime = table.item(G.inverse[t_i], t_prime)
     if t_prime != G.identity:
         raise SlpforgeError("chain walk did not exhaust the target")
     if not level_programs:
@@ -502,14 +502,14 @@ def compress_group_solvable_bounded(
         a, p = 0, G.identity
         limit = G.element_order(rec.value) + 1
         while True:
-            if int(table[G.inverse[p], t_prime]) in term_next:
+            if table.item(G.inverse[p], t_prime) in term_next:
                 break
-            p = int(table[p, rec.value])
+            p = table.item(p, rec.value)
             a += 1
             if a > limit:
                 raise SlpforgeError("chain step misses its residual target")
         exps.append(a)
-        t_prime = int(table[G.inverse[p], t_prime])
+        t_prime = table.item(G.inverse[p], t_prime)
     if t_prime != G.identity:
         raise SlpforgeError("polycyclic walk did not exhaust the target")
 

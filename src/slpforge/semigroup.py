@@ -170,14 +170,14 @@ class Semigroup:
     # -- basic product queries ---------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table.item(a, b)
 
     def word_value(self, word: Sequence[int]) -> int:
         """Left-to-right product of a nonempty element sequence."""
         it = iter(word)
         acc = next(it)
         for x in it:
-            acc = int(self.table[acc, x])
+            acc = self.table.item(acc, x)
         return acc
 
     def power(self, s: int, e: int) -> int:
@@ -185,7 +185,7 @@ class Semigroup:
             raise ValueError("exponent must be >= 1")
         acc = s
         for _ in range(e - 1):
-            acc = int(self.table[acc, s])
+            acc = self.table.item(acc, s)
         return acc
 
     # -- omega caches --------------------------------------------------------

@@ -64,13 +64,7 @@ class Slp:
 
     def registers(self) -> list[int]:
         """Registers in first-assignment order."""
-        seen: list[int] = []
-        have: set[int] = set()
-        for ins in self.instructions:
-            if ins[1] not in have:
-                have.add(ins[1])
-                seen.append(ins[1])
-        return seen
+        return list(dict.fromkeys([ins[1] for ins in self.instructions]))
 
     def canonical(self) -> "Slp":
         """Renumber registers in first-assignment order (0, 1, 2, ...).
@@ -78,14 +72,10 @@ class Slp:
         A program already numbered that way is returned as it is; otherwise a
         load of a repeated alphabet value reads its first symbol.
         """
-        regs = self.registers()
-        if regs == list(range(len(regs))):
+        instructions, output = _renumbered(self.alphabet, self.instructions, self.output)
+        if instructions is self.instructions:
             return self
-        b = SlpBuilder(self.is_group)
-        b.alphabet = list(self.alphabet)
-        b._sym_index = {v: k for k, v in reversed(list(enumerate(self.alphabet)))}
-        out = b.splice(self, {r: i for i, r in enumerate(regs)})
-        return Slp(self.alphabet, tuple(b.instructions), out, self.is_group)
+        return Slp(self.alphabet, instructions, output, self.is_group)
 
     def relabel(self, values) -> "Slp":
         """The same program over new alphabet values: symbol value v becomes
@@ -96,6 +86,39 @@ class Slp:
             self.output,
             self.is_group,
         )
+
+
+def _renumbered(alphabet, instructions: tuple, output: int) -> tuple[tuple, int]:
+    """Registers renumbered 0, 1, 2, ... in first-assignment order, a load of
+    a repeated alphabet value reading its first symbol; the same tuple comes
+    back when already numbered that way.  A read of a register never assigned,
+    and an output never assigned, raise InvalidProgramError; a read before the
+    first assignment stays one, for the program's own check to reject.
+    """
+    regs = list(dict.fromkeys([ins[1] for ins in instructions]))  # as Slp.registers
+    if regs == list(range(len(regs))):
+        return instructions, output
+    ren = dict(zip(regs, range(len(regs))))
+    if output not in ren:
+        raise InvalidProgramError("output register never assigned")
+    first = {v: k for k, v in reversed(list(enumerate(alphabet)))}
+    sym = {k: first[v] for k, v in enumerate(alphabet)} if len(first) < len(alphabet) else {}
+    out: list[tuple] = []
+    emit = out.append
+    try:
+        for ins in instructions:
+            op = ins[0]
+            if op == "M":
+                emit(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
+            elif op == "L":
+                emit(("L", ren[ins[1]], sym.get(ins[2], ins[2])))
+            elif op == "I":
+                emit(("I", ren[ins[1]], ren[ins[2]]))
+            else:
+                emit(ins)  # the program's own check names the opcode
+    except KeyError:
+        raise InvalidProgramError(f"read of unassigned register in {ins}") from None
+    return tuple(out), ren[output]
 
 
 @dataclass
@@ -122,7 +145,7 @@ def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> Eval
         if ins[0] == "L":
             val = prog.alphabet[ins[2]]
         elif ins[0] == "M":
-            val = int(table[regs[ins[2]], regs[ins[3]]])
+            val = table.item(regs[ins[2]], regs[ins[3]])
         else:
             if group is None:
                 raise InverseOutsideGroupError("INV without a group")
@@ -205,7 +228,7 @@ class SlpBuilder:
     def splice(self, prog: Slp, ren: Mapping[int, int]) -> int:
         """Re-emit ``prog`` with each register r written as ren[r]; returns the
         register that holds its output.  Its alphabet values are interned."""
-        # ``_copy`` inlined: ``finish`` runs this on every non-canonical program
+        # ``_copy`` inlined: the emitters splice on every target
         emit, symbol, alphabet = self.instructions.append, self.symbol, prog.alphabet
         for ins in prog.instructions:
             if ins[0] == "M":
@@ -217,9 +240,9 @@ class SlpBuilder:
         return ren[prog.output]
 
     def finish(self, output: int) -> Slp:
-        return Slp(
-            tuple(self.alphabet), tuple(self.instructions), output, self.is_group
-        ).canonical()
+        """The program, its registers numbered in first-assignment order."""
+        instructions, output = _renumbered(self.alphabet, tuple(self.instructions), output)
+        return Slp(tuple(self.alphabet), instructions, output, self.is_group)
 
 
 def fast_exp(symbol: int, n: int) -> Slp:
@@ -302,23 +325,22 @@ class _MirrorState:
     Each original register owns a (pos, neg) slot pair.  INV re-binds a pair
     with flipped orientation instead of emitting instructions, so a later
     write must allocate fresh physical registers when the old ones are shared.
+    ``refs`` counts the slots bound to each physical register.
     """
 
     def __init__(self, first_free: int):
         self.pos: dict[int, int] = {}
         self.neg: dict[int, int] = {}
+        self.refs: dict[int, int] = {}
         self.next_reg = first_free
         self.free: list[int] = []
         self.pinned: set[int] = set()
-
-    def _refs(self, phys: int) -> int:
-        return sum(1 for m in (self.pos, self.neg) for v in m.values() if v == phys)
 
     def _reusable(self, dst: int) -> list[int]:
         out = []
         for m in (self.pos, self.neg):
             old = m.get(dst)
-            if old is not None and old not in self.pinned and self._refs(old) == 1:
+            if old is not None and old not in self.pinned and self.refs[old] == 1:
                 out.append(old)
         return out
 
@@ -341,14 +363,18 @@ class _MirrorState:
         return r
 
     def rebind(self, dst: int, p: int, n: int) -> None:
+        refs = self.refs
         for m, new in ((self.pos, p), (self.neg, n)):
             old = m.get(dst)
             m[dst] = new
+            refs[new] = refs.get(new, 0) + 1
+            if old is None:
+                continue
+            refs[old] -= 1
             if (
-                old is not None
-                and old not in (p, n)
+                old not in (p, n)
                 and old not in self.pinned
-                and self._refs(old) == 0
+                and refs[old] == 0
                 and old not in self.free
             ):
                 self.free.append(old)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from slpforge.groups import group_view, minimal_generating_subset
 from slpforge.slp import (
     Slp,
     SlpBuilder,
+    _MirrorState,
     append_compose,
     eliminate_inverses,
     evaluate,
@@ -329,3 +331,153 @@ def test_relabel_through_an_automorphism(prog, c):
     value = evaluate(D8, prog, group=D8_VIEW).output_value
     assert evaluate(D8, relabelled, group=D8_VIEW).output_value == phi[value]
     assert prog.relabel(dict(enumerate(phi))) == relabelled
+
+
+# -- finish: one renumbering, same errors --------------------------------------
+
+
+def _canonical_oracle(prog: Slp) -> Slp:
+    """``Slp.canonical`` as first written, its splice through a second
+    builder (whose alphabet maps each value to its first symbol) inlined."""
+    regs = prog.registers()
+    if regs == list(range(len(regs))):
+        return prog
+    ren = {r: i for i, r in enumerate(regs)}
+    first = {v: k for k, v in reversed(list(enumerate(prog.alphabet)))}
+    instrs = []
+    for ins in prog.instructions:
+        if ins[0] == "M":
+            instrs.append(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
+        elif ins[0] == "L":
+            instrs.append(("L", ren[ins[1]], first[prog.alphabet[ins[2]]]))
+        else:
+            instrs.append(("I", ren[ins[1]], ren[ins[2]]))
+    return Slp(prog.alphabet, tuple(instrs), ren[prog.output], prog.is_group)
+
+
+def test_finish_rejects_a_read_of_a_register_never_assigned():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 9)  # 9 is never written; 5 -> 0 and 3 -> 1 need renumbering
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.finish(3)
+    g = SlpBuilder(is_group=True)
+    g.load(4, 1)
+    g.inv(2, 7)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        g.finish(2)
+
+
+def test_finish_rejects_a_read_before_the_first_assignment():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 4)  # 4 is written only afterwards
+    b.load(4, 1)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.finish(3)
+
+
+@pytest.mark.parametrize("output", [0, 1, 2, 9])
+def test_finish_rejects_an_unassigned_output(output):
+    # 0 and 1 are the numbers the assigned registers 5 and 3 renumber to;
+    # the output must not be mapped onto either
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 5)
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        b.finish(output)
+
+
+def test_finish_keeps_the_symbol_and_opcode_checks():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.instructions.append(("L", 3, -1))
+    with pytest.raises(InvalidProgramError, match="unknown symbol"):
+        b.finish(3)
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.inv(3, 5)
+    with pytest.raises(InvalidProgramError, match="INV"):
+        b.finish(3)
+
+
+@st.composite
+def builder_programs(draw):
+    """A builder with random instructions over registers 0..7 and a random
+    output.  Reads mostly name a register already written, but may name one
+    written only later or never."""
+    is_group = draw(st.booleans())
+    b = SlpBuilder(is_group)
+    written = []
+
+    def read():
+        if written and draw(st.integers(0, 9)):
+            return draw(st.sampled_from(written))
+        return draw(st.integers(0, 7))
+
+    for _ in range(draw(st.integers(1, 16))):
+        op, dst = draw(st.sampled_from("LLMMI")), draw(st.integers(0, 7))
+        if op == "L":
+            b.load(dst, draw(st.integers(0, D8.n - 1)))
+        elif op == "M":
+            b.mul(dst, read(), read())
+        else:
+            b.inv(dst, read())
+        written.append(dst)
+    return b, read()
+
+
+@given(builder_programs())
+@settings(max_examples=400)
+def test_finish_matches_the_canonical_oracle(case):
+    b, out = case
+    try:
+        want = _canonical_oracle(Slp(tuple(b.alphabet), tuple(b.instructions), out, b.is_group))
+    except InvalidProgramError:
+        with pytest.raises(InvalidProgramError):
+            b.finish(out)
+        return
+    assert b.finish(out) == want
+
+
+@given(programs(), st.permutations(range(12)))
+def test_canonical_matches_the_oracle_with_repeated_values(prog, perm):
+    instrs = tuple(
+        ("L", perm[ins[1]], ins[2]) if ins[0] == "L" else (ins[0], *(perm[r] for r in ins[1:]))
+        for ins in prog.instructions
+    )
+    renamed = Slp(prog.alphabet, instrs, perm[prog.output], prog.is_group)
+    assert renamed.canonical() == _canonical_oracle(renamed)
+
+
+# -- inverse elimination: the mirror's reference counts ------------------------
+
+
+@pytest.mark.parametrize(
+    "S, gens",
+    [
+        (zoo.make_sym(4), [zoo.perm_index(4, (1, 0, 2, 3)), zoo.perm_index(4, (1, 2, 3, 0))]),
+        (D8, zoo.dihedral_generators(4)),
+        (zoo.make_heisenberg(3), zoo.heisenberg_generators(3)),
+    ],
+    ids=["S4", "D8", "Heis3"],
+)
+def test_mirror_reference_counts_match_a_recount(monkeypatch, S, gens):
+    rebinds = 0
+    original = _MirrorState.rebind
+
+    def checked(state, dst, p, n):
+        nonlocal rebinds
+        original(state, dst, p, n)
+        recount = Counter([*state.pos.values(), *state.neg.values()])
+        assert {r: c for r, c in state.refs.items() if c} == recount
+        rebinds += 1
+
+    monkeypatch.setattr(_MirrorState, "rebind", checked)
+    rng = random.Random(31)
+    G = group_view(S)
+    for _ in range(60):
+        prog = _random_group_slp(rng, gens, rng.randrange(2, 30))
+        plain = eliminate_inverses(G, prog)
+        assert evaluate(S, plain).output_value == evaluate(S, prog, group=G).output_value
+    assert rebinds > 500
