@@ -12,12 +12,15 @@ import math
 
 from slpforge import evaluate
 from slpforge.compressors import (
+    build_cube,
+    build_polycyclic_set,
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
+    emit_from_cube,
+    solvable_plan,
 )
 from slpforge.groups import group_view
-from slpforge.slp import eliminate_inverses
 from slpforge.zoo import dihedral_generators, make_alt, make_dihedral, _alt_generators
 
 # cube doubling on the (nonsolvable) alternating group A5
@@ -25,10 +28,11 @@ A5 = make_alt(5)
 G = group_view(A5)
 gens = _alt_generators(5)
 target = 37
-prog, state = compress_group_reachability(G, gens, target)
-print(f"A5, target {target}: cube sizes per round {state.doubling_log}")
+state = build_cube(G, gens, target)
+prog = emit_from_cube(G, gens, state, target)
+print(f"A5, target {target}: cube sizes per round {[2 ** (i + 1) for i in range(state.rounds)]}")
 print(f"  group program: length {prog.length}, width {prog.width}")
-plain = eliminate_inverses(G, prog)
+plain = compress_group_reachability(G, gens, target)
 print(f"  after inverse elimination: length {plain.length}, width {plain.width}")
 assert evaluate(A5, plain).output_value == target
 
@@ -37,13 +41,14 @@ D = make_dihedral(256)
 GD = group_view(D)
 dgens = dihedral_generators(256)
 t = 300
-slp, delta, chain = compress_group_solvable(GD, dgens, t)
+slp = compress_group_solvable(GD, dgens, t)
+plan = solvable_plan(GD, dgens)
 print(f"\nD512 derived-series route: length {slp.length} "
       f"(log2 N = {math.log2(D.n):.0f}), width {slp.width}")
-print(f"  adapted generating set of size {len(delta.records)} across "
-      f"{len(chain.terms) - 1} levels")
+print(f"  adapted generating set of size {len(plan.delta.records)} across "
+      f"{len(plan.chain.terms) - 1} levels")
 
-slp2, pcs = compress_group_solvable_bounded(GD, dgens, t)
+slp2 = compress_group_solvable_bounded(GD, dgens, t)
 print(f"D512 polycyclic route: length {slp2.length}, width {slp2.width}")
-print(f"  chain of {len(pcs.chain_indices)} cyclic steps")
+print(f"  chain of {len(build_polycyclic_set(GD, dgens).chain_indices)} cyclic steps")
 assert evaluate(D, slp).output_value == t == evaluate(D, slp2).output_value

@@ -18,6 +18,7 @@ from .solvable import (
     PolycyclicGenSet,
     PolyRecord,
     adapt_subnormal,
+    adapted_levels,
     build_derived_adapted_set,
     build_polycyclic_set,
     compress_group_solvable,
@@ -38,6 +39,7 @@ __all__ = [
     "PolyRecord",
     "STRATEGIES",
     "adapt_subnormal",
+    "adapted_levels",
     "build_cube",
     "build_derived_adapted_set",
     "build_polycyclic_set",

@@ -26,7 +26,7 @@ def _in_group(name: str) -> Runner:
 
 # Every named strategy but ``auto``, as a runner (S, gens, t, cfg) -> Slp;
 # ``recommend`` and ``group_route`` return keys of this table.  Entries call
-# the strategies through this module's names (see ``in_group``).
+# the strategies through this module's names and ``GROUP_STRATEGIES``.
 STRATEGIES: dict[str, Runner] = {
     "bounded-diameter": lambda S, gens, t, cfg: compress_bounded_diameter(S, gens, t),
     "permutative": lambda S, gens, t, cfg: compress_permutative(S, gens, t, None, cfg),

@@ -1,8 +1,8 @@
-"""The group strategies: runners (G, gens, t) -> Slp without INV instructions.
+"""The group strategies: builders (G, gens, t) -> Slp without INV instructions.
 
 ``compress`` reaches them through ``STRATEGIES``, ``normal-band`` on each class
-group.  Entries call the builders by this module's names, so a wrapper
-installed on those names sees every call.
+group.  Each builder keeps its plan on the group's table (``solvable_plan``,
+``build_polycyclic_set``, ``build_cube``) and returns only the program.
 """
 
 from __future__ import annotations
@@ -10,14 +10,12 @@ from __future__ import annotations
 from typing import Callable
 
 from ..groups import GroupView
-from ..slp import Slp, eliminate_inverses
+from ..slp import Slp
 from .reachability import compress_group_reachability
 from .solvable import compress_group_solvable, compress_group_solvable_bounded
 
 GROUP_STRATEGIES: dict[str, Callable[[GroupView, list[int], int], Slp]] = {
-    "group-bsz": lambda G, gens, t: eliminate_inverses(
-        G, compress_group_reachability(G, gens, t)[0]
-    ),
-    "group-solvable": lambda G, gens, t: compress_group_solvable(G, gens, t)[0],
-    "group-solvable-bw": lambda G, gens, t: compress_group_solvable_bounded(G, gens, t)[0],
+    "group-bsz": compress_group_reachability,
+    "group-solvable": compress_group_solvable,
+    "group-solvable-bw": compress_group_solvable_bounded,
 }

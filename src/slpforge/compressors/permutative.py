@@ -21,7 +21,6 @@ from ..errors import NotPermutativeError, UnreachableError
 from ..semigroup import Semigroup, shortest_word
 from ..slp import Slp, SlpBuilder
 from .base import word_program
-from .diameter import compress_bounded_diameter
 
 
 @dataclass
@@ -141,9 +140,9 @@ def compress_permutative(
     word = shortest_word(S, gens, t)
     if word is None:
         raise UnreachableError(f"target {t} is not generated")
-    if len(word) <= 2 * kstar:
-        return compress_bounded_diameter(S, gens, t, D=2 * kstar)
     letters = [gens[i] for i in word]
+    if len(word) <= 2 * kstar:
+        return word_program(letters)
     prefix = letters[:kstar]
     suffix = letters[len(letters) - kstar :] if kstar else []
     middle = letters[kstar : len(letters) - kstar] if kstar else letters

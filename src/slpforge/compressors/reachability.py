@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..errors import NotInSubgroupError
 from ..groups import GroupView
-from ..slp import Slp, SlpBuilder
+from ..slp import Slp, SlpBuilder, eliminate_inverses
 
 
 @dataclass
@@ -38,7 +38,6 @@ class CubeState:
     order: list[int] = field(default_factory=list)
     h_records: list[HRecord] = field(default_factory=list)
     kk: dict[int, tuple[int, int]] = field(default_factory=dict)
-    doubling_log: list[int] = field(default_factory=list)
 
     @property
     def rounds(self) -> int:
@@ -96,7 +95,6 @@ def _double(G: GroupView, gens: Sequence[int], state: CubeState) -> Optional[Cub
         values=dict(state.values),
         order=list(state.order),
         h_records=state.h_records + [HRecord(zval, bmask, cmask, g)],
-        doubling_log=list(state.doubling_log),
     )
     for v in state.order:
         nv = int(table[v, zval])
@@ -104,37 +102,8 @@ def _double(G: GroupView, gens: Sequence[int], state: CubeState) -> Optional[Cub
             raise AssertionError("cube append failed to double; not an escape")
         nxt.values[nv] = state.values[v] | bit
         nxt.order.append(nv)
-    if len(nxt.order) != 2 * len(state.order):
-        raise AssertionError("cube size did not double")
-    nxt.doubling_log.append(len(nxt.order))
     nxt.rebuild_kk(G)
     return nxt
-
-
-def cube_covering(
-    G: GroupView, gens: Sequence[int], cubes: list[CubeState], target: Optional[int]
-) -> CubeState:
-    """First state of the doubling sequence whose K^-1 K holds the target.
-
-    ``cubes`` lists the states after 0, 1, 2, ... doublings, starting with
-    ``start_cube(G)``.  Missing states are grown and appended, so a caller that
-    keeps the list answers later targets without regrowing.  Target None grows
-    until saturation and returns the last state.
-    """
-    gens = [int(g) for g in gens]
-    i = 0
-    while True:
-        state = cubes[i]
-        if target is not None and target in state.kk:
-            return state
-        if i + 1 == len(cubes):
-            nxt = _double(G, gens, state)
-            if nxt is None:
-                if target is None:
-                    return state
-                raise NotInSubgroupError(f"target {target} is outside the generated subgroup")
-            cubes.append(nxt)
-        i += 1
 
 
 def _emit_chain(b: SlpBuilder, regs: list[int], mask: int, scratch: int) -> int:
@@ -196,8 +165,28 @@ def _emit_pair(
 
 
 def build_cube(G: GroupView, gens: Sequence[int], target: Optional[int]) -> CubeState:
-    """Grow a fresh cube until K^-1 K holds the target (None: until saturated)."""
-    return cube_covering(G, gens, [start_cube(G)], target)
+    """First state of the doubling sequence whose K^-1 K holds the target.
+
+    The states after 0, 1, 2, ... doublings, starting with ``start_cube(G)``,
+    are kept on the table per generator list and grown only as far as the
+    targets asked so far need, so later targets do not regrow them.  Target
+    None grows until saturation and returns the last state.
+    """
+    gens = [int(g) for g in gens]
+    cubes = G.base.cached(("cubes", tuple(gens)), lambda: [start_cube(G)])
+    i = 0
+    while True:
+        state = cubes[i]
+        if target is not None and target in state.kk:
+            return state
+        if i + 1 == len(cubes):
+            nxt = _double(G, gens, state)
+            if nxt is None:
+                if target is None:
+                    return state
+                raise NotInSubgroupError(f"target {target} is outside the generated subgroup")
+            cubes.append(nxt)
+        i += 1
 
 
 def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
@@ -227,15 +216,7 @@ def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) 
     return b.finish(holder)
 
 
-def compress_group_reachability(
-    G: GroupView, gens: Sequence[int], t: int
-) -> tuple[Slp, CubeState]:
-    """Group SLP for t over gens; width <= rounds + 3, strict cube doubling.
-
-    The doubling sequence is kept on the table per generator list and grown
-    only as far as the targets asked so far need (see ``cube_covering``).
-    """
-    gens = [int(g) for g in gens]
-    cubes = G.base.cached(("cubes", tuple(gens)), lambda: [start_cube(G)])
-    state = cube_covering(G, gens, cubes, t)
-    return emit_from_cube(G, gens, state, t), state
+def compress_group_reachability(G: GroupView, gens: Sequence[int], t: int) -> Slp:
+    """Ordinary SLP for t over gens: the cube's group program (width <= rounds
+    + 3, strict cube doubling) with its inverses eliminated."""
+    return eliminate_inverses(G, emit_from_cube(G, gens, build_cube(G, gens, t), t))

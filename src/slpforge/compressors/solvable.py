@@ -3,16 +3,17 @@ sets, and polycyclic sets with width-3 provenance programs.
 
 Three layers:
 
-* ``adapt_subnormal`` lifts per-quotient programs along a subnormal series
-  with an adapted generating set (each relabelled from quotient values to
-  generators) and splices them after one another, accumulating the target
-  left to right in one extra register.
+* ``adapt_subnormal`` lifts per-quotient programs along the levels of a
+  subnormal series with an adapted generating set (``adapted_levels``; each
+  program relabelled from quotient values to generators) and splices them
+  after one another, accumulating the target left to right in one extra
+  register.
 
 * ``compress_group_solvable`` builds a generating set adapted to the derived
   series out of conjugates and commutators (each rederivable in at most 7
-  group instructions), then runs the adapted-series construction with the
-  abelian quotient compressor and eliminates inverses.  Length O(log |G|),
-  width unbounded.
+  group instructions) and eliminates the inverses of its program once, in
+  the plan; each target runs the adapted-series walk, which has no INV,
+  after that program.  Length O(log |G|), width unbounded.
 
 * ``compress_group_solvable_bounded`` builds a polycyclic generating set by
   layered conjugate-commutator closure, conjugating by the values of the
@@ -67,70 +68,73 @@ from .permutative import compress_permutative
 # -- adapted subnormal series ------------------------------------------------
 
 
-def adapt_subnormal(
-    G: GroupView,
-    sigma: Sequence[int],
-    chain: SeriesChain,
-    t: int,
-) -> Slp:
+@dataclass(frozen=True)
+class Level:
+    """One step G_{i-1} > G_i of an adapted chain.
+
+    ``quotient`` is G_{i-1}/G_i, carved out of G_{i-1}, and ``to_sub`` maps
+    G's indices into G_{i-1}'s.  ``rep`` maps each distinct image of the
+    generators lying in G_{i-1} to the first generator with that image;
+    ``qgens`` lists those images in that order.
+    """
+
+    term: ElementSet
+    to_sub: np.ndarray
+    quotient: QuotientGroup
+    qgens: list[int]
+    rep: dict[int, int]
+
+
+def adapted_levels(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> list[Level]:
+    """The chain's proper steps with the quotients ``adapt_subnormal`` walks.
+
+    Raises NotAdaptedError unless sigma meets every term in a generating set.
+    """
+    sigma = list(dict.fromkeys(int(s) for s in sigma))
+    if not is_adapted(G, sigma, chain):
+        raise NotAdaptedError("generating set is not adapted to the chain")
+    levels: list[Level] = []
+    for upper, lower in zip(chain.terms, chain.terms[1:]):
+        if upper == lower:
+            continue
+        sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
+        Q = quotient_group(group_view(sub), ElementSet(lower.mask[to_parent]))
+        rep: dict[int, int] = {}
+        for s in sigma:
+            if s in upper:
+                rep.setdefault(int(Q.projection[to_sub[s]]), s)
+        levels.append(Level(upper, to_sub, Q, list(rep), rep))
+    return levels
+
+
+def adapt_subnormal(G: GroupView, levels: Sequence[Level], t: int) -> Slp:
     """Accumulate t level by level through the chain's abelian quotients.
 
     Per level the residual target is projected into G_{i-1}/G_i, compressed
     there (permutative with k = 0), and lifted by loading the generator instead
     of its image.  One dedicated register accumulates the product of the lifts.
     """
-    sigma = list(dict.fromkeys(int(s) for s in sigma))
-    if not _adapted(G, sigma, chain):
-        raise NotAdaptedError("generating set is not adapted to the chain")
     level_programs: list[Slp] = []
     t_prime = t
     table = G.base.table
-    for i in range(1, len(chain.terms)):
-        prev_term, cur_term = chain.terms[i - 1], chain.terms[i]
-        if prev_term == cur_term:
-            continue
-        to_sub, Q = G.base.cached(
-            ("level_quotient", prev_term, cur_term),
-            lambda: _level_quotient(G, prev_term, cur_term),
-        )
-        if t_prime not in prev_term:
+    for level in levels:
+        if t_prime not in level.term:
             raise SlpforgeError("residual target escaped its chain term")
-        x = int(Q.projection[to_sub[t_prime]])
+        Q = level.quotient
+        x = int(Q.projection[level.to_sub[t_prime]])
         if x == Q.group.identity:
             continue
-        sigma_i = [s for s in sigma if s in prev_term]
-        rep: dict[int, int] = {}
-        qgens: list[int] = []
-        for s in sigma_i:
-            q = int(Q.projection[to_sub[s]])
-            if q not in rep:
-                rep[q] = s
-                qgens.append(q)
-        qprog = compress_permutative(Q.semigroup, qgens, x, kstar=0)
-        lifted = qprog.relabel(rep)
+        lifted = compress_permutative(Q.semigroup, level.qgens, x, kstar=0).relabel(level.rep)
         t_i = evaluate(G.base, lifted).output_value
         level_programs.append(lifted)
         t_prime = table.item(G.inverse[t_i], t_prime)
     if t_prime != G.identity:
         raise SlpforgeError("chain walk did not exhaust the target")
     if not level_programs:
-        return fast_exp(sigma[0], G.element_order(sigma[0]))
+        # the identity, as a power of the first generator (G trivial: itself)
+        g = levels[0].rep[levels[0].qgens[0]] if levels else G.identity
+        return fast_exp(g, G.element_order(g))
     return _accumulate(level_programs)
-
-
-def _adapted(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> bool:
-    """``is_adapted``, memoised on the table, so a plan's own set is checked once."""
-    key = ("is_adapted", tuple(sigma), tuple(chain.terms))
-    return G.base.cached(key, lambda: is_adapted(G, sigma, chain))
-
-
-def _level_quotient(
-    G: GroupView, upper: ElementSet, lower: ElementSet
-) -> tuple[np.ndarray, QuotientGroup]:
-    """upper/lower as a quotient of the carved-out group upper, with the map
-    from G's indices into upper's."""
-    sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
-    return to_sub, quotient_group(group_view(sub), ElementSet(lower.mask[to_parent]))
 
 
 def _accumulate(programs: list[Slp]) -> Slp:
@@ -273,31 +277,39 @@ def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
     return Slp(tuple(b.alphabet), tuple(b.instructions), reg[delta.records[-1].value], is_group=True)
 
 
-def solvable_plan(G: GroupView, sigma: Sequence[int]) -> tuple[DeltaSet, SeriesChain, Slp]:
-    """Target-independent part of the unbounded-width construction."""
+@dataclass(frozen=True)
+class SolvablePlan:
+    """Target-independent part of the unbounded-width construction.
+
+    ``program`` computes every record of ``delta`` without INV; ``levels``
+    are the derived series' steps for ``delta``'s values.
+    """
+
+    delta: DeltaSet
+    chain: SeriesChain
+    program: Slp
+    levels: list[Level]
+
+
+def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
+    """Derived-adapted set, its inverse-free program and the chain's levels."""
     chain = derived_series(G)
     if not chain.is_trivial_terminal:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
-    if not _adapted(G, delta.values, chain):
-        raise SlpforgeError("derived-adapted set failed the adaptedness check")
-    return delta, chain, emit_delta_program(G, delta)
+    levels = adapted_levels(G, delta.values, chain)
+    return SolvablePlan(delta, chain, eliminate_inverses(G, emit_delta_program(G, delta)), levels)
 
 
-def compress_group_solvable(
-    G: GroupView, sigma: Sequence[int], t: int
-) -> tuple[Slp, DeltaSet, SeriesChain]:
+def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
 
     The plan is built once per generator list and memoised on the table, so
-    later targets only run the adapted-series walk.
+    later targets only walk its levels and run after its program.
     """
     sigma = tuple(int(s) for s in sigma)
-    delta, chain, dprog = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
-    aprog = adapt_subnormal(G, delta.values, chain, t)
-    composed = append_compose(G.base, aprog, dprog, group=G)
-    plain = eliminate_inverses(G, composed)
-    return plain, delta, chain
+    plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
+    return append_compose(G.base, adapt_subnormal(G, plan.levels, t), plan.program)
 
 
 # -- polycyclic generating set (bounded width) --------------------------------
@@ -480,9 +492,7 @@ class _BoundedEmitter:
         return B, [A, rg]
 
 
-def compress_group_solvable_bounded(
-    G: GroupView, sigma: Sequence[int], t: int
-) -> tuple[Slp, PolycyclicGenSet]:
+def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G.
 
     The polycyclic set is built once per generator list and memoised on the
@@ -517,7 +527,7 @@ def compress_group_solvable_bounded(
         (j, a) for j, a in enumerate(exps) if a > 0
     ]
     if not contributions:
-        return fast_exp(sigma[0], G.element_order(sigma[0])), pcs
+        return fast_exp(sigma[0], G.element_order(sigma[0]))
 
     em = _BoundedEmitter(G, pcs, inv_exp)
     b = em.b
@@ -535,4 +545,4 @@ def compress_group_solvable_bounded(
             else:
                 b.fast_exp_into(free[0], rreg, a)
                 b.mul(em.acc, em.acc, free[0])
-    return b.finish(em.acc), pcs
+    return b.finish(em.acc)

@@ -158,7 +158,7 @@ class Semigroup:
         values are shared between callers and must not be mutated, with two
         exceptions that only grow, so what a caller already read stays valid:
         the ``group-bsz`` cube list, appended to by
-        ``reachability.cube_covering``, and the ``shortest_word`` search tree,
+        ``reachability.build_cube``, and the ``shortest_word`` search tree,
         which gains whole BFS levels as deeper targets are asked.
         """
         try:

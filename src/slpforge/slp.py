@@ -14,12 +14,13 @@ that metrics and file round-trips are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidProgramError, InverseOutsideGroupError
-from .groups import GroupView, group_view, minimal_generating_subset
-from .semigroup import Semigroup, closure, shortest_word, sub_semigroup
+from .groups import GroupView, minimal_generating_subset
+from .semigroup import Semigroup, closure, shortest_word
 
 
 @dataclass(frozen=True)
@@ -259,9 +260,9 @@ def fast_exp(symbol: int, n: int) -> Slp:
     return b.finish(acc)
 
 
-def _final_value_registers(S: Semigroup, prog: Slp, group=None) -> dict[int, int]:
+def _final_value_registers(S: Semigroup, prog: Slp) -> dict[int, int]:
     """Value -> smallest register holding it after the program ran."""
-    trace = evaluate(S, prog, group=group)
+    trace = evaluate(S, prog)
     out: dict[int, int] = {}
     for reg in sorted(trace.registers):
         val = trace.registers[reg]
@@ -269,7 +270,7 @@ def _final_value_registers(S: Semigroup, prog: Slp, group=None) -> dict[int, int
     return out
 
 
-def append_compose(S: Semigroup, prog_a: Slp, prog_b: Slp, group=None) -> Slp:
+def append_compose(S: Semigroup, prog_a: Slp, prog_b: Slp) -> Slp:
     """Run prog_b first, then prog_a with outsourced loads wired to b's registers.
 
     Every load of prog_a whose value prog_b ends up holding is outsourced: it
@@ -277,7 +278,7 @@ def append_compose(S: Semigroup, prog_a: Slp, prog_b: Slp, group=None) -> Slp:
     the end of its run (no copy is emitted).  Length <= len(a) + len(b);
     width <= width(a) + width(b).
     """
-    holding = _final_value_registers(S, prog_b, group=group)
+    holding = _final_value_registers(S, prog_b)
     outsource_set = {k for k, v in enumerate(prog_a.alphabet) if v in holding}
     base = max(prog_b.registers()) + 1
     out = SlpBuilder(is_group=prog_a.is_group or prog_b.is_group)
@@ -494,10 +495,9 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Minimal generating subset of the group the alphabet generates, and the
     power that inverts every element of that group."""
-    span = closure(G.base, sigma)
-    sub = G.base if span.cardinality == G.base.n else sub_semigroup(G.base, span)[0]
+    exponent = math.lcm(*G.base.periods[closure(G.base, sigma).mask].tolist())
     sigma_min = tuple(sorted(minimal_generating_subset(G, sigma)))
-    return sigma_min, inverting_power(group_view(sub).exponent())
+    return sigma_min, inverting_power(exponent)
 
 
 def inverting_power(exponent: int) -> int:

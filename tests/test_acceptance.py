@@ -21,11 +21,13 @@ from slpforge.compressors import (
     compress,
     compress_bounded_diameter,
     compress_general,
+    build_cube,
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
     compress_normal_band,
     compress_permutative,
+    emit_from_cube,
     solvable_plan,
 )
 from slpforge.decomposition import band_of_groups_decomposition
@@ -252,13 +254,14 @@ def test_08_cube_doubling():
         members = sorted(subgroup_closure(G, gens))
         targets = members if len(members) <= 24 else rng.sample(members, 16)
         for t in targets:
-            prog, state = compress_group_reachability(G, gens, t)
-            for i, size in enumerate(state.doubling_log):
-                assert size == 2 ** (i + 1), "cube must double every round"
+            state = build_cube(G, gens, t)
+            prog = emit_from_cube(G, gens, state, t)
+            assert len(state.order) == 2 ** state.rounds, "cube must double every round"
             assert state.rounds <= math.ceil(math.log2(S.n))
             assert prog.width <= state.rounds + 3
             assert evaluate(S, prog, group=G).output_value == t
-            plain = eliminate_inverses(G, prog)
+            plain = compress_group_reachability(G, gens, t)
+            assert plain == eliminate_inverses(G, prog)
             assert evaluate(S, plain).output_value == t
     _passline(8, "cube doubling", "Z2^k and A5, rounds <= ceil(log2 |G|)")
 
@@ -268,8 +271,7 @@ def test_09_solvable_unbounded():
     for S, gens in _solvable_families():
         G = group_view(S)
         chain = derived_series(G)
-        plan = solvable_plan(G, gens)
-        delta = plan[0]
+        delta = solvable_plan(G, gens).delta
         assert is_adapted(G, delta.values, chain)
         for i, term in enumerate(chain.terms[:-1]):
             part = [v for v in delta.values if v in term]
@@ -277,7 +279,7 @@ def test_09_solvable_unbounded():
         bound = 64 * math.log2(S.n) + 64
         lmax = 0
         for t in range(S.n):
-            slp, _, _ = compress_group_solvable(G, gens, t)
+            slp = compress_group_solvable(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             lmax = max(lmax, slp.length)
         assert lmax <= bound, (S.name, lmax, bound)
@@ -294,7 +296,7 @@ def test_10_solvable_bounded():
         G = group_view(S)
         lmax = 0
         for t in range(S.n):
-            slp, _ = compress_group_solvable_bounded(G, gens, t)
+            slp = compress_group_solvable_bounded(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             assert slp.width <= 5, (S.name, t, slp.width)
             width_max = max(width_max, slp.width)

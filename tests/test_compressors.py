@@ -13,6 +13,7 @@ from slpforge.compressors import (
     GROUP_STRATEGIES,
     STRATEGIES,
     adapt_subnormal,
+    adapted_levels,
     build_cube,
     build_derived_adapted_set,
     build_polycyclic_set,
@@ -25,6 +26,7 @@ from slpforge.compressors import (
     compress_normal_band,
     compress_permutative,
     emit_delta_program,
+    emit_from_cube,
     ideal_generators,
     minimize_exponents,
     nilpotent_peel,
@@ -250,8 +252,9 @@ def test_cube_doubles_every_round():
     gens = zoo._abelian_unit_generators([2] * 6)
     G = group_view(S)
     t = S.n - 1
-    prog, state = compress_group_reachability(G, gens, t)
-    assert state.doubling_log == [2 ** (i + 1) for i in range(len(state.doubling_log))]
+    state = build_cube(G, gens, t)
+    prog = emit_from_cube(G, gens, state, t)
+    assert len(state.order) == 2 ** state.rounds
     assert state.rounds == 6  # the cube is exactly the spanned subspace
     assert evaluate(S, prog, group=G).output_value == t
     assert prog.width <= state.rounds + 3
@@ -263,10 +266,12 @@ def test_reachability_a5():
     G = group_view(A5)
     rng = random.Random(3)
     for t in rng.sample(range(60), 12):
-        prog, state = compress_group_reachability(G, gens, t)
+        state = build_cube(G, gens, t)
+        prog = emit_from_cube(G, gens, state, t)
         assert state.rounds <= math.ceil(math.log2(60))
         assert evaluate(A5, prog, group=G).output_value == t
-        plain = eliminate_inverses(G, prog)
+        plain = compress_group_reachability(G, gens, t)
+        assert plain == eliminate_inverses(G, prog)
         assert evaluate(A5, plain).output_value == t
 
 
@@ -283,8 +288,8 @@ def test_reachability_outside_subgroup():
 def test_reachability_identity_target():
     Z6 = zoo.make_cyclic(6)
     G = group_view(Z6)
-    prog, state = compress_group_reachability(G, [1], 0)
-    assert evaluate(Z6, prog, group=G).output_value == 0
+    prog = compress_group_reachability(G, [1], 0)
+    assert evaluate(Z6, prog).output_value == 0
 
 
 # -- adapted series / solvable ----------------------------------------------------
@@ -296,8 +301,9 @@ def test_adapt_subnormal_s3():
     swap = zoo.perm_index(3, (1, 0, 2))
     cycle = zoo.perm_index(3, (1, 2, 0))
     chain = derived_series(G)
+    levels = adapted_levels(G, [swap, cycle], chain)
     for t in range(6):
-        prog = adapt_subnormal(G, [swap, cycle], chain, t)
+        prog = adapt_subnormal(G, levels, t)
         assert evaluate(S, prog).output_value == t
 
 
@@ -309,7 +315,7 @@ def test_adapt_subnormal_rejects_unadapted():
     from slpforge.errors import NotAdaptedError
 
     with pytest.raises(NotAdaptedError):
-        adapt_subnormal(G, [swap], chain, swap)
+        adapt_subnormal(G, adapted_levels(G, [swap], chain), swap)
 
 
 def test_derived_adapted_set_levels():
@@ -341,9 +347,10 @@ def test_delta_program_computes_all_records():
     S = zoo.make_heisenberg(3)
     G = group_view(S)
     gens = zoo.heisenberg_generators(3)
-    delta, chain, dprog = solvable_plan(G, gens)
-    trace = evaluate(S, dprog, group=G)
-    for rec in delta.records:
+    plan = solvable_plan(G, gens)
+    assert not any(ins[0] == "I" for ins in plan.program.instructions)
+    trace = evaluate(S, plan.program)
+    for rec in plan.delta.records:
         assert rec.value in trace.registers.values()
 
 
@@ -430,7 +437,7 @@ def test_solvable_bounded_width_and_value():
     for S, gens in cases:
         G = group_view(S)
         for t in range(S.n):
-            slp, _ = compress_group_solvable_bounded(G, gens, t)
+            slp = compress_group_solvable_bounded(G, gens, t)
             assert evaluate(S, slp).output_value == t, (S.name, t)
             assert slp.width <= 5
             assert not any(ins[0] == "I" for ins in slp.instructions)
@@ -458,10 +465,10 @@ def test_solvable_bounded_on_every_generating_pair(family, n):
 def test_solvable_cyclic_collapses_to_fast_exp():
     Z = zoo.make_cyclic(97)
     G = group_view(Z)
-    slp, pcs = compress_group_solvable_bounded(G, [1], 55)
+    slp = compress_group_solvable_bounded(G, [1], 55)
     assert evaluate(Z, slp).output_value == 55
     assert slp.width == 2
-    assert len(pcs.chain_indices) == 1
+    assert len(build_polycyclic_set(G, [1]).chain_indices) == 1
 
 
 # -- normal band ----------------------------------------------------------------

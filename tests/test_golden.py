@@ -40,13 +40,13 @@ FAMILIES = {
 GROUPS = {"S4": ("sym", [4]), "A4": ("alt", [4]), "D8": ("dihedral", [4])}
 
 PINNED = {
-    'S4/group-solvable': '32f56b430ec0ec17e2243f5cda28e7205acee205cd2bda3bf08658faeec4e9b9',
+    'S4/group-solvable': 'cefd17bb220097ab426e38621a348e8f2bb526a7ba265265fa9e6b3ab1041e38',
     'S4/group-solvable-bw': '63d97ba9a7fbbc9f8a8f07522a27d4aafd558fc61f0d5fe0cce08cfd674b19e2',
     'S4/group-bsz': '9315a6beddd73ab18ad608895f4768503776ea6f2d77b162e4573d55fb520b4d',
-    'A4/group-solvable': '994b8f555d80139d20bb32681b12481b8621cbc122336330cca95a66de70af37',
+    'A4/group-solvable': '7a5300eb5f0d3c02613312a54be48c53fd32b0459c97c07dbea350352d7d05a7',
     'A4/group-solvable-bw': 'e758c49cfe6081626c75de49926a4bd592e98d47c89e06489596787d11d3d947',
     'A4/group-bsz': '83c3815995c8d91c2796a7eec6648fbc5e17122ab7699d131f70ad17618e8b71',
-    'D8/group-solvable': '9a77f4f8b90ac4b55f2e4ee6c2387158cd1a3683a6c69dfac2fc6f34129ac71a',
+    'D8/group-solvable': '36225badbf1d84f00c8500679d4cd7831a82a20b74629dc3f024145046d1445c',
     'D8/group-solvable-bw': '2f010fdef0734a802a4c4a225a2efa8dd4ac72015f3c41dfa8695e4cff58bd98',
     'D8/group-bsz': '43333a7099e96269a6cafe8993a20b2b61393591945d2605b69c2c30b3b86e8e',
     'rb/auto': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',

@@ -17,12 +17,14 @@ import pytest
 from slpforge import zoo
 from slpforge.classify import classify
 from slpforge.compressors import (
+    build_cube,
     compress,
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
     compress_normal_band,
     reachability,
+    solvable,
 )
 from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
@@ -69,7 +71,7 @@ def test_reused_table_matches_fresh_in_shuffled_order(family, params, strategy):
 
 def _rounds(T, gens, t) -> int:
     """Doublings of the memoised cube that covers t, once compress has grown it."""
-    return compress_group_reachability(group_view(T), gens, t)[1].rounds
+    return build_cube(group_view(T), gens, t).rounds
 
 
 @pytest.mark.parametrize("family,params", INSTANCES)
@@ -129,16 +131,17 @@ def test_band_tables_reused_match_fresh(family, params, strategy):
         assert _answer(S, gens, t, strategy) == _fresh(S, gens, t, strategy), t
 
 
+# the builders under the short names the test ids carry
 def _bsz(G, gens, t):
-    return compress_group_reachability(G, gens, t)[0]
+    return compress_group_reachability(G, gens, t)
 
 
 def _solvable(G, gens, t):
-    return compress_group_solvable(G, gens, t)[0]
+    return compress_group_solvable(G, gens, t)
 
 
 def _bounded(G, gens, t):
-    return compress_group_solvable_bounded(G, gens, t)[0]
+    return compress_group_solvable_bounded(G, gens, t)
 
 
 BUILDERS = (_bsz, _solvable, _bounded)
@@ -188,10 +191,10 @@ def test_cube_doublings_are_shared_by_every_target(monkeypatch):
     monkeypatch.setattr(
         reachability, "_double", lambda *args: doublings.append(1) or double(*args)
     )
-    rounds = [
-        compress_group_reachability(group_view(S), gens, t)[1].rounds
-        for t in sorted(closure(S, gens))
-    ]
+    rounds = []
+    for t in sorted(closure(S, gens)):
+        compress_group_reachability(group_view(S), gens, t)
+        rounds.append(build_cube(group_view(S), gens, t).rounds)
     # one call per doubling, plus at most one that finds nothing to add
     assert max(rounds) <= len(doublings) <= max(rounds) + 1
 
@@ -207,6 +210,23 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_solvable_plan_eliminates_inverses_once(monkeypatch):
+    S, gens = _instance("dihedral", (8,))
+    targets = sorted(closure(S, gens))
+    random.Random("D16").shuffle(targets)
+    fresh = [_fresh(S, gens, t, "group-solvable") for t in targets]
+    eliminations = _counting(monkeypatch, solvable, "eliminate_inverses")
+    quotients = _counting(monkeypatch, solvable, "quotient_group")
+    reused = Semigroup(S.table)
+    assert _answer(reused, gens, targets[0], "group-solvable") == fresh[0]
+    # the first target builds the plan: one elimination, every level quotient
+    assert len(eliminations) == 1 and quotients
+    planned = len(quotients)
+    for t, expect in zip(targets[1:], fresh[1:]):
+        assert _answer(reused, gens, t, "group-solvable") == expect, t
+    assert len(eliminations) == 1 and len(quotients) == planned
 
 
 @pytest.mark.parametrize("family,params", BAND_INSTANCES)
