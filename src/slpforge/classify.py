@@ -212,8 +212,9 @@ def maximal_subgroups_solvable(S: Semigroup) -> bool:
         unit = exe & (om == e)
         if np.count_nonzero(unit) == 1:
             continue
-        # H_e is the group of units of eSe, so the carve and the view hold
-        H, _, _ = sub_semigroup(S, ElementSet(unit))
+        # H_e is the group of units of eSe, so the carve and the view hold; a
+        # group is its own H-class and shares its memo, derived series included
+        H = S if unit.all() else sub_semigroup(S, ElementSet(unit))[0]
         if not is_solvable(group_view(H)):
             return False
     return True

@@ -44,8 +44,11 @@ from ..groups import (
     GroupView,
     QuotientGroup,
     SeriesChain,
+    commutators,
+    conjugates,
     derived_series,
     group_view,
+    grow_span,
     is_adapted,
     normal_closure_set,
     quotient_group,
@@ -85,9 +88,13 @@ class Level:
     rep: dict[int, int]
 
 
-def adapted_levels(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> list[Level]:
+def adapted_levels(
+    G: GroupView, sigma: Sequence[int], chain: SeriesChain, top: Optional[QuotientGroup] = None
+) -> list[Level]:
     """The chain's proper steps with the quotients ``adapt_subnormal`` walks.
 
+    A step down from the whole group reads G itself, not a carved copy, and
+    its quotient is ``top`` when the caller has built G modulo the next term.
     Raises NotAdaptedError unless sigma meets every term in a generating set.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
@@ -97,8 +104,11 @@ def adapted_levels(G: GroupView, sigma: Sequence[int], chain: SeriesChain) -> li
     for upper, lower in zip(chain.terms, chain.terms[1:]):
         if upper == lower:
             continue
-        sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
-        Q = quotient_group(group_view(sub), ElementSet(lower.mask[to_parent]))
+        if upper.cardinality == G.order:
+            to_sub, Q = np.arange(G.order), top or quotient_group(G, lower)
+        else:
+            sub, to_sub, to_parent = cached_sub_semigroup(G.base, upper)
+            Q = quotient_group(group_view(sub), ElementSet(lower.mask[to_parent]))
         rep: dict[int, int] = {}
         for s in sigma:
             if s in upper:
@@ -167,6 +177,7 @@ class DeltaRecord:
 class DeltaSet:
     records: list[DeltaRecord]
     per_level: list[list[int]]    # values per derived-series level
+    top: QuotientGroup            # G modulo G', which ``adapted_levels`` reuses
 
     @property
     def values(self) -> list[int]:
@@ -212,24 +223,11 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
             register(DeltaRecord(step.value, "conj", g=step.g, h=step.h))
         d1 = prev_vals + [s.value for s in xi_log]
 
-        comms: list[tuple[int, int, int]] = []
-        seen_c: set[int] = set()
-        for g in d1:
-            for h in d1:
-                c = G.commutator(g, h)
-                if c not in seen_c:
-                    seen_c.add(c)
-                    comms.append((c, g, h))
-        target = span(Q, [c for c, _, _ in comms])
-        theta: list[int] = []
-        cur = subgroup_closure(Q.group, [])
-        for c, g, h in comms:
-            if proj[c] not in cur:
-                theta.append(c)
-                register(DeltaRecord(c, "comm", g=g, h=h))
-                cur = span(Q, theta)
-                if cur == target:
-                    break
+        # the commutators of d1, in (g, h) order, that grow the span mod Q
+        comms, theta = commutators(G, d1), []
+        _, taken = grow_span(Q.group, proj, theta, subgroup_closure(Q.group, []), comms)
+        for j in taken:
+            register(DeltaRecord(int(comms[j]), "comm", g=d1[j // len(d1)], h=d1[j % len(d1)]))
         if not theta:
             per_level.append([])
             prev_vals = []
@@ -243,7 +241,7 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
             raise SlpforgeError(f"level {i} generators miss their derived term")
         per_level.append(delta_i)
         prev_vals = delta_i
-    return DeltaSet(records, per_level)
+    return DeltaSet(records, per_level, Qg)
 
 
 def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
@@ -297,7 +295,7 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
     if not chain.is_trivial_terminal:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
-    levels = adapted_levels(G, delta.values, chain)
+    levels = adapted_levels(G, delta.values, chain, top=delta.top)
     return SolvablePlan(delta, chain, eliminate_inverses(G, emit_delta_program(G, delta)), levels)
 
 
@@ -353,56 +351,54 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     k = max(1, math.ceil(math.log2(max(2, G.order))))
     conj = _conjugator_words(G, sigma, k)
-    records: list[PolyRecord] = []
-    seen: set[tuple[int, int]] = set()  # (layer, value)
+    words = [w for _, w in conj]
+    h = np.asarray([v for v, _ in conj], dtype=np.int64)
+    table = G.base.table
+    inv = np.asarray([G.inverse[x] for x in range(G.order)], dtype=np.int64)
 
-    def register(rec: PolyRecord) -> None:
-        if rec.value != G.identity and (rec.layer, rec.value) not in seen:
-            seen.add((rec.layer, rec.value))
-            records.append(rec)
+    def first_new(vals: np.ndarray) -> np.ndarray:
+        """Positions of the first occurrence of each value but the identity."""
+        uniq, first = np.unique(vals, return_index=True)
+        return np.sort(first[uniq != G.identity])
 
-    layer_members: list[tuple[int, int]] = []  # (record index, value)
-    for g in sigma:
-        for hval, hword in conj:
-            val = G.conjugate(g, hval)
-            before = len(records)
-            register(PolyRecord(val, 0, base=g, u_word=list(hword)))
-            if len(records) > before:
-                layer_members.append((len(records) - 1, val))
+    # records are registered in (element, conjugator) order, the first
+    # occurrence of each value per layer
+    vals = conjugates(G, sigma, h)
+    pos = first_new(vals)
+    records = [
+        PolyRecord(int(vals[i]), 0, base=sigma[i // h.size], u_word=list(words[i % h.size]))
+        for i in pos.tolist()
+    ]
+    members, member_vals = np.arange(len(records)), vals[pos]
 
     layer = 0
-    while layer_members:
+    while members.size:
         layer += 1
         if layer >= len(dchain.terms):
             break
-        comms: list[tuple[int, int, list[int]]] = []  # value, parent index, v_word
-        seen_c: set[int] = set()
-        for ridx, gval in layer_members:
-            for vval, vword in conj:
-                if not vword:
-                    continue
-                gt = G.conjugate(gval, vval)
-                c = G.commutator(gval, gt)
-                if c == G.identity or c in seen_c:
-                    continue
-                seen_c.add(c)
-                comms.append((c, ridx, list(vword)))
-        next_members: list[tuple[int, int]] = []
-        for cval, ridx, vword in comms:
-            for uval, uword in conj:
-                val = G.conjugate(cval, uval)
-                before = len(records)
-                register(
-                    PolyRecord(val, layer, parent=ridx, v_word=vword, u_word=list(uword))
-                )
-                if len(records) > before:
-                    next_members.append((len(records) - 1, val))
-        for _, val in next_members:
-            if layer < len(dchain.terms) and val not in dchain.terms[layer]:
-                raise ChainVerificationFailedError(
-                    f"layer {layer} value {val} escapes the derived term"
-                )
-        layer_members = next_members
+        # [g, g^v] for every member g and nonempty conjugator word v
+        gt = conjugates(G, member_vals, h[1:])
+        g = np.repeat(member_vals, h.size - 1)
+        comms = table[table[table[inv[g], inv[gt]], g], gt]
+        cpos = first_new(comms)
+        vals = conjugates(G, comms[cpos], h)
+        pos = first_new(vals)
+        parents = members[cpos // (h.size - 1)]
+        v_words = [words[1 + i % (h.size - 1)] for i in cpos.tolist()]
+        base = len(records)
+        records += [
+            PolyRecord(
+                int(vals[i]), layer, parent=int(parents[i // h.size]),
+                v_word=list(v_words[i // h.size]), u_word=list(words[i % h.size]),
+            )
+            for i in pos.tolist()
+        ]
+        members, member_vals = np.arange(base, len(records)), vals[pos]
+        escaped = ~dchain.terms[layer].mask[member_vals]
+        if escaped.any():
+            raise ChainVerificationFailedError(
+                f"layer {layer} value {int(member_vals[escaped.argmax()])} escapes the derived term"
+            )
 
     # prune right to left, keeping records that grow the suffix subgroup;
     # suffixes[-1] is generated by the records kept so far
@@ -417,7 +413,6 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
         raise ChainVerificationFailedError("records do not generate the group")
 
     terms = [G.carrier] + suffixes[-2::-1]
-    table = G.base.table
     for j in range(1, len(terms)):
         sub = terms[j]
         r = records[kept[j - 1]].value

@@ -147,35 +147,60 @@ def normal_closure_set(
     re-derived by a straight-line program (5 instructions per step).  When a
     ``quotient`` of G is given, closure growth is measured by the span of the
     images in the quotient's table instead of in G itself; the logged values
-    remain genuine G-elements.
+    remain genuine G-elements.  The conjugates of the elements not scanned
+    yet are one gather, scanned in (element, conjugator) order; scanning on
+    past an escape is the same as restarting, as what came before stays in.
     """
     delta = sorted(set(int(g) for g in delta))
     sigma_l = sorted(set(int(h) for h in sigma))
-    xi: list[int] = []
-    log: list[ConjugationStep] = []
     if not delta:
-        return ElementSet.from_indices(G.base.n, []), log
-    if quotient is None:
-        span_group, proj = G, np.arange(G.base.n)
-    else:
+        return ElementSet.from_indices(G.base.n, []), []
+    span_group, proj = G, np.arange(G.base.n)
+    if quotient is not None:
         span_group, proj = quotient.group, quotient.projection
+    gens, cur, log = list(delta), subgroup_closure(span_group, proj[delta].tolist()), []
+    scanned, m = 0, len(sigma_l)
+    while scanned < len(gens):
+        rows, scanned = gens[scanned:], len(gens)
+        conj = conjugates(G, rows, sigma_l)
+        cur, taken = grow_span(span_group, proj, gens, cur, conj)
+        log += [ConjugationStep(rows[i // m], sigma_l[i % m], int(conj[i])) for i in taken]
+    return ElementSet.from_indices(G.base.n, sorted(gens[len(delta):])), log
 
-    cur = subgroup_closure(span_group, proj[delta].tolist())
-    changed = True
-    while changed:
-        changed = False
-        for g in delta + xi:
-            for h in sigma_l:
-                c = G.conjugate(g, h)
-                if proj[c] not in cur:
-                    xi.append(c)
-                    log.append(ConjugationStep(g, h, c))
-                    cur = subgroup_closure(span_group, proj[delta + xi].tolist())
-                    changed = True
-                    break
-            if changed:
-                break
-    return ElementSet.from_indices(G.base.n, sorted(set(xi))), log
+
+def conjugates(G: GroupView, vals: Sequence[int], by: Sequence[int]) -> np.ndarray:
+    """h^-1 g h for every g in ``vals`` and h in ``by``, flattened in (g, h) order."""
+    table, by = G.base.table, np.asarray(by, dtype=np.int64)
+    by_inv = np.asarray([G.inverse[int(h)] for h in by], dtype=np.int64)
+    return table[table[by_inv, np.asarray(vals, dtype=np.int64)[:, None]], by].ravel()
+
+
+def commutators(G: GroupView, vals: Sequence[int]) -> np.ndarray:
+    """g^-1 h^-1 g h for every g and h in ``vals``, flattened in (g, h) order."""
+    table, v = G.base.table, np.asarray(vals, dtype=np.int64)
+    v_inv = np.asarray([G.inverse[int(g)] for g in v], dtype=np.int64)
+    return table[table[table[v_inv[:, None], v_inv], v[:, None]], v].ravel()
+
+
+def grow_span(
+    H: GroupView, proj: np.ndarray, gens: list[int], cur: ElementSet, cands: np.ndarray
+) -> tuple[ElementSet, list[int]]:
+    """Append to ``gens``, in order, each candidate whose image under ``proj``
+    escapes ``cur``, the span in H of the images of ``gens``, closing the
+    span again after each one; returns the span and the positions taken.
+    Only a candidate that escapes costs a closure, and it doubles the span.
+    """
+    taken: list[int] = []
+    i = 0
+    while True:
+        out = np.flatnonzero(~cur.mask[proj[cands[i:]]])
+        if not out.size:
+            return cur, taken
+        i += int(out[0])
+        taken.append(i)
+        gens.append(int(cands[i]))
+        cur = subgroup_closure(H, proj[gens].tolist())
+        i += 1
 
 
 @dataclass
@@ -193,35 +218,31 @@ class SeriesChain:
         return self.terms[-1].cardinality == 1
 
 
-_COMMUTATOR_ROWS = 256
-
-
 def derived_series(G: GroupView) -> SeriesChain:
-    """G >= G' >= G'' >= ... until stabilisation (all commutator pairs, no sampling).
+    """G >= G' >= G'' >= ... until stabilisation.
 
-    Memoised on G's table; the returned chain is shared and must not be
-    mutated.
+    Each term is the normal closure, under conjugation by a small generating
+    set X of G, of the commutators of a small generating set of the term
+    before: a term is characteristic in the one above it, so normal in G,
+    and the commutators of generators of N generate N' as a normal subgroup.
+    Each closure step costs one gather per generator of X.  Memoised on G's
+    table; the returned chain is shared and must not be mutated.
     """
     return G.base.cached(("derived_series",), lambda: _derived_series(G))
 
 
 def _derived_series(G: GroupView) -> SeriesChain:
-    """Commutators of each term are gathered in blocks of rows g, so the
-    temporaries stay at ``_COMMUTATOR_ROWS`` x |term| table entries."""
-    cur = G.carrier
-    terms = [cur]
-    table = G.base.table
+    ident, trivial = np.arange(G.base.n), subgroup_closure(G, [])
+    sigma: list[int] = []  # X: each least element outside the span of those before
+    grow_span(G, ident, sigma, trivial, ident)
+    cur, gens, terms = G.carrier, sigma, [G.carrier]
     while True:
-        mem = cur.to_array()
-        inv_mem = np.asarray([G.inverse[int(h)] for h in mem], dtype=np.int64)
-        hit = np.zeros(G.base.n, dtype=bool)
-        for start in range(0, mem.size, _COMMUTATOR_ROWS):
-            g = mem[start : start + _COMMUTATOR_ROWS, None]
-            ginv = inv_mem[start : start + _COMMUTATOR_ROWS, None]
-            left = table[ginv, inv_mem]                        # g^-1 h^-1
-            mid = table[left, g]                               # g^-1 h^-1 g
-            hit[table[mid, mem]] = True                        # g^-1 h^-1 g h
-        nxt = closure(G.base, np.flatnonzero(hit).tolist())
+        comms, gens = commutators(G, gens), []
+        nxt, _ = grow_span(G, ident, gens, trivial, comms)
+        scanned = 0
+        while scanned < len(gens):  # close under conjugation by X
+            rows, scanned = gens[scanned:], len(gens)
+            nxt, _ = grow_span(G, ident, gens, nxt, conjugates(G, rows, sigma))
         if nxt == cur:
             break
         terms.append(nxt)

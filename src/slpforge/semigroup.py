@@ -18,6 +18,7 @@ same generators does not build it again.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
 from .sets import ElementSet
 
 DIRECT_PRODUCT_MAX = 20_000
+_ROUND_READS = 4096  # products a closure round may spend on shortcuts past the seed
 
 _V = TypeVar("_V")
 
@@ -80,7 +82,9 @@ class Semigroup:
     def _check_associativity(self, gens_hint: Optional[Sequence[int]] = None) -> None:
         n, table = self.n, self.table
         gens = list(dict.fromkeys(int(g) for g in (() if gens_hint is None else gens_hint)))
-        hint_generates = bool(gens) and self._magma_closure_mask(gens).all()
+        # a word is a pairwise product, so the cheap word closure settles most hints
+        closures = (self._word_closure_mask, self._magma_closure_mask)
+        hint_generates = bool(gens) and any(close(gens).all() for close in closures)
         if not hint_generates:
             gens = self._greedy_generators()
         tableT = np.ascontiguousarray(table.T)
@@ -94,22 +98,26 @@ class Semigroup:
             self.cached(("closure", tuple(sorted(gens))), lambda: ElementSet.full(n))
 
     def _word_closure_mask(self, seed: Sequence[int]) -> np.ndarray:
-        """Values of the left-normed words over ``seed``: a breadth-first
-        search that multiplies the frontier on the right by each seed element.
-
-        On an associative table this is the generated subsemigroup, in
-        O(|closure| * |seed|) table reads.
+        """Values of words over ``seed`` (on an associative table, the
+        generated subsemigroup): a breadth-first search that multiplies the
+        frontier on the right by the seed and by as many of the earliest
+        elements found as keep a round within ``_ROUND_READS`` products.  A
+        cyclic closure of order c thus takes about 6 + c / 64 rounds, not c,
+        and the search reads O(|closure| * |seed| + _ROUND_READS * rounds).
         """
         table = self.table
         seed_arr = np.unique(np.asarray(list(seed), dtype=np.int64))
         in_set = np.zeros(self.n, dtype=bool)
         in_set[seed_arr] = True
-        frontier = seed_arr
+        found = frontier = seed_arr  # found: the seed, then each round's frontier
         while frontier.size:
+            right = found[: max(seed_arr.size, _ROUND_READS // frontier.size)]
             hit = np.zeros(self.n, dtype=bool)
-            hit[table[np.ix_(frontier, seed_arr)]] = True
+            hit[table[np.ix_(frontier, right)]] = True
             frontier = np.flatnonzero(hit & ~in_set)
             in_set[frontier] = True
+            if found.size < _ROUND_READS:
+                found = np.concatenate((found, frontier[: _ROUND_READS - found.size]))
         return in_set
 
     def _magma_closure_mask(
@@ -191,37 +199,49 @@ class Semigroup:
     # -- omega caches --------------------------------------------------------
 
     def _build_power_caches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per element s: the idempotent power s^e, the least such e >= 1,
+        and the period p of the powers of s, in O(sqrt(n)) gathers.
+
+        The powers are walked one product at a time for up to
+        m = ceil(sqrt(n)) steps, which settles every s with e <= m (and
+        p <= e).  For the rest, y = s^(m*m) lies in the cycle of <s>, as
+        index + period - 1 <= n; baby steps y s^b (b < m) against giant steps
+        y s^(a m) give p, the idempotent is s^(c p) for c p >= m*m, and the
+        index i, the first power it fixes, gives e = p * ceil(i / p).
+        """
         n, table = self.n, self.table
-        base = np.arange(n, dtype=np.int64)
-        pw = base.copy()
-        omega = np.full(n, -1, dtype=np.int64)
-        omega_exp = np.zeros(n, dtype=np.int64)
-        e = 1
-        pending = np.ones(n, dtype=bool)
-        while pending.any():
-            idem = table[pw, pw] == pw
-            found = pending & idem
-            omega[found] = pw[found]
-            omega_exp[found] = e
-            pending &= ~idem
-            if not pending.any():
-                break
-            pw = table[pw, base].astype(np.int64)
-            e += 1
-            if e > 2 * n + 2:
-                raise AssertionError("omega iteration overran; table corrupt")
-        period = np.zeros(n, dtype=np.int64)
-        cur = table[omega, base].astype(np.int64)
-        p = 1
-        pending = np.ones(n, dtype=bool)
-        while pending.any():
-            done = pending & (cur == omega)
-            period[done] = p
-            pending &= ~done
-            cur = table[cur, base].astype(np.int64)
-            p += 1
-            if p > n + 1:
-                raise AssertionError("period iteration overran; table corrupt")
+        m = math.isqrt(n - 1) + 1
+        steps = [np.arange(n, dtype=np.int64)]  # steps[j - 1] = s^j
+        pending = table[steps[0], steps[0]] != steps[0]
+        while pending.any() and len(steps) < m:
+            steps.append(table[steps[-1], steps[0]].astype(np.int64))
+            pending &= table[steps[-1], steps[-1]] != steps[-1]
+        steps = np.stack(steps)
+        omega_exp = np.argmax(table[steps, steps] == steps, axis=0) + 1
+        omega = steps[omega_exp - 1, np.arange(n)]
+        period = np.argmax(table[omega, steps] == omega, axis=0) + 1
+        if pending.any():
+            cols = np.flatnonzero(pending)
+            steps, at = steps[:, cols], np.arange(cols.size)
+            giant = [steps[-1]]  # giant[a - 1] = s^(a m), a <= 2m
+            for _ in range(2 * m - 1):
+                giant.append(table[giant[-1], steps[-1]].astype(np.int64))
+            giant = np.stack(giant)
+
+            def power(e: np.ndarray) -> np.ndarray:  # s^e for 1 <= e <= 2m*m
+                hi, lo = np.divmod(e - 1, m)
+                return np.where(hi == 0, steps[lo, at], table[giant[hi - 1, at], steps[lo, at]])
+
+            y = giant[m - 1]
+            # the first giant step to meet a baby step y s^b meets it at p = a m - b, b largest
+            match = np.vstack((y, table[y, steps[:-1]])) == giant[m:, None]
+            a = np.argmax(match.any(axis=1), axis=0)
+            p = (a + 1) * m - (m - 1 - np.argmax(match[a, ::-1, at], axis=1))
+            om = power(-(-m * m // p) * p)
+            first = np.argmax(table[om, giant] == giant, axis=0)  # the block holding i
+            block = power(first * m + np.arange(1, m + 1)[:, None])
+            index = first * m + 1 + np.argmax(table[om, block] == block, axis=0)
+            omega[cols], omega_exp[cols], period[cols] = om, -(-index // p) * p, p
         return omega, omega_exp, period
 
     @property

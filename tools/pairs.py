@@ -3,7 +3,10 @@
     python3 tools/pairs.py --topic group_batch_reuse --workloads group-batch --pairs 10
 
 The change is this checkout's working tree; the parent is a ``git worktree``
-of --base (default HEAD~1), or an existing checkout given as --base-dir.
+of --base (default HEAD~1), or an existing checkout given as --base-dir.  A
+--base-dir, say a ``git archive`` export with no ``.git`` to read, must come
+with --base-commit, the commit it holds, which the file records as
+``base.commit``; without it the script refuses (exit 2) before any run.
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds N`` once in
 each tree, one run at a time, the parent first in even pairs and the change
 first in odd ones, so drift in machine speed falls on both sides.  Pair i uses
@@ -97,7 +100,10 @@ def main(argv=None) -> int:
     where = ap.add_mutually_exclusive_group()
     where.add_argument("--base", default="HEAD~1", help="git ref checked out as the parent")
     where.add_argument("--base-dir", type=Path, help="an existing checkout to use as the parent")
+    ap.add_argument("--base-commit", help="the commit --base-dir holds (required with it)")
     args = ap.parse_args(argv)
+    if bool(args.base_dir) != bool(args.base_commit):
+        ap.error("--base-dir and --base-commit go together: the file records the parent's commit")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
@@ -121,7 +127,7 @@ def main(argv=None) -> int:
             "order": "parent first in even pairs (0-based), change first in odd pairs",
             "base": {
                 "ref": base_ref,
-                "commit": git("rev-parse", "HEAD", cwd=base_tree) if (base_tree / ".git").exists() else None,
+                "commit": args.base_commit or git("rev-parse", "HEAD", cwd=base_tree),
             },
             "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--", "src"))},
             "machine": {
