@@ -113,7 +113,7 @@ class Semigroup:
         while frontier.size:
             right = found[: max(seed_arr.size, _ROUND_READS // frontier.size)]
             hit = np.zeros(self.n, dtype=bool)
-            hit[table[np.ix_(frontier, right)]] = True
+            hit[table[frontier[:, None], right]] = True
             frontier = np.flatnonzero(hit & ~in_set)
             in_set[frontier] = True
             if found.size < _ROUND_READS:

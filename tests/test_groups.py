@@ -14,7 +14,7 @@ from slpforge.groups import (
     quotient_group,
     subgroup_closure,
 )
-from slpforge.semigroup import closure, sub_semigroup
+from slpforge.semigroup import closure, direct_product, sub_semigroup
 from slpforge.sets import ElementSet
 
 from conftest import py_closure, table_of
@@ -168,6 +168,47 @@ def test_derived_series_past_one_commutator_block(S):
     expected = _py_derived_series(G, table_of(S))
     assert [set(t) for t in derived_series(G).terms] == expected
     assert len(expected) == 3
+
+
+def _all_pairs_derived_series(G):
+    """Reference: each term closes every commutator pair of the one before,
+    the construction derived_series used before it took normal closures;
+    the closure is the python oracle's."""
+    table, rows = G.base.table, table_of(G.base)
+    terms = [set(G.carrier)]
+    while True:
+        mem = np.asarray(sorted(terms[-1]), dtype=np.int64)
+        inv = np.asarray([G.inverse[int(g)] for g in mem], dtype=np.int64)
+        comms = table[table[table[inv[:, None], inv], mem[:, None]], mem]
+        nxt = py_closure(rows, np.unique(comms).tolist())
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+        if len(nxt) == 1:
+            return terms
+
+
+ZOO_GROUPS = [
+    ("cyclic", [1]), ("cyclic", [12]), ("abelian", [2, 6, 4]), ("abelian", [32, 32]),
+    ("dihedral", [4]), ("dihedral", [8]), ("dihedral", [75]), ("dihedral", [256]),
+    ("heisenberg", [3]), ("heisenberg", [5]), ("heisenberg", [7]),
+    ("sym", [3]), ("sym", [4]), ("sym", [5]), ("alt", [4]), ("alt", [5]),
+]
+
+
+@pytest.mark.parametrize("family,params", ZOO_GROUPS, ids=[f"{f}{p}" for f, p in ZOO_GROUPS])
+def test_derived_series_matches_all_commutator_pairs(family, params):
+    S, _, _ = zoo.build_family(family, params)
+    G = group_view(S)
+    assert [set(t) for t in derived_series(G).terms] == _all_pairs_derived_series(G)
+
+
+def test_derived_series_of_a_direct_product_matches_all_commutator_pairs():
+    # S3 x S4 has derived length 3 and needs more than two generators
+    G = group_view(direct_product(zoo.make_sym(3), zoo.make_sym(4)))
+    chain = derived_series(G)
+    assert [t.cardinality for t in chain.terms] == [144, 36, 4, 1]
+    assert [set(t) for t in chain.terms] == _all_pairs_derived_series(G)
 
 
 def test_derived_series_abelian():

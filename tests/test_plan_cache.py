@@ -229,6 +229,34 @@ def test_solvable_plan_eliminates_inverses_once(monkeypatch):
     assert len(eliminations) == 1 and len(quotients) == planned
 
 
+def test_solvable_plan_builds_each_quotient_once(monkeypatch):
+    S, gens = _instance("dihedral", (8,))
+    quotients = _counting(monkeypatch, solvable, "quotient_group")
+    targets = sorted(closure(S, gens))
+    fresh = [_fresh(S, gens, t, "group-solvable") for t in targets]
+    quotients.clear()
+    reused = Semigroup(S.table)
+    assert [_answer(reused, gens, t, "group-solvable") for t in targets] == fresh
+    # D16 > D16' > 1: G/G' (shared by the adapted set and the first level),
+    # G/G'' for the adapted set, and G'/G'' for the second level
+    assert len(quotients) == 3
+
+
+@pytest.mark.parametrize(
+    "S", [zoo.make_dihedral(8), zoo.make_sym(4), zoo.make_heisenberg(3)], ids=["D16", "S4", "H3"]
+)
+def test_classify_on_a_group_carves_nothing_and_builds_one_derived_series(monkeypatch, S):
+    carves = _counting(monkeypatch, semigroup_mod, "sub_semigroup")
+    monkeypatch.setattr(classify_mod, "sub_semigroup", semigroup_mod.sub_semigroup)
+    series = _counting(monkeypatch, groups_mod, "_derived_series")
+    report = classify(Semigroup(S.table))
+    assert report.is_group and report.groups_solvable
+    assert report.recommended == "group-solvable-bw"
+    # the group is its own H-class: maximal_subgroups_solvable reads the
+    # derived series that recommend's group route built on the same table
+    assert carves == [] and len(series) == 1
+
+
 @pytest.mark.parametrize("family,params", BAND_INSTANCES)
 def test_band_decomposition_and_class_groups_built_once(monkeypatch, family, params):
     S, gens = _instance(family, params)

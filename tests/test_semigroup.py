@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -304,6 +305,49 @@ def test_closure_idempotent_and_monotone_on_zoo(zoo_small):
         assert sub.issubset(full), name
 
 
+def test_closure_matches_the_python_oracle_on_random_semigroups():
+    rng = random.Random(17)
+    for S in random_semigroups(60, seed=17):
+        table = table_of(S)
+        for size in (1, 2, 3):
+            gens = rng.sample(range(S.n), min(size, S.n))
+            assert set(closure(S, gens)) == py_closure(table, gens), (table, gens)
+
+
+def _dihedral_subgroup(m, gens):
+    """The subgroup of ``make_dihedral(m)`` that ``gens`` generate, by arithmetic.
+
+    (s, i)(t, j) = (s + t, i + (-1)^s j), so its rotations are the multiples
+    of the gcd of m, the rotations in gens and the differences of the
+    reflections in gens, and its reflections are one coset of them.
+    """
+    rots = [g for g in gens if g < m]
+    flips = [g - m for g in gens if g >= m]
+    d = math.gcd(m, *rots, *(f - flips[0] for f in flips))
+    members = set(range(0, m, d))
+    if flips:
+        members |= {m + (flips[0] + k) % m for k in range(0, m, d)}
+    return members
+
+
+@pytest.mark.parametrize("order", [2, 6, 64, 200, 2048])
+def test_closure_of_cyclic_and_dihedral_groups_matches_oracles(order):
+    # deep cyclic closures are where a round per power used to go
+    m = order // 2
+    rng = random.Random(order)
+    cyclic, dihedral = zoo.make_cyclic(order), zoo.make_dihedral(m)
+    cases = [(cyclic, [1], set(range(order))), (dihedral, [1 % order, m], set(range(order)))]
+    for size in (1, 1, 2, 3):
+        gens = rng.sample(range(order), min(size, order))
+        cases.append((cyclic, gens, {k % order for k in range(0, order, math.gcd(order, *gens))}))
+        cases.append((dihedral, gens, _dihedral_subgroup(m, gens)))
+    for S, gens, expect in cases:
+        got = set(closure(S, gens))
+        assert got == expect, (S.name, gens)
+        if order <= 200:
+            assert got == py_closure(table_of(S), gens), (S.name, gens)
+
+
 def test_closure_empty_raises():
     with pytest.raises(EmptyGeneratorsError):
         closure(zoo.make_cyclic(3), [])
@@ -593,3 +637,61 @@ def test_omega_cache_properties(zoo_small):
             assert int(om[s]) in members, name
             e = int(S.omega_exponents[s])
             assert S.power(s, e) == int(om[s]), name
+
+
+def _power_walk(S):
+    """Reference: (omega, omega exponent, period) raising every element one
+    power at a time, the construction the power caches used before they
+    took giant steps."""
+    n, table = S.n, S.table
+    base = np.arange(n, dtype=np.int64)
+    pw = base.copy()
+    omega = np.full(n, -1, dtype=np.int64)
+    omega_exp = np.zeros(n, dtype=np.int64)
+    e = 1
+    pending = np.ones(n, dtype=bool)
+    while pending.any():
+        idem = table[pw, pw] == pw
+        found = pending & idem
+        omega[found] = pw[found]
+        omega_exp[found] = e
+        pending &= ~idem
+        pw = table[pw, base].astype(np.int64)
+        e += 1
+    period = np.zeros(n, dtype=np.int64)
+    cur = table[omega, base].astype(np.int64)
+    p = 1
+    pending = np.ones(n, dtype=bool)
+    while pending.any():
+        done = pending & (cur == omega)
+        period[done] = p
+        pending &= ~done
+        cur = table[cur, base].astype(np.int64)
+        p += 1
+    return omega, omega_exp, period
+
+
+def _monogenic(index, period):
+    """<s> with the given index and period; element j - 1 is s^j."""
+    n = index + period - 1
+
+    def reduce(e):
+        return e if e < index + period else index + (e - index) % period
+
+    return validate_table([[reduce(a + b + 2) - 1 for b in range(n)] for a in range(n)])
+
+
+def _power_cases():
+    # index and period both above sqrt(n), one of them above, or neither
+    shapes = [(30, 40), (40, 30), (64, 65), (200, 57), (100, 100), (40, 3), (3, 40), (1, 200), (200, 1)]
+    cases = [(f"mono{i},{p}", _monogenic(i, p)) for i, p in shapes]
+    cases.append(("mono30,40 x mono9,4", direct_product(_monogenic(30, 40), _monogenic(9, 4))))
+    cases += [(f"random{k}", S) for k, S in enumerate(random_semigroups(80, seed=13))]
+    cases.append(("D1024", zoo.make_dihedral(512)))
+    return cases
+
+
+def test_power_caches_match_the_per_power_walk():
+    for name, S in _power_cases():
+        for got, expect, what in zip(S._build_power_caches(), _power_walk(S), ("omega", "exponent", "period")):
+            assert np.array_equal(got, expect), (name, what)
