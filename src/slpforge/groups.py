@@ -188,7 +188,8 @@ def grow_span(
     """Append to ``gens``, in order, each candidate whose image under ``proj``
     escapes ``cur``, the span in H of the images of ``gens``, closing the
     span again after each one; returns the span and the positions taken.
-    Only a candidate that escapes costs a closure, and it doubles the span.
+    Only a candidate that escapes costs a closure, and it at least doubles
+    the span.
     """
     taken: list[int] = []
     i = 0
