@@ -37,7 +37,14 @@ FAMILIES = {
     "clifford-z4-z2": [],
     "nilpotent-rb": [2, 2, 3, 3],
 }
-GROUPS = {"S4": ("sym", [4]), "A4": ("alt", [4]), "D8": ("dihedral", [4])}
+# H3, the Heisenberg group mod 3, is the one with a level of two generators
+# (G/G' = Z3 x Z3) whose normal forms take exponents >= 2
+GROUPS = {
+    "S4": ("sym", [4]),
+    "A4": ("alt", [4]),
+    "D8": ("dihedral", [4]),
+    "H3": ("heisenberg", [3]),
+}
 
 PINNED = {
     'S4/group-solvable': 'cefd17bb220097ab426e38621a348e8f2bb526a7ba265265fa9e6b3ab1041e38',
@@ -49,6 +56,9 @@ PINNED = {
     'D8/group-solvable': '36225badbf1d84f00c8500679d4cd7831a82a20b74629dc3f024145046d1445c',
     'D8/group-solvable-bw': '2f010fdef0734a802a4c4a225a2efa8dd4ac72015f3c41dfa8695e4cff58bd98',
     'D8/group-bsz': '43333a7099e96269a6cafe8993a20b2b61393591945d2605b69c2c30b3b86e8e',
+    'H3/group-solvable': '1a2d95da781a1fb5b62bf31e9bd361703c0be336d01c90a3560602d46e0edb60',
+    'H3/group-solvable-bw': 'e9125bab48344ba97fa81b76f924964dc12bacc6ba65a2f7658419408fb75eaf',
+    'H3/group-bsz': 'b36271f68ad32c02c3c21ddd08d77a70c781acf9390f862c693b4d1327addd90',
     'rb/auto': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
     'rb/normal-band': '6c6afd863862f5cba856419eeefe09e53726096952c3942d7e8976f7eaeb3791',
     'rb/general': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
