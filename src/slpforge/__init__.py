@@ -43,11 +43,9 @@ from .slp import (
     CostReport,
     EvalTrace,
     Slp,
-    append_compose,
     eliminate_inverses,
     evaluate,
     fast_exp,
-    inline_subroutine,
     verify,
 )
 

@@ -3,10 +3,9 @@
 If the target misses the ideal S^k it is a short product.  Otherwise the
 ideal is generated by the values of generator words of length at most 2k - 1,
 listed from the table's memoised word tree (``shortest_words``).  The inner
-strategy compresses inside the ideal over those values, its program is
-relabelled onto S, and every inner load is inlined with its witness word
-through one shared scratch register (one extra register, factor 4k - 3 in
-length).
+strategy compresses inside the ideal over those values, and its program is
+re-emitted onto S with every load written as its witness word through one
+shared scratch register (one extra register, factor 4k - 3 in length).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from ..errors import SlpforgeError, UnreachableError
 from ..semigroup import (
     Semigroup, cached_sub_semigroup, closure, ideal_power, shortest_word, shortest_words,
 )
-from ..slp import Slp, inline_subroutine
+from ..slp import Slp, SlpBuilder
 from .base import word_program
 
 InnerStrategy = Callable[[Semigroup, list[int], int], Slp]
@@ -57,17 +56,17 @@ def nilpotent_peel(
     gens = tuple(int(g) for g in gens)
     delta = S.cached(("ideal_generators", gens, k), lambda: ideal_generators(S, gens, k))
     sub, to_sub, to_parent = cached_sub_semigroup(S, sk)
-    delta_sub = [int(to_sub[v]) for v, _ in delta]
-    inner_prog = inner(sub, delta_sub, int(to_sub[t]))
-    lifted = inner_prog.relabel(to_parent)
-    subs = {}
+    inner_prog = inner(sub, [int(to_sub[v]) for v, _ in delta], int(to_sub[t]))
     by_value = {v: w for v, w in delta}
-    for idx, val in enumerate(lifted.alphabet):
+    b = SlpBuilder(is_group=inner_prog.is_group)
+    scratch = max(inner_prog.registers()) + 1
+    for ins in inner_prog.instructions:
+        if ins[0] != "L":
+            b.instructions.append(ins)
+            continue
+        val = int(to_parent[inner_prog.alphabet[ins[2]]])
         word = by_value.get(val)
         if word is None:
             raise SlpforgeError(f"inner program loads a value {val} outside delta")
-        if len(word) > 1:
-            subs[idx] = word_program(word)
-    if not subs:
-        return lifted.canonical()
-    return inline_subroutine(lifted, subs)
+        b.word_product(word, ins[1], scratch)
+    return b.finish(inner_prog.output)

@@ -3,17 +3,18 @@ sets, and polycyclic sets with width-3 provenance programs.
 
 Three layers:
 
-* ``adapt_subnormal`` lifts per-quotient programs along the levels of a
-  subnormal series with an adapted generating set (``adapted_levels``; each
-  program relabelled from quotient values to generators) and splices them
-  after one another, accumulating the target left to right in one extra
-  register.
+* ``adapt_subnormal`` walks the levels of a subnormal series with an
+  adapted generating set (``adapted_levels``): per level it writes the
+  residual target's normal form in the abelian quotient as a simultaneous
+  square-and-multiply over the generators' registers, and accumulates the
+  lifts left to right in one extra register.
 
 * ``compress_group_solvable`` builds a generating set adapted to the derived
   series out of conjugates and commutators (each rederivable in at most 7
   group instructions) and eliminates the inverses of its program once, in
-  the plan; each target runs the adapted-series walk, which has no INV,
-  after that program.  Length O(log |G|), width unbounded.
+  the plan; each target writes that program and then the adapted-series
+  walk, which has no INV, into one builder.  Length O(log |G|), width
+  unbounded.
 
 * ``compress_group_solvable_bounded`` builds a polycyclic generating set by
   layered conjugate-commutator closure, conjugating by the values of the
@@ -54,18 +55,17 @@ from ..groups import (
     quotient_group,
     subgroup_closure,
 )
-from ..semigroup import cached_sub_semigroup, closure, shortest_words
+from ..semigroup import cached_sub_semigroup, closure, shortest_word, shortest_words
 from ..sets import ElementSet
 from ..slp import (
     Slp,
     SlpBuilder,
-    append_compose,
     eliminate_inverses,
     evaluate,
     fast_exp,
     inverting_power,
 )
-from .permutative import compress_permutative
+from .permutative import minimize_exponents
 
 
 # -- adapted subnormal series ------------------------------------------------
@@ -117,49 +117,64 @@ def adapted_levels(
     return levels
 
 
-def adapt_subnormal(G: GroupView, levels: Sequence[Level], t: int) -> Slp:
-    """Accumulate t level by level through the chain's abelian quotients.
+def adapt_subnormal(
+    G: GroupView, levels: Sequence[Level], t: int, b: SlpBuilder, held: dict[int, int]
+) -> int:
+    """Write t into ``b`` level by level through the chain's abelian quotients;
+    returns the register that holds it.
 
-    Per level the residual target is projected into G_{i-1}/G_i, compressed
-    there (permutative with k = 0), and lifted by loading the generator instead
-    of its image.  One dedicated register accumulates the product of the lifts.
+    Per level the residual target is projected into G_{i-1}/G_i and written as
+    its normal form there (the shortest word's letters, exponents minimised
+    with k = 0), a simultaneous square-and-multiply that reads each generator
+    from its register ``held[g]``.  The first lift goes to an accumulator, each
+    later one to a level register that then multiplies the accumulator.  A
+    lift's value is its product in emission order: the quotient is abelian, G
+    need not be.
     """
-    level_programs: list[Slp] = []
-    t_prime = t
-    table = G.base.table
+    table, inverse = G.base.table, G.inverse
+    acc, lvl = b.fresh(), b.fresh()
+    out: Optional[int] = None
     for level in levels:
-        if t_prime not in level.term:
+        if t not in level.term:
             raise SlpforgeError("residual target escaped its chain term")
         Q = level.quotient
-        x = int(Q.projection[level.to_sub[t_prime]])
+        x = int(Q.projection[level.to_sub[t]])
         if x == Q.group.identity:
             continue
-        lifted = compress_permutative(Q.semigroup, level.qgens, x, kstar=0).relabel(level.rep)
-        t_i = evaluate(G.base, lifted).output_value
-        level_programs.append(lifted)
-        t_prime = table.item(G.inverse[t_i], t_prime)
-    if t_prime != G.identity:
+        word = shortest_word(Q.semigroup, level.qgens, x)  # qgens generate Q: adapted
+        order = list(dict.fromkeys(level.qgens[i] for i in word))
+        nf = minimize_exponents(Q.semigroup, [], order, [], x)
+        dst = acc if out is None else lvl
+        reg = val = None
+        for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
+            if reg is not None:
+                b.mul(dst, reg, reg)
+                reg, val = dst, table.item(val, val)
+            for q, e in zip(nf.order, nf.exponents):
+                if e >> bit & 1:
+                    g = level.rep[q]
+                    if reg is None:
+                        reg, val = held[g], g
+                    else:
+                        b.mul(dst, reg, held[g])
+                        reg, val = dst, table.item(val, g)
+        if out is None:
+            out = reg
+        else:
+            b.mul(acc, out, reg)
+            out = acc
+        t = table.item(inverse[val], t)
+    if t != G.identity:
         raise SlpforgeError("chain walk did not exhaust the target")
-    if not level_programs:
+    if out is None:
         # the identity, as a power of the first generator (G trivial: itself)
         g = levels[0].rep[levels[0].qgens[0]] if levels else G.identity
-        return fast_exp(g, G.element_order(g))
-    return _accumulate(level_programs)
-
-
-def _accumulate(programs: list[Slp]) -> Slp:
-    """Concatenate level programs over a shared block plus one accumulator."""
-    acc = max(len(p.registers()) for p in programs)
-    first, *rest = programs
-    out = SlpBuilder()
-    scratch = [r for r in first.registers() if r != first.output]
-    ren = {r: i for i, r in enumerate(scratch)}
-    ren[first.output] = acc
-    out.splice(first, ren)
-    for prog in rest:
-        ren = {r: i for i, r in enumerate(prog.registers())}
-        out.mul(acc, acc, out.splice(prog, ren))
-    return out.finish(acc)
+        e = G.element_order(g)
+        if e == 1:
+            return held[g]
+        b.fast_exp_into(acc, held[g], e)
+        return acc
+    return out
 
 
 # -- derived-series generating set (unbounded width) -------------------------
@@ -279,35 +294,46 @@ def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
 class SolvablePlan:
     """Target-independent part of the unbounded-width construction.
 
-    ``program`` computes every record of ``delta`` without INV; ``levels``
-    are the derived series' steps for ``delta``'s values.
+    ``program`` computes every record of ``delta`` without INV, and ``held``
+    maps each value to the lowest register holding it after ``program`` ran;
+    ``levels`` are the derived series' steps for ``delta``'s values.
     """
 
     delta: DeltaSet
     chain: SeriesChain
     program: Slp
+    held: dict[int, int]
     levels: list[Level]
 
 
 def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
-    """Derived-adapted set, its inverse-free program and the chain's levels."""
+    """Derived-adapted set, its inverse-free program, the register holding
+    each value the program leaves, and the chain's levels."""
     chain = derived_series(G)
     if not chain.is_trivial_terminal:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
     levels = adapted_levels(G, delta.values, chain, top=delta.top)
-    return SolvablePlan(delta, chain, eliminate_inverses(G, emit_delta_program(G, delta)), levels)
+    program = eliminate_inverses(G, emit_delta_program(G, delta))
+    # from the highest register down, so the lowest holding a value wins
+    registers = sorted(evaluate(G.base, program).registers.items(), reverse=True)
+    return SolvablePlan(delta, chain, program, {v: r for r, v in registers}, levels)
 
 
 def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
 
     The plan is built once per generator list and memoised on the table, so
-    later targets only walk its levels and run after its program.
+    a target copies its program and walks its levels in one builder.  The
+    walk's registers lie above every register of the program, which need not
+    be numbered from 0.
     """
     sigma = tuple(int(s) for s in sigma)
     plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
-    return append_compose(G.base, adapt_subnormal(G, plan.levels, t), plan.program)
+    b = SlpBuilder()
+    regs = plan.program.registers()
+    b.splice(plan.program, dict(zip(regs, regs)))
+    return b.finish(adapt_subnormal(G, plan.levels, t, b, plan.held))
 
 
 # -- polycyclic generating set (bounded width) --------------------------------

@@ -7,9 +7,10 @@ A program is a sequence of instructions over registers:
     ("I", dst, a)      dst <- a^-1         (group programs only)
 
 Length is the instruction count, width the number of distinct registers
-referenced.  Programs are immutable values; composition operators return new
-programs.  Register numbering is canonicalised to first-assignment order so
-that metrics and file round-trips are reproducible bit for bit.
+referenced.  Programs are immutable values; a strategy composes pieces by
+emitting them into one ``SlpBuilder`` (``splice``, ``word_product``).  Register
+numbering is canonicalised to first-assignment order so that metrics and file
+round-trips are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -216,20 +217,10 @@ class SlpBuilder:
             if b == "1":
                 self.mul(acc, acc, base)
 
-    def _copy(self, ins: tuple, alphabet: Sequence[int], ren: Mapping[int, int], dst: int) -> None:
-        """Emit one instruction of a program over ``alphabet`` into ``dst``,
-        each register r it reads written as ren[r]."""
-        if ins[0] == "L":
-            self.instructions.append(("L", dst, self.symbol(alphabet[ins[2]])))
-        elif ins[0] == "M":
-            self.instructions.append(("M", dst, ren[ins[2]], ren[ins[3]]))
-        else:
-            self.instructions.append(("I", dst, ren[ins[2]]))
-
     def splice(self, prog: Slp, ren: Mapping[int, int]) -> int:
         """Re-emit ``prog`` with each register r written as ren[r]; returns the
-        register that holds its output.  Its alphabet values are interned."""
-        # ``_copy`` inlined: the emitters splice on every target
+        register that holds its output.  Its alphabet values are interned, and
+        ``fresh`` hands out no register it wrote."""
         emit, symbol, alphabet = self.instructions.append, self.symbol, prog.alphabet
         for ins in prog.instructions:
             if ins[0] == "M":
@@ -238,6 +229,7 @@ class SlpBuilder:
                 emit(("L", ren[ins[1]], symbol(alphabet[ins[2]])))
             else:
                 emit(("I", ren[ins[1]], ren[ins[2]]))
+        self._next_reg = max(self._next_reg, max(ren.values()) + 1)
         return ren[prog.output]
 
     def finish(self, output: int) -> Slp:
@@ -258,66 +250,6 @@ def fast_exp(symbol: int, n: int) -> Slp:
     acc = b.fresh()
     b.fast_exp_into(acc, base, n)
     return b.finish(acc)
-
-
-def _final_value_registers(S: Semigroup, prog: Slp) -> dict[int, int]:
-    """Value -> smallest register holding it after the program ran."""
-    trace = evaluate(S, prog)
-    out: dict[int, int] = {}
-    for reg in sorted(trace.registers):
-        val = trace.registers[reg]
-        out.setdefault(val, reg)
-    return out
-
-
-def append_compose(S: Semigroup, prog_a: Slp, prog_b: Slp) -> Slp:
-    """Run prog_b first, then prog_a with outsourced loads wired to b's registers.
-
-    Every load of prog_a whose value prog_b ends up holding is outsourced: it
-    is replaced by a reference to the register of prog_b holding that value at
-    the end of its run (no copy is emitted).  Length <= len(a) + len(b);
-    width <= width(a) + width(b).
-    """
-    holding = _final_value_registers(S, prog_b)
-    outsource_set = {k for k, v in enumerate(prog_a.alphabet) if v in holding}
-    base = max(prog_b.registers()) + 1
-    out = SlpBuilder(is_group=prog_a.is_group or prog_b.is_group)
-    out.splice(prog_b, {r: r for r in prog_b.registers()})
-    # an outsourced load emits nothing and rebinds its register to b's copy
-    # until the next write, so a's reads follow the latest binding
-    cur: dict[int, int] = {}
-    for ins in prog_a.instructions:
-        if ins[0] == "L" and ins[2] in outsource_set:
-            cur[ins[1]] = holding[prog_a.alphabet[ins[2]]]
-        else:
-            out._copy(ins, prog_a.alphabet, cur, base + ins[1])
-            cur[ins[1]] = base + ins[1]
-    return out.finish(cur[prog_a.output])
-
-
-def inline_subroutine(prog_a: Slp, subprograms: dict[int, Slp]) -> Slp:
-    """Replace loads of the symbols keyed in ``subprograms`` by re-emitted
-    subprograms.
-
-    Each subprogram's output register is retargeted to the load destination;
-    its scratch registers map into one shared pool, so the composite width is
-    width(a) + max(sub width - 1).
-    """
-    if any(sub.is_group for sub in subprograms.values()) and not prog_a.is_group:
-        raise InvalidProgramError("group subprogram inside a plain program")
-    same = {r: r for r in prog_a.registers()}
-    pool_base = max(same) + 1
-    out = SlpBuilder(is_group=prog_a.is_group)
-    for ins in prog_a.instructions:
-        if ins[0] == "L" and ins[2] in subprograms:
-            sub = subprograms[ins[2]]
-            scratch = [r for r in sub.registers() if r != sub.output]
-            ren = {r: pool_base + i for i, r in enumerate(scratch)}
-            ren[sub.output] = ins[1]
-            out.splice(sub, ren)
-        else:
-            out._copy(ins, prog_a.alphabet, same, ins[1])
-    return out.finish(prog_a.output)
 
 
 class _MirrorState:

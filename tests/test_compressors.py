@@ -44,7 +44,7 @@ from slpforge.errors import (
 from slpforge.groups import derived_series, group_view, is_adapted, subgroup_closure
 from slpforge.membership import member_certified
 from slpforge.semigroup import closure, ideal_power, shortest_word
-from slpforge.slp import Slp, eliminate_inverses, evaluate
+from slpforge.slp import Slp, SlpBuilder, eliminate_inverses, evaluate
 
 from conftest import py_shortest_words, random_semigroups, table_of
 
@@ -303,7 +303,12 @@ def test_adapt_subnormal_s3():
     chain = derived_series(G)
     levels = adapted_levels(G, [swap, cycle], chain)
     for t in range(6):
-        prog = adapt_subnormal(G, levels, t)
+        # the walk reads the generators from registers the caller filled
+        b = SlpBuilder()
+        held = {g: b.fresh() for g in (swap, cycle)}
+        for g, r in held.items():
+            b.load(r, g)
+        prog = b.finish(adapt_subnormal(G, levels, t, b, held))
         assert evaluate(S, prog).output_value == t
 
 
@@ -315,7 +320,7 @@ def test_adapt_subnormal_rejects_unadapted():
     from slpforge.errors import NotAdaptedError
 
     with pytest.raises(NotAdaptedError):
-        adapt_subnormal(G, adapted_levels(G, [swap], chain), swap)
+        adapted_levels(G, [swap], chain)
 
 
 def test_derived_adapted_set_levels():
@@ -739,3 +744,18 @@ def test_ideal_generators_match_reference_search_on_random_tables():
         gens.insert(rng.randrange(m + 1), rng.randrange(m))  # a repeat
         for k in (1, 2, 3):
             assert peel.ideal_generators(S, gens, k) == _ref_ideal_generators(S, gens, k), k
+
+
+@pytest.mark.parametrize(
+    "S",
+    [zoo.make_cyclic(n) for n in range(1, 7)] + [zoo.make_sym(3)],
+    ids=[f"Z{n}" for n in range(1, 7)] + ["S3"],
+)
+def test_group_strategies_with_every_element_as_a_generator(S):
+    # the identity and repeated generators among the generators; an
+    # inverse-free plan program need not use register 0
+    for gens in (list(range(S.n)), list(range(S.n - 1, -1, -1)) + [0, S.n - 1]):
+        for name in GROUP_STRATEGIES:
+            for t in range(S.n):
+                slp = compress(S, gens, t, name).slp
+                assert evaluate(S, slp).output_value == t, (name, gens, t)

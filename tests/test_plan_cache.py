@@ -11,6 +11,7 @@ that does not lend its entries to the whole group.
 import functools
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -30,6 +31,7 @@ from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
 from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure, sub_semigroup
+from slpforge.slp import Slp
 
 # the package re-exports functions under some of these modules' names
 classify_mod = importlib.import_module("slpforge.classify")
@@ -37,6 +39,8 @@ decomposition_mod = importlib.import_module("slpforge.decomposition")
 general_mod = importlib.import_module("slpforge.compressors.general")
 groups_mod = importlib.import_module("slpforge.groups")
 semigroup_mod = importlib.import_module("slpforge.semigroup")
+slp_mod = importlib.import_module("slpforge.slp")
+permutative_mod = importlib.import_module("slpforge.compressors.permutative")
 
 # the abelian table is the one instance on which ``permutative`` applies
 INSTANCES = [("dihedral", (8,)), ("dihedral", (16,)), ("heisenberg", (3,)), ("abelian", (2, 4, 4))]
@@ -212,6 +216,16 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _counting_everywhere(monkeypatch, module, name):
+    """``_counting``, also under every name a package module imported it by."""
+    original = getattr(module, name)
+    calls = _counting(monkeypatch, module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("slpforge.") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, getattr(module, name))
+    return calls
+
+
 def test_solvable_plan_eliminates_inverses_once(monkeypatch):
     S, gens = _instance("dihedral", (8,))
     targets = sorted(closure(S, gens))
@@ -227,6 +241,24 @@ def test_solvable_plan_eliminates_inverses_once(monkeypatch):
     for t, expect in zip(targets[1:], fresh[1:]):
         assert _answer(reused, gens, t, "group-solvable") == expect, t
     assert len(eliminations) == 1 and len(quotients) == planned
+
+
+@pytest.mark.parametrize("family,params", [("dihedral", (8,)), ("heisenberg", (3,))])
+def test_solvable_target_on_a_reused_table_builds_one_program(monkeypatch, family, params):
+    S, gens = _instance(family, params)
+    targets = sorted(closure(S, gens))
+    compress(S, gens, targets[0], "group-solvable")  # builds the plan
+    programs = []
+    check = Slp.__post_init__
+    monkeypatch.setattr(Slp, "__post_init__", lambda self: programs.append(1) or check(self))
+    evaluations = _counting_everywhere(monkeypatch, slp_mod, "evaluate")
+    permutative = _counting_everywhere(monkeypatch, permutative_mod, "compress_permutative")
+    for t in targets[1:]:
+        programs.clear(), evaluations.clear()
+        compress(S, gens, t, "group-solvable")
+        # the program itself, and the verification in compress
+        assert len(programs) == 1 and len(evaluations) == 1, t
+    assert permutative == []
 
 
 def test_solvable_plan_builds_each_quotient_once(monkeypatch):

@@ -12,11 +12,9 @@ from slpforge.slp import (
     Slp,
     SlpBuilder,
     _MirrorState,
-    append_compose,
     eliminate_inverses,
     evaluate,
     fast_exp,
-    inline_subroutine,
     verify,
 )
 
@@ -89,90 +87,6 @@ def test_fast_exp_integer_semantics(n):
     assert regs[prog.output] == n
     assert prog.length <= 2 * math.floor(math.log2(n)) + 1
     assert prog.width == (2 if n >= 2 else 1)
-
-
-def test_append_compose_basic():
-    Z7 = zoo.make_cyclic(7)
-    # B computes 4 = 1+1+1+1 in four instructions
-    b = SlpBuilder()
-    r = b.fresh()
-    b.load(r, 1)
-    for _ in range(3):
-        s = b.fresh()
-        b.load(s, 1)
-        b.mul(r, r, s)
-        break
-    b2 = SlpBuilder()
-    acc, scr = b2.fresh(), b2.fresh()
-    b2.word_product([1, 1, 1, 1], acc, scr)
-    progB = b2.finish(acc)
-    progA = Slp((4,), (("L", 0, 0),), 0)
-    out = append_compose(Z7, progA, progB)
-    assert evaluate(Z7, out).output_value == 4
-    assert out.length <= progA.length + progB.length
-    assert out.width <= progA.width + progB.width
-
-
-def test_append_compose_register_overwrite_isolated():
-    Z9 = zoo.make_cyclic(9)
-    progB = fast_exp(1, 3)  # value 3 in some register
-    # A loads delta=3, multiplies by itself, then overwrites its register
-    progA = Slp(
-        (3, 1),
-        (("L", 0, 0), ("M", 1, 0, 0), ("L", 0, 1), ("M", 1, 1, 0)),
-        1,
-    )
-    out = append_compose(Z9, progA, progB)
-    assert evaluate(Z9, out).output_value == (3 + 3 + 1) % 9
-
-
-def test_inline_subroutine_value_and_width():
-    Z11 = zoo.make_cyclic(11)
-    # A: load delta twice and multiply
-    progA = Slp((4,), (("L", 0, 0), ("L", 1, 0), ("M", 2, 0, 1)), 2)
-    sub = fast_exp(1, 4)
-    out = inline_subroutine(progA, {0: sub})
-    assert evaluate(Z11, out).output_value == 8
-    assert out.length <= progA.length * sub.length
-    assert out.width <= progA.width + sub.width - 1
-
-
-def test_inline_equivalence_randomised(zoo_small):
-    rng = random.Random(99)
-    cases = 0
-    for name, (S, gens, _) in zoo_small.items():
-        G = None
-        for _ in range(40):
-            # random plain program over gens with an extra symbol value
-            b = SlpBuilder()
-            regs = [b.fresh(), b.fresh(), b.fresh()]
-            b.load(regs[0], gens[0])
-            b.load(regs[1], gens[-1])
-            for _ in range(rng.randrange(1, 8)):
-                op = rng.random()
-                dst = rng.choice(regs)
-                if op < 0.4:
-                    b.load(dst, rng.choice(gens))
-                else:
-                    b.mul(dst, rng.choice(regs[:2]), rng.choice(regs[:2]))
-            progA = b.finish(rng.choice(regs[:2]))
-            # outsource one alphabet symbol through a word subprogram
-            sym = rng.randrange(len(progA.alphabet))
-            val = progA.alphabet[sym]
-            from slpforge.compressors import word_program
-            from slpforge.semigroup import shortest_word
-
-            w = shortest_word(S, gens, val)
-            if w is None:
-                continue
-            sub = word_program([gens[i] for i in w])
-            before = evaluate(S, progA).output_value
-            inlined = inline_subroutine(progA, {sym: sub})
-            assert evaluate(S, inlined).output_value == before, name
-            composed = append_compose(S, progA, sub)
-            assert evaluate(S, composed).output_value == before, name
-            cases += 2
-    assert cases >= 500
 
 
 def _random_group_slp(rng, gens, n_instr):
