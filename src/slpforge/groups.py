@@ -87,8 +87,9 @@ def _group_parts(S: Semigroup) -> tuple[int, dict[int, int]]:
     for e in idems:
         if e != neutral:
             raise NotAGroupError(f"extra idempotent {e}", witness=e)
-    # is_inv[i, j]: j is a two-sided inverse of i; the first one wins
-    is_inv = (table == neutral) & (table.T == neutral)
+    # is_inv[i, j]: i j is neutral, so j is also a left inverse (in a finite
+    # monoid a right inverse is two-sided); the first one wins
+    is_inv = table == neutral
     has_inv = is_inv.any(axis=1)
     if not has_inv.all():
         g = int(np.argmin(has_inv))

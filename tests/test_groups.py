@@ -50,6 +50,30 @@ def test_group_view_rejects_free_lrb():
         group_view(w.semigroup)
 
 
+def _two_sided_inverses(S, e) -> dict[int, int]:
+    """For each element, the least j with g j = j g = e."""
+    t = table_of(S)
+    return {g: next(j for j in range(S.n) if t[g][j] == e == t[j][g]) for g in range(S.n)}
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        zoo.make_cyclic(1),
+        zoo.make_cyclic(7),
+        zoo.make_sym(4),
+        zoo.make_alt(4),
+        zoo.make_heisenberg(3),
+        direct_product(zoo.make_sym(3), zoo.make_dihedral(4)),
+        zoo.make_dihedral(150),  # 300 elements, stored as uint16
+    ],
+    ids=["Z1", "Z7", "S4", "A4", "H3", "S3xD8", "D300"],
+)
+def test_group_view_inverses_are_two_sided(S):
+    G = group_view(S)
+    assert G.inverse == _two_sided_inverses(S, G.identity)
+
+
 def test_minimal_generating_subset_z6():
     S = zoo.make_cyclic(6)
     G = group_view(S)
