@@ -32,8 +32,8 @@ def dump_cay(
         out.write("# GENS " + " ".join(str(int(g)) for g in gens) + "\n")
     if target is not None:
         out.write(f"# TARGET {int(target)}\n")
-    for row in S.table:
-        out.write(" ".join(str(int(x)) for x in row) + "\n")
+    for row in S.table.tolist():
+        out.write(" ".join(map(str, row)) + "\n")
     return out.getvalue()
 
 

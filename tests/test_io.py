@@ -19,6 +19,14 @@ def test_cay_roundtrip_bit_exact(tmp_path):
     assert dump_cay(S2, gens=gens2, target=t2) == text
 
 
+@pytest.mark.parametrize("S", [zoo.make_sym(3), zoo.make_dihedral(150)], ids=["S3", "D300"])
+def test_cay_rows_match_the_per_element_layout(S):
+    # D300 has 300 elements, stored as uint16
+    rows = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in S.table)
+    text = dump_cay(S, gens=[0, 1], target=2)
+    assert text.endswith("# GENS 0 1\n# TARGET 2\n" + rows)
+
+
 def test_cay_comments_anywhere():
     text = "# leading comment\nCAYLEY 2\n0 1\n# middle\n1 0\n# GENS 1\n"
     S, gens, target = parse_cay(text)
