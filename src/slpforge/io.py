@@ -32,8 +32,9 @@ def dump_cay(
         out.write("# GENS " + " ".join(str(int(g)) for g in gens) + "\n")
     if target is not None:
         out.write(f"# TARGET {int(target)}\n")
-    for row in S.table.tolist():
-        out.write(" ".join(map(str, row)) + "\n")
+    # row by row: the whole table as Python ints would take ~50 MB at n = 2048
+    for row in S.table:
+        out.write(" ".join(map(str, row.tolist())) + "\n")
     return out.getvalue()
 
 
