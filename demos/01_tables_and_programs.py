@@ -26,5 +26,4 @@ d8 = make_dihedral(4)
 rot = 1
 prog = fast_exp(rot, 3)
 print("rot^3 in the dihedral group of order 8:", evaluate(d8, prog).output_value)
-report = verify(d8, prog, evaluate(d8, prog).output_value)
-print("verified:", report.verified)
+print("verified:", verify(d8, prog, evaluate(d8, prog).output_value))

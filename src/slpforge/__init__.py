@@ -40,7 +40,6 @@ from .semigroup import (
 )
 from .sets import ElementSet
 from .slp import (
-    CostReport,
     EvalTrace,
     Slp,
     eliminate_inverses,

@@ -19,6 +19,7 @@ from . import zoo
 from .classify import Config, classify
 from .compressors import STRATEGIES, check_strategy, compress
 from .errors import SlpforgeError
+from .groups import group_view
 from .io import read_cay, read_slp, write_cay, write_slp
 from .membership import member_oracle
 from .semigroup import cached_closure
@@ -106,14 +107,9 @@ def cmd_verify(args) -> int:
     target = args.target if args.target is not None else sidecar_target
     if target is None:
         raise SlpforgeError("no target given")
-    if prog.is_group:
-        from .groups import group_view
-
-        report = verify_slp(S, prog, target, group=group_view(S))
-    else:
-        report = verify_slp(S, prog, target)
-    print(f"length={report.length} width={report.width} verified={report.verified}")
-    return 0 if report.verified else 1
+    ok = verify_slp(S, prog, target, group=group_view(S) if prog.is_group else None)
+    print(f"length={prog.length} width={prog.width} verified={ok}")
+    return 0 if ok else 1
 
 
 def cmd_member(args) -> int:

@@ -109,23 +109,22 @@ def compress_normal_band(
     aux = b.fresh() if mode == "wide" else None
     base = b._next_reg
 
-    r_t = b.splice(lift, {r: base + i for i, r in enumerate(lift.registers())})
+    r_t = b.splice(lift, base)
     om_exp = int(S.omega_exponents[t_alpha])
     if om_exp >= 2:
         b.fast_exp_into(r_e, r_t, om_exp)
     else:
         b.mul(r_e, r_t, r_t)
 
-    gren = {r: base + i for i, r in enumerate(gparent.registers())}
     live_vals: dict[int, int] = {}
     table = S.table
     for ins in gparent.instructions:
         if ins[0] == "M":
-            dst, a_, b_ = gren[ins[1]], gren[ins[2]], gren[ins[3]]
+            dst, a_, b_ = base + ins[1], base + ins[2], base + ins[3]
             b.mul(dst, a_, b_)
             live_vals[dst] = int(table[live_vals[a_], live_vals[b_]])
             continue
-        dst = gren[ins[1]]
+        dst = base + ins[1]
         sval = gparent.alphabet[ins[2]]
         wit = witness_of[sval]
         if mode == "wide":
@@ -142,7 +141,7 @@ def compress_normal_band(
                 b.mul(dst, dst, r_e)
             else:
                 helper = None
-                for r in gren.values():
+                for r in range(base, base + gparent.width):
                     if r != dst and r not in live_vals:
                         helper = r
                         break
@@ -165,7 +164,7 @@ def compress_normal_band(
                         b.mul(r_e, donor, donor)
                     b.mul(dst, dst, r_e)
         live_vals[dst] = sval
-    out = gren[gparent.output]
+    out = base + gparent.output
     slp = b.finish(out)
     trace = evaluate(S, slp)
     if trace.output_value != t:

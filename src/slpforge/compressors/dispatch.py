@@ -88,7 +88,6 @@ def compress(
         extras.update(fallback=True, fallback_reason=f"{type(exc).__name__}: {exc}")
     if to_parent is not None:
         slp = slp.relabel(to_parent)
-    report = verify(S, slp, t)
-    if not report.verified:
+    if not verify(S, slp, t):
         raise SlpforgeError(f"{chosen} program failed verification")
-    return CompressionReport(chosen, slp, report.length, report.width, t, extras)
+    return CompressionReport(chosen, slp, slp.length, slp.width, t, extras)

@@ -95,9 +95,8 @@ def _compress_sandwich(
     rewritten = band.slp.relabel({a: preimage[int(to_parent[a])] for a in band.slp.alphabet})
 
     b = SlpBuilder()
-    ren = {r: i for i, r in enumerate(rewritten.registers())}
-    out = b.splice(rewritten, ren)
-    aux = next((r for r in ren.values() if r != out), len(ren))
+    out = b.splice(rewritten, 0)
+    aux = 1 if out == 0 else 0  # any register but the output
     b.load(aux, u)
     b.mul(out, aux, out)
     b.load(aux, v)

@@ -58,8 +58,8 @@ def nilpotent_peel(
     sub, to_sub, to_parent = cached_sub_semigroup(S, sk)
     inner_prog = inner(sub, [int(to_sub[v]) for v, _ in delta], int(to_sub[t]))
     by_value = {v: w for v, w in delta}
-    b = SlpBuilder(is_group=inner_prog.is_group)
-    scratch = max(inner_prog.registers()) + 1
+    b = SlpBuilder()
+    scratch = inner_prog.width
     for ins in inner_prog.instructions:
         if ins[0] != "L":
             b.instructions.append(ins)

@@ -193,7 +193,7 @@ def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) 
     """Assemble the group SLP for a target already inside K^-1 K."""
     if t not in state.kk:
         raise NotInSubgroupError(f"target {t} is not covered by the cube")
-    b = SlpBuilder(is_group=True)
+    b = SlpBuilder()
     regs = [b.fresh() for _ in state.h_records]
     u1, u2, out = b.fresh(), b.fresh(), b.fresh()
     for i, rec in enumerate(state.h_records):

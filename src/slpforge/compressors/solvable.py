@@ -127,12 +127,18 @@ def adapt_subnormal(
     its normal form there (the shortest word's letters, exponents minimised
     with k = 0), a simultaneous square-and-multiply that reads each generator
     from its register ``held[g]``.  The first lift goes to an accumulator, each
-    later one to a level register that then multiplies the accumulator.  A
-    lift's value is its product in emission order: the quotient is abelian, G
-    need not be.
+    later one to a level register that then multiplies the accumulator; both
+    come from ``fresh()`` at their first write.  A lift's value is its product
+    in emission order: the quotient is abelian, G need not be.
     """
     table, inverse = G.base.table, G.inverse
-    acc, lvl = b.fresh(), b.fresh()
+    regs: dict[str, int] = {}
+
+    def written(role: str) -> int:
+        if role not in regs:
+            regs[role] = b.fresh()
+        return regs[role]
+
     out: Optional[int] = None
     for level in levels:
         if t not in level.term:
@@ -144,10 +150,11 @@ def adapt_subnormal(
         word = shortest_word(Q.semigroup, level.qgens, x)  # qgens generate Q: adapted
         order = list(dict.fromkeys(level.qgens[i] for i in word))
         nf = minimize_exponents(Q.semigroup, [], order, [], x)
-        dst = acc if out is None else lvl
+        role = "acc" if out is None else "lvl"
         reg = val = None
         for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
             if reg is not None:
+                dst = written(role)
                 b.mul(dst, reg, reg)
                 reg, val = dst, table.item(val, val)
             for q, e in zip(nf.order, nf.exponents):
@@ -156,11 +163,13 @@ def adapt_subnormal(
                     if reg is None:
                         reg, val = held[g], g
                     else:
+                        dst = written(role)
                         b.mul(dst, reg, held[g])
                         reg, val = dst, table.item(val, g)
         if out is None:
             out = reg
         else:
+            acc = written("acc")
             b.mul(acc, out, reg)
             out = acc
         t = table.item(inverse[val], t)
@@ -172,6 +181,7 @@ def adapt_subnormal(
         e = G.element_order(g)
         if e == 1:
             return held[g]
+        acc = written("acc")
         b.fast_exp_into(acc, held[g], e)
         return acc
     return out
@@ -267,7 +277,7 @@ def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
     """
     if not delta.records:
         raise SlpforgeError("empty generating set")
-    b = SlpBuilder(is_group=True)
+    b = SlpBuilder()
     reg: dict[int, int] = {}
     u = b.fresh()
     for rec in delta.records:
@@ -287,7 +297,7 @@ def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
             b.mul(r, r, reg[rec.g])
             b.mul(r, r, reg[rec.h])
         reg[rec.value] = r
-    return Slp(tuple(b.alphabet), tuple(b.instructions), reg[delta.records[-1].value], is_group=True)
+    return b.finish(reg[delta.records[-1].value])
 
 
 @dataclass(frozen=True)
@@ -324,15 +334,13 @@ def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
 
     The plan is built once per generator list and memoised on the table, so
-    a target copies its program and walks its levels in one builder.  The
-    walk's registers lie above every register of the program, which need not
-    be numbered from 0.
+    a target copies its program and walks its levels in one builder, the
+    walk's registers above the program's.
     """
     sigma = tuple(int(s) for s in sigma)
     plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
     b = SlpBuilder()
-    regs = plan.program.registers()
-    b.splice(plan.program, dict(zip(regs, regs)))
+    b.splice(plan.program, 0)
     return b.finish(adapt_subnormal(G, plan.levels, t, b, plan.held))
 
 

@@ -1,6 +1,7 @@
 """Text formats: .cay Cayley tables (with generator/target sidecars) and
 .slp straight-line programs.  Writers emit one canonical layout so that a
-write/read/write cycle is byte-identical.
+write/read/write cycle is byte-identical; a program read is renumbered into
+first-assignment order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import FormatError
 from .semigroup import Semigroup, validate_table
-from .slp import Slp
+from .slp import Slp, _renumbered
 
 PathLike = Union[str, Path]
 
@@ -118,7 +119,6 @@ def read_cay(path: PathLike) -> tuple[Semigroup, Optional[list[int]], Optional[i
 
 
 def dump_slp(prog: Slp) -> str:
-    prog = prog.canonical()
     out = io.StringIO()
     out.write("SLP\n")
     out.write("A " + " ".join(str(int(v)) for v in prog.alphabet) + "\n")
@@ -150,7 +150,6 @@ def parse_slp(text: str) -> Slp:
         raise FormatError(f"bad alphabet line: {lines[1]!r}") from exc
     instrs: list[tuple] = []
     output: Optional[int] = None
-    has_inv = False
     for ln in lines[2:]:
         parts = ln.split()
         try:
@@ -160,7 +159,6 @@ def parse_slp(text: str) -> Slp:
                 instrs.append(("M", int(parts[1]), int(parts[2]), int(parts[3])))
             elif parts[0] == "I" and len(parts) == 3:
                 instrs.append(("I", int(parts[1]), int(parts[2])))
-                has_inv = True
             elif parts[0] == "O" and len(parts) == 2:
                 if output is not None:
                     raise FormatError(f"second output line: {ln!r}")
@@ -171,7 +169,8 @@ def parse_slp(text: str) -> Slp:
             raise FormatError(f"bad instruction line: {ln!r}") from exc
     if output is None:
         raise FormatError("missing output line")
-    return Slp(alphabet, tuple(instrs), output, is_group=has_inv)
+    instructions, output = _renumbered(alphabet, tuple(instrs), output)
+    return Slp(alphabet, instructions, output)
 
 
 def read_slp(path: PathLike) -> Slp:

@@ -6,18 +6,20 @@ A program is a sequence of instructions over registers:
     ("M", dst, a, b)   dst <- a * b
     ("I", dst, a)      dst <- a^-1         (group programs only)
 
-Length is the instruction count, width the number of distinct registers
-referenced.  Programs are immutable values; a strategy composes pieces by
-emitting them into one ``SlpBuilder`` (``splice``, ``word_product``).  Register
-numbering is canonicalised to first-assignment order so that metrics and file
-round-trips are reproducible bit for bit.
+Length is the instruction count, width the number of registers.  Programs
+are immutable values; a strategy composes pieces by emitting them into one
+``SlpBuilder`` (``splice``, ``word_product``).  Every ``Slp`` is canonical:
+its constructor rejects a first write to any register but the next unused
+number, so registers are 0, 1, 2, ... in first-assignment order, and metrics
+and file round-trips are reproducible bit for bit.  ``SlpBuilder.finish``
+and ``io.parse_slp`` renumber what they are given into that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .errors import InvalidProgramError, InverseOutsideGroupError
 from .groups import GroupView, minimal_generating_subset
@@ -29,10 +31,11 @@ class Slp:
     alphabet: tuple[int, ...]
     instructions: tuple[tuple, ...]
     output: int
-    is_group: bool = False
+    width: int = field(init=False)      # registers 0 .. width - 1 are written
+    is_group: bool = field(init=False)  # an INV instruction is present
 
     def __post_init__(self):
-        assigned: set[int] = set()
+        width, is_group = 0, False
         for ins in self.instructions:
             op = ins[0]
             if op == "L":
@@ -41,53 +44,34 @@ class Slp:
                     raise InvalidProgramError(f"load of unknown symbol {k}")
             elif op == "M":
                 _, dst, a, b = ins
-                if a not in assigned or b not in assigned:
+                if not (0 <= a < width and 0 <= b < width):
                     raise InvalidProgramError(f"read of unassigned register in {ins}")
             elif op == "I":
-                if not self.is_group:
-                    raise InvalidProgramError("INV instruction in a non-group program")
                 _, dst, a = ins
-                if a not in assigned:
+                if not 0 <= a < width:
                     raise InvalidProgramError(f"read of unassigned register in {ins}")
+                is_group = True
             else:
                 raise InvalidProgramError(f"unknown opcode {op!r}")
-            assigned.add(dst)
-        if self.output not in assigned:
+            if dst == width:
+                width += 1
+            elif not 0 <= dst < width:
+                raise InvalidProgramError(
+                    f"first write to register {dst} in {ins}, expected {width}"
+                )
+        if not 0 <= self.output < width:
             raise InvalidProgramError("output register never assigned")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "is_group", is_group)
 
     @property
     def length(self) -> int:
         return len(self.instructions)
 
-    @property
-    def width(self) -> int:
-        # every register read was assigned earlier, so the written ones are all
-        return len(self.registers())
-
-    def registers(self) -> list[int]:
-        """Registers in first-assignment order."""
-        return list(dict.fromkeys([ins[1] for ins in self.instructions]))
-
-    def canonical(self) -> "Slp":
-        """Renumber registers in first-assignment order (0, 1, 2, ...).
-
-        A program already numbered that way is returned as it is; otherwise a
-        load of a repeated alphabet value reads its first symbol.
-        """
-        instructions, output = _renumbered(self.alphabet, self.instructions, self.output)
-        if instructions is self.instructions:
-            return self
-        return Slp(self.alphabet, instructions, output, self.is_group)
-
     def relabel(self, values) -> "Slp":
         """The same program over new alphabet values: symbol value v becomes
         ``values[v]`` (a mapping, or a sequence indexed by value)."""
-        return Slp(
-            tuple(int(values[v]) for v in self.alphabet),
-            self.instructions,
-            self.output,
-            self.is_group,
-        )
+        return Slp(tuple(int(values[v]) for v in self.alphabet), self.instructions, self.output)
 
 
 def _renumbered(alphabet, instructions: tuple, output: int) -> tuple[tuple, int]:
@@ -97,7 +81,7 @@ def _renumbered(alphabet, instructions: tuple, output: int) -> tuple[tuple, int]
     and an output never assigned, raise InvalidProgramError; a read before the
     first assignment stays one, for the program's own check to reject.
     """
-    regs = list(dict.fromkeys([ins[1] for ins in instructions]))  # as Slp.registers
+    regs = list(dict.fromkeys([ins[1] for ins in instructions]))
     if regs == list(range(len(regs))):
         return instructions, output
     ren = dict(zip(regs, range(len(regs))))
@@ -129,13 +113,6 @@ class EvalTrace:
     output_value: int
 
 
-@dataclass
-class CostReport:
-    length: int
-    width: int
-    verified: bool = False
-
-
 def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> EvalTrace:
     """Execute the program over S.  INV needs the group view of S."""
     for v in prog.alphabet:
@@ -156,21 +133,19 @@ def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> Eval
     return EvalTrace(regs, regs[prog.output])
 
 
-def verify(S: Semigroup, prog: Slp, t: int, group=None) -> CostReport:
-    """Evaluate and compare against the target; metrics from static analysis."""
-    trace = evaluate(S, prog, group=group)
-    return CostReport(prog.length, prog.width, trace.output_value == t)
+def verify(S: Semigroup, prog: Slp, t: int, group=None) -> bool:
+    """Whether the program evaluates to the target."""
+    return evaluate(S, prog, group=group).output_value == t
 
 
 class SlpBuilder:
     """Mutable instruction buffer with symbol interning."""
 
-    def __init__(self, is_group: bool = False):
+    def __init__(self):
         self.instructions: list[tuple] = []
         self.alphabet: list[int] = []
         self._sym_index: dict[int, int] = {}
         self._next_reg = 0
-        self.is_group = is_group
 
     def fresh(self) -> int:
         r = self._next_reg
@@ -217,25 +192,25 @@ class SlpBuilder:
             if b == "1":
                 self.mul(acc, acc, base)
 
-    def splice(self, prog: Slp, ren: Mapping[int, int]) -> int:
-        """Re-emit ``prog`` with each register r written as ren[r]; returns the
-        register that holds its output.  Its alphabet values are interned, and
-        ``fresh`` hands out no register it wrote."""
+    def splice(self, prog: Slp, base: int) -> int:
+        """Re-emit ``prog`` with each register r written as base + r; returns
+        the register that holds its output.  Its alphabet values are interned,
+        and ``fresh`` hands out no register it wrote."""
         emit, symbol, alphabet = self.instructions.append, self.symbol, prog.alphabet
         for ins in prog.instructions:
             if ins[0] == "M":
-                emit(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
+                emit(("M", base + ins[1], base + ins[2], base + ins[3]))
             elif ins[0] == "L":
-                emit(("L", ren[ins[1]], symbol(alphabet[ins[2]])))
+                emit(("L", base + ins[1], symbol(alphabet[ins[2]])))
             else:
-                emit(("I", ren[ins[1]], ren[ins[2]]))
-        self._next_reg = max(self._next_reg, max(ren.values()) + 1)
-        return ren[prog.output]
+                emit(("I", base + ins[1], base + ins[2]))
+        self._next_reg = max(self._next_reg, base + prog.width)
+        return base + prog.output
 
     def finish(self, output: int) -> Slp:
         """The program, its registers numbered in first-assignment order."""
         instructions, output = _renumbered(self.alphabet, tuple(self.instructions), output)
-        return Slp(tuple(self.alphabet), instructions, output, self.is_group)
+        return Slp(tuple(self.alphabet), instructions, output)
 
 
 def fast_exp(symbol: int, n: int) -> Slp:
@@ -326,8 +301,6 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
     """
     if not prog.is_group:
         return prog
-    if not any(ins[0] == "I" for ins in prog.instructions):
-        return Slp(prog.alphabet, prog.instructions, prog.output, is_group=False)
 
     sigma = tuple(sorted(set(prog.alphabet)))
     sigma_min, inv_exp = G.base.cached(
@@ -335,7 +308,7 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
     )
     s = len(sigma_min)
 
-    b = SlpBuilder(is_group=False)
+    b = SlpBuilder()
     inv_reg = {g: b.fresh() for g in sigma_min}   # later holds g^-1
     kreg = b.fresh()
     gbar = b.fresh()

@@ -385,7 +385,7 @@ def _random_group_slp(rng, gens, n_instr):
             instrs.append(("I", dst, rng.choice(assigned)))
         if dst not in assigned:
             assigned.append(dst)
-    return Slp(tuple(gens), tuple(instrs), rng.choice(assigned), is_group=True)
+    return Slp(tuple(gens), tuple(instrs), rng.choice(assigned))
 
 
 def test_13_inverse_elimination():

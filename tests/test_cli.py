@@ -7,8 +7,10 @@ import pytest
 
 from slpforge import zoo
 from slpforge.cli import main
-from slpforge.compressors import compress
-from slpforge.io import write_cay
+from slpforge.compressors import build_cube, compress
+from slpforge.compressors.reachability import emit_from_cube
+from slpforge.groups import group_view
+from slpforge.io import write_cay, write_slp
 from slpforge.semigroup import Semigroup
 
 
@@ -36,6 +38,22 @@ def test_gen_compress_verify_member(tmp_path, capsys):
     assert run(
         ["member", "--cayley", cay, "--gens", "0,6,11,15,18", "--target", "5"]
     ) == 1
+
+
+def test_verify_takes_the_group_flag_from_the_program(tmp_path, capsys):
+    d8, rb, slp = (str(tmp_path / name) for name in ("d8.cay", "rb.cay", "p.slp"))
+    S, gens = zoo.make_dihedral(4), zoo.dihedral_generators(4)
+    write_cay(d8, S)
+    write_cay(rb, zoo.make_rectangular_band(2, 4))  # 8 elements, not a group
+    G = group_view(S)
+    prog = emit_from_cube(G, gens, build_cube(G, gens, 3), 3)
+    assert prog.instructions == (("L", 0, 0), ("I", 1, 0))
+    write_slp(slp, prog)
+    assert run(["verify", "--cayley", d8, "--slp", slp, "--target", "3"]) == 0
+    assert run(["verify", "--cayley", d8, "--slp", slp, "--target", "1"]) == 1
+    capsys.readouterr()
+    assert run(["verify", "--cayley", rb, "--slp", slp, "--target", "3"]) == 2
+    assert "no neutral element" in capsys.readouterr().err
 
 
 def test_input_error_exit_codes(tmp_path):

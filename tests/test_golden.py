@@ -18,7 +18,7 @@ import pytest
 from slpforge import zoo
 from slpforge.compressors import compress
 from slpforge.errors import SlpforgeError
-from slpforge.io import dump_slp
+from slpforge.io import dump_slp, parse_slp
 from slpforge.semigroup import closure
 
 from conftest import random_semigroups
@@ -105,9 +105,12 @@ PINNED = {
 
 def _outcome(S, gens, t, strategy) -> str:
     try:
-        return dump_slp(compress(S, gens, t, strategy).slp)
+        prog = compress(S, gens, t, strategy).slp
     except SlpforgeError as exc:
         return type(exc).__name__
+    text = dump_slp(prog)
+    assert parse_slp(text) == prog  # every program reads back as itself
+    return text
 
 
 def _digest(outcomes) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 import slpforge.io
 from slpforge import zoo
-from slpforge.errors import FormatError
+from slpforge.errors import FormatError, InvalidProgramError
 from slpforge.io import dump_cay, dump_slp, parse_cay, parse_slp
 from slpforge.slp import Slp, fast_exp
 
@@ -75,14 +75,25 @@ def test_slp_roundtrip_bit_exact():
     prog = fast_exp(3, 44)
     text = dump_slp(prog)
     back = parse_slp(text)
-    assert back == prog.canonical()
+    assert back == prog
     assert dump_slp(back) == text
 
 
 def test_slp_group_flag_from_inv():
-    prog = Slp((1,), (("L", 0, 0), ("I", 1, 0)), 1, is_group=True)
+    prog = Slp((1,), (("L", 0, 0), ("I", 1, 0)), 1)
     back = parse_slp(dump_slp(prog))
+    assert back == prog and back.is_group
+
+
+def test_slp_read_is_renumbered():
+    back = parse_slp("SLP\nA 1 4\nL 7 1\nL 2 0\nI 7 2\nM 2 7 2\nO 2\n")
+    want = (("L", 0, 1), ("L", 1, 0), ("I", 0, 1), ("M", 1, 0, 1))
+    assert (back.instructions, back.output, back.width) == (want, 1, 2)
     assert back.is_group
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        parse_slp("SLP\nA 1\nL 5 0\nO 3\n")
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        parse_slp("SLP\nA 1\nL 5 0\nM 3 5 4\nL 4 0\nO 3\n")
 
 
 def test_slp_errors():

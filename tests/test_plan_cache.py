@@ -261,6 +261,31 @@ def test_solvable_target_on_a_reused_table_builds_one_program(monkeypatch, famil
     assert permutative == []
 
 
+@pytest.mark.parametrize(
+    "family,params", [("dihedral", (128,)), ("heisenberg", (7,)), ("abelian", (32, 32))],
+    ids=["D256", "Heis7", "Z32xZ32"],
+)
+def test_solvable_programs_need_no_renumbering(monkeypatch, family, params):
+    # the plan's program and the walk number their registers at first write,
+    # so finish returns the builder's instructions as they are
+    S, gens = _instance(family, params)
+    G = group_view(S)
+    targets = random.Random(0).choices(range(S.n), k=200)
+    compress_group_solvable(G, gens, targets[0])  # builds the plan
+    rebuilt = []
+    renumbered = slp_mod._renumbered
+
+    def counted(alphabet, instructions, output):
+        out = renumbered(alphabet, instructions, output)
+        rebuilt.append(out[0] is not instructions)
+        return out
+
+    monkeypatch.setattr(slp_mod, "_renumbered", counted)
+    for t in targets:
+        compress_group_solvable(G, gens, t)
+    assert len(rebuilt) == 200 and not any(rebuilt)
+
+
 def test_solvable_plan_builds_each_quotient_once(monkeypatch):
     S, gens = _instance("dihedral", (8,))
     quotients = _counting(monkeypatch, solvable, "quotient_group")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slpforge import zoo
 from slpforge.errors import InvalidProgramError, InverseOutsideGroupError
 from slpforge.groups import group_view, minimal_generating_subset
+from slpforge.io import parse_slp
 from slpforge.slp import (
     Slp,
     SlpBuilder,
@@ -33,10 +34,32 @@ def test_unassigned_register_rejected():
         Slp((0,), (("M", 0, 0, 1),), 0)
 
 
+@pytest.mark.parametrize(
+    "instructions, output",
+    [
+        ((("L", 1, 0),), 1),
+        ((("L", 0, 0), ("L", 2, 0)), 2),
+        ((("L", 0, 0), ("M", 2, 0, 0)), 2),
+        ((("L", 0, 0), ("I", 3, 0)), 3),
+        ((("L", -1, 0),), -1),
+    ],
+    ids=["first-load-at-1", "skips-1", "product-skips-1", "inverse-skips-2", "negative"],
+)
+def test_constructor_rejects_an_out_of_order_first_write(instructions, output):
+    with pytest.raises(InvalidProgramError, match="first write"):
+        Slp((0,), instructions, output)
+
+
+def test_width_and_group_flag_are_derived():
+    prog = Slp((0, 1), (("L", 0, 0), ("L", 1, 1), ("M", 0, 0, 1), ("L", 1, 0)), 0)
+    assert (prog.width, prog.is_group) == (2, False)
+    prog = Slp((0,), (("L", 0, 0), ("I", 1, 0), ("M", 0, 0, 1)), 0)
+    assert (prog.width, prog.is_group) == (2, True)
+
+
 def test_inverse_needs_group_flag_and_carrier():
-    with pytest.raises(InvalidProgramError):
-        Slp((0,), (("L", 0, 0), ("I", 0, 0)), 0, is_group=False)
-    prog = Slp((1,), (("L", 0, 0), ("I", 0, 0)), 0, is_group=True)
+    prog = Slp((1,), (("L", 0, 0), ("I", 0, 0)), 0)
+    assert prog.is_group
     with pytest.raises(InverseOutsideGroupError):
         evaluate(zoo.make_cyclic(6), prog)
     G = group_view(zoo.make_cyclic(6))
@@ -108,13 +131,13 @@ def _random_group_slp(rng, gens, n_instr):
             instrs.append(("I", dst, rng.choice(assigned)))
         if dst not in assigned:
             assigned.append(dst)
-    return Slp(tuple(gens), tuple(instrs), rng.choice(assigned), is_group=True)
+    return Slp(tuple(gens), tuple(instrs), rng.choice(assigned))
 
 
 def test_eliminate_inverses_examples():
     Z6 = zoo.make_cyclic(6)
     G = group_view(Z6)
-    prog = Slp((1,), (("L", 0, 0), ("I", 1, 0)), 1, is_group=True)
+    prog = Slp((1,), (("L", 0, 0), ("I", 1, 0)), 1)
     plain = eliminate_inverses(G, prog)
     assert evaluate(Z6, plain).output_value == 5
     # f r f^-1 in D4
@@ -125,7 +148,6 @@ def test_eliminate_inverses_examples():
         (r, f),
         (("L", 0, 1), ("L", 1, 0), ("M", 2, 0, 1), ("I", 3, 1), ("M", 2, 2, 3)),
         2,
-        is_group=True,
     )
     hmm = evaluate(D, prog, group=GD).output_value
     plain = eliminate_inverses(GD, prog)
@@ -135,9 +157,9 @@ def test_eliminate_inverses_examples():
 def test_eliminate_inverses_no_inv_passthrough():
     Z6 = zoo.make_cyclic(6)
     G = group_view(Z6)
-    prog = Slp((1,), (("L", 0, 0), ("M", 0, 0, 0)), 0, is_group=True)
+    prog = Slp((1,), (("L", 0, 0), ("M", 0, 0, 0)), 0)
     plain = eliminate_inverses(G, prog)
-    assert not plain.is_group
+    assert plain is prog and not plain.is_group
     assert evaluate(Z6, plain).output_value == 2
     assert plain.length <= 2 * prog.length + 12
 
@@ -170,27 +192,19 @@ def test_eliminate_inverses_randomised():
 def test_verify_reports():
     Z5 = zoo.make_cyclic(5)
     prog = fast_exp(2, 3)
-    rep = verify(Z5, prog, 1)
-    assert rep.verified and (rep.length, rep.width) == (prog.length, prog.width)
-    rep2 = verify(Z5, prog, 2)
-    assert not rep2.verified
+    assert verify(Z5, prog, 1) is True
+    assert verify(Z5, prog, 2) is False
 
 
 def test_canonical_renumbering_first_use():
-    prog = Slp((1,), (("L", 5, 0), ("L", 3, 0), ("M", 7, 5, 3)), 7)
-    canon = prog.canonical()
+    b = SlpBuilder()
+    b.load(5, 1)
+    b.load(3, 1)
+    b.mul(7, 5, 3)
+    canon = b.finish(7)
     assert [ins[1] for ins in canon.instructions] == [0, 1, 2]
     assert canon.output == 2
-
-
-def test_canonical_keeps_a_canonical_program():
-    prog = Slp((1,), (("L", 5, 0), ("L", 3, 0), ("M", 7, 5, 3)), 7)
-    canon = prog.canonical()
-    assert canon is not prog
-    assert canon.canonical() is canon
-    # registers numbered in first-use order but read out of order
-    prog = Slp((1, 2), (("L", 0, 1), ("L", 1, 0), ("M", 1, 1, 0), ("M", 0, 0, 1)), 0)
-    assert prog.canonical() is prog
+    assert parse_slp("SLP\nA 1\nL 5 0\nL 3 0\nM 7 5 3\nO 7\n") == canon
 
 
 @st.composite
@@ -198,40 +212,45 @@ def programs(draw):
     """A valid program over D8 on at most five registers, INV included when
     it is a group program; the alphabet may repeat a value."""
     alphabet = tuple(draw(st.lists(st.integers(0, D8.n - 1), min_size=1, max_size=4)))
-    is_group = draw(st.booleans())
+    ops = draw(st.sampled_from(["LMI", "LM"]))
     symbol = st.integers(0, len(alphabet) - 1)
-    register = st.integers(0, 4)
-    instrs = [("L", draw(register), draw(symbol))]
-    assigned = [instrs[0][1]]
+    instrs = [("L", 0, draw(symbol))]
+    width = 1
     for _ in range(draw(st.integers(0, 20))):
-        dst, op = draw(register), draw(st.sampled_from("LMI" if is_group else "LM"))
+        # an assigned register, or the next unused one while fewer than five
+        dst, op = draw(st.integers(0, min(width, 4))), draw(st.sampled_from(ops))
+        read = st.integers(0, width - 1)
         if op == "L":
             instrs.append(("L", dst, draw(symbol)))
         elif op == "M":
-            instrs.append(("M", dst, draw(st.sampled_from(assigned)), draw(st.sampled_from(assigned))))
+            instrs.append(("M", dst, draw(read), draw(read)))
         else:
-            instrs.append(("I", dst, draw(st.sampled_from(assigned))))
-        if dst not in assigned:
-            assigned.append(dst)
-    return Slp(alphabet, tuple(instrs), draw(st.sampled_from(assigned)), is_group)
+            instrs.append(("I", dst, draw(read)))
+        width = max(width, dst + 1)
+    return Slp(alphabet, tuple(instrs), draw(st.integers(0, width - 1)))
 
 
-@given(programs(), st.permutations(range(12)))
-def test_splice_under_injective_renaming(prog, perm):
-    ren = {r: perm[r] for r in prog.registers()}
-    b = SlpBuilder(prog.is_group)
-    b.load(perm[11], 0)  # a register the splice must leave alone
-    out = b.splice(prog, ren)
-    assert out == ren[prog.output]
-    spliced = Slp(tuple(b.alphabet), tuple(b.instructions), out, prog.is_group)
+@given(programs(), st.integers(0, 5))
+def test_splice_under_injective_renaming(prog, base):
+    b = SlpBuilder()
+    for r in range(base):
+        b.load(r, r)  # registers below base, which the splice must leave alone
+    out = b.splice(prog, base)
+    assert out == base + prog.output
+    assert b.fresh() == base + prog.width
+    # prog shifted by base, each load reading its value's interned symbol
+    for ins, new in zip(prog.instructions, b.instructions[base:]):
+        if ins[0] == "L":
+            assert new[:2] == ("L", base + ins[1])
+            assert b.alphabet[new[2]] == prog.alphabet[ins[2]]
+        else:
+            assert new == (ins[0], *(base + r for r in ins[1:]))
+    spliced = b.finish(out)
+    assert spliced.instructions == tuple(b.instructions)  # numbered at first write
     before = evaluate(D8, prog, group=D8_VIEW).registers
     after = evaluate(D8, spliced, group=D8_VIEW).registers
-    assert after == {perm[11]: 0, **{ren[r]: v for r, v in before.items()}}
-    assert (spliced.length, spliced.width) == (prog.length + 1, prog.width + 1)
-    canon = SlpBuilder(prog.is_group)
-    done = canon.finish(canon.splice(prog, ren))
-    assert (done.length, done.width) == (prog.length, prog.width)
-    assert evaluate(D8, done, group=D8_VIEW).output_value == before[prog.output]
+    assert after == {**{r: r for r in range(base)}, **{base + r: v for r, v in before.items()}}
+    assert (spliced.length, spliced.width) == (prog.length + base, prog.width + base)
 
 
 @given(programs(), st.integers(0, D8.n - 1))
@@ -250,23 +269,32 @@ def test_relabel_through_an_automorphism(prog, c):
 # -- finish: one renumbering, same errors --------------------------------------
 
 
-def _canonical_oracle(prog: Slp) -> Slp:
-    """``Slp.canonical`` as first written, its splice through a second
-    builder (whose alphabet maps each value to its first symbol) inlined."""
-    regs = prog.registers()
+def _canonical_oracle(alphabet, instructions, output) -> Slp:
+    """The renumbering as first written (``Slp.canonical``, since removed),
+    its splice through a second builder (whose alphabet maps each value to
+    its first symbol) inlined, after the checks the constructor then made
+    under any numbering."""
+    assigned = set()
+    for ins in instructions:
+        if ins[0] != "L" and not assigned.issuperset(ins[2:]):
+            raise InvalidProgramError(f"read of unassigned register in {ins}")
+        assigned.add(ins[1])
+    if output not in assigned:
+        raise InvalidProgramError("output register never assigned")
+    regs = list(dict.fromkeys(ins[1] for ins in instructions))
     if regs == list(range(len(regs))):
-        return prog
+        return Slp(alphabet, instructions, output)
     ren = {r: i for i, r in enumerate(regs)}
-    first = {v: k for k, v in reversed(list(enumerate(prog.alphabet)))}
+    first = {v: k for k, v in reversed(list(enumerate(alphabet)))}
     instrs = []
-    for ins in prog.instructions:
+    for ins in instructions:
         if ins[0] == "M":
             instrs.append(("M", ren[ins[1]], ren[ins[2]], ren[ins[3]]))
         elif ins[0] == "L":
-            instrs.append(("L", ren[ins[1]], first[prog.alphabet[ins[2]]]))
+            instrs.append(("L", ren[ins[1]], first[alphabet[ins[2]]]))
         else:
             instrs.append(("I", ren[ins[1]], ren[ins[2]]))
-    return Slp(prog.alphabet, tuple(instrs), ren[prog.output], prog.is_group)
+    return Slp(alphabet, tuple(instrs), ren[output])
 
 
 def test_finish_rejects_a_read_of_a_register_never_assigned():
@@ -275,7 +303,7 @@ def test_finish_rejects_a_read_of_a_register_never_assigned():
     b.mul(3, 5, 9)  # 9 is never written; 5 -> 0 and 3 -> 1 need renumbering
     with pytest.raises(InvalidProgramError, match="unassigned"):
         b.finish(3)
-    g = SlpBuilder(is_group=True)
+    g = SlpBuilder()
     g.load(4, 1)
     g.inv(2, 7)
     with pytest.raises(InvalidProgramError, match="unassigned"):
@@ -310,8 +338,8 @@ def test_finish_keeps_the_symbol_and_opcode_checks():
         b.finish(3)
     b = SlpBuilder()
     b.load(5, 2)
-    b.inv(3, 5)
-    with pytest.raises(InvalidProgramError, match="INV"):
+    b.instructions.append(("X", 3, 5))
+    with pytest.raises(InvalidProgramError, match="unknown opcode"):
         b.finish(3)
 
 
@@ -320,8 +348,7 @@ def builder_programs(draw):
     """A builder with random instructions over registers 0..7 and a random
     output.  Reads mostly name a register already written, but may name one
     written only later or never."""
-    is_group = draw(st.booleans())
-    b = SlpBuilder(is_group)
+    b = SlpBuilder()
     written = []
 
     def read():
@@ -346,7 +373,7 @@ def builder_programs(draw):
 def test_finish_matches_the_canonical_oracle(case):
     b, out = case
     try:
-        want = _canonical_oracle(Slp(tuple(b.alphabet), tuple(b.instructions), out, b.is_group))
+        want = _canonical_oracle(tuple(b.alphabet), tuple(b.instructions), out)
     except InvalidProgramError:
         with pytest.raises(InvalidProgramError):
             b.finish(out)
@@ -356,12 +383,15 @@ def test_finish_matches_the_canonical_oracle(case):
 
 @given(programs(), st.permutations(range(12)))
 def test_canonical_matches_the_oracle_with_repeated_values(prog, perm):
+    # parse_slp renumbers a hand-numbered file as finish does
     instrs = tuple(
         ("L", perm[ins[1]], ins[2]) if ins[0] == "L" else (ins[0], *(perm[r] for r in ins[1:]))
         for ins in prog.instructions
     )
-    renamed = Slp(prog.alphabet, instrs, perm[prog.output], prog.is_group)
-    assert renamed.canonical() == _canonical_oracle(renamed)
+    text = "SLP\nA " + " ".join(map(str, prog.alphabet)) + "\n"
+    text += "".join(" ".join(map(str, ins)) + "\n" for ins in instrs)
+    text += f"O {perm[prog.output]}\n"
+    assert parse_slp(text) == _canonical_oracle(prog.alphabet, instrs, perm[prog.output])
 
 
 # -- inverse elimination: the mirror's reference counts ------------------------
