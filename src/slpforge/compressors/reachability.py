@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..errors import NotInSubgroupError
 from ..groups import GroupView
-from ..slp import Slp, SlpBuilder, eliminate_inverses
+from ..slp import InverseMirror, Slp, SlpBuilder
 
 
 @dataclass
@@ -38,6 +38,9 @@ class CubeState:
     order: list[int] = field(default_factory=list)
     h_records: list[HRecord] = field(default_factory=list)
     kk: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # set on first use: the builder holding the h_i records, and the pass fed them
+    prefix: Optional[SlpBuilder] = None
+    mirror: Optional[InverseMirror] = None
 
     @property
     def rounds(self) -> int:
@@ -126,16 +129,14 @@ def _emit_pair(
     dst: int,
     u1: int,
     u2: int,
-) -> Optional[int]:
+) -> int:
     """Emit (chain bmask)^-1 * (chain cmask) * sigma into dst.
 
     Returns the register actually holding the value (an alias when the whole
     expression is a single existing register and no instruction is needed).
     """
     if bmask == 0 and cmask == 0:
-        if sigma is None:
-            return None  # identity: caller handles
-        b.load(dst, sigma)
+        b.load(dst, sigma)  # an h_i record: the target's pair is never empty
         return dst
     if bmask == 0:
         creg = _emit_chain(b, regs, cmask, u2)
@@ -149,15 +150,12 @@ def _emit_pair(
         b.inv(dst, breg)
         return dst
     b.inv(u1, breg)
-    if cmask and sigma is None:
-        creg = _emit_chain(b, regs, cmask, u2)
-        b.mul(dst, u1, creg)
-        return dst
     if cmask:
         creg = _emit_chain(b, regs, cmask, u2)
         b.mul(dst, u1, creg)
-        b.load(u1, sigma)
-        b.mul(dst, dst, u1)
+        if sigma is not None:
+            b.load(u1, sigma)
+            b.mul(dst, dst, u1)
         return dst
     b.load(u2, sigma)
     b.mul(dst, u1, u2)
@@ -189,34 +187,52 @@ def build_cube(G: GroupView, gens: Sequence[int], target: Optional[int]) -> Cube
         i += 1
 
 
-def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
-    """Assemble the group SLP for a target already inside K^-1 K."""
+def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> tuple[SlpBuilder, int]:
+    """A fork of the builder holding the state's h_i records (registers 0 ..
+    rounds - 1), with t written after them; returns it and t's register."""
     if t not in state.kk:
         raise NotInSubgroupError(f"target {t} is not covered by the cube")
-    b = SlpBuilder()
-    regs = [b.fresh() for _ in state.h_records]
-    u1, u2, out = b.fresh(), b.fresh(), b.fresh()
-    for i, rec in enumerate(state.h_records):
-        _emit_pair(b, regs, rec.bmask, rec.cmask, rec.sigma, regs[i], u1, u2)
+    regs = list(range(state.rounds))
+    u1, u2, out = state.rounds, state.rounds + 1, state.rounds + 2
+    if state.prefix is None:
+        state.prefix = SlpBuilder()
+        for i, rec in enumerate(state.h_records):
+            _emit_pair(state.prefix, regs, rec.bmask, rec.cmask, rec.sigma, regs[i], u1, u2)
+    b = state.prefix.fork()
     bmask, cmask = state.kk[t]
-    if bmask == 0 and cmask == 0:
-        # t is the identity
-        if regs:
-            b.inv(u1, regs[0])
-            b.mul(out, u1, regs[0])
-            return b.finish(out)
-        g = int(gens[0])
-        order = G.element_order(g)
-        b.load(u1, g)
-        if order == 1:
-            return b.finish(u1)
-        b.fast_exp_into(out, u1, order)
-        return b.finish(out)
-    holder = _emit_pair(b, regs, bmask, cmask, None, out, u1, u2)
+    if bmask or cmask:
+        return b, _emit_pair(b, regs, bmask, cmask, None, out, u1, u2)
+    # t is the identity
+    if regs:
+        b.inv(u1, regs[0])
+        b.mul(out, u1, regs[0])
+        return b, out
+    g = int(gens[0])
+    order = G.element_order(g)
+    b.load(u1, g)
+    if order == 1:
+        return b, u1
+    b.fast_exp_into(out, u1, order)
+    return b, out
+
+
+def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
+    """Assemble the group SLP for a target already inside K^-1 K."""
+    b, holder = _emit_target(G, gens, state, t)
     return b.finish(holder)
 
 
 def compress_group_reachability(G: GroupView, gens: Sequence[int], t: int) -> Slp:
     """Ordinary SLP for t over gens: the cube's group program (width <= rounds
-    + 3, strict cube doubling) with its inverses eliminated."""
-    return eliminate_inverses(G, emit_from_cube(G, gens, build_cube(G, gens, t), t))
+    + 3, strict cube doubling) with its inverses eliminated; the state keeps
+    the elimination pass fed its h_i records, and a fork of it is fed t's."""
+    state = build_cube(G, gens, t)
+    b, holder = _emit_target(G, gens, state, t)
+    if not any(ins[0] == "I" for ins in b.instructions):
+        return b.finish(holder)
+    if state.mirror is None:
+        state.mirror = InverseMirror(G, state.prefix.alphabet)
+        state.mirror.feed(state.prefix.instructions)
+    mirror = state.mirror.fork()
+    mirror.feed(b.instructions[len(state.prefix.instructions):])
+    return mirror.finish(holder)

@@ -124,10 +124,10 @@ def adapt_subnormal(
     returns the register that holds it.
 
     Per level the residual target is projected into G_{i-1}/G_i and written as
-    its normal form there (the shortest word's letters, exponents minimised
-    with k = 0), a simultaneous square-and-multiply that reads each generator
-    from its register ``held[g]``.  The first lift goes to an accumulator, each
-    later one to a level register that then multiplies the accumulator; both
+    its normal form there (memoised on the quotient's table), a simultaneous
+    square-and-multiply that reads each generator from its register
+    ``held[g]``.  The first lift goes to an accumulator, each later one to a
+    level register that then multiplies the accumulator; both
     come from ``fresh()`` at their first write.  A lift's value is its product
     in emission order: the quotient is abelian, G need not be.
     """
@@ -147,9 +147,9 @@ def adapt_subnormal(
         x = int(Q.projection[level.to_sub[t]])
         if x == Q.group.identity:
             continue
-        word = shortest_word(Q.semigroup, level.qgens, x)  # qgens generate Q: adapted
-        order = list(dict.fromkeys(level.qgens[i] for i in word))
-        nf = minimize_exponents(Q.semigroup, [], order, [], x)
+        nf = Q.semigroup.cached(
+            ("normal_form", tuple(level.qgens), x), lambda: _quotient_normal_form(Q, level.qgens, x)
+        )
         role = "acc" if out is None else "lvl"
         reg = val = None
         for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
@@ -185,6 +185,13 @@ def adapt_subnormal(
         b.fast_exp_into(acc, held[g], e)
         return acc
     return out
+
+
+def _quotient_normal_form(Q: QuotientGroup, qgens: list[int], x: int):
+    """x's shortest word over qgens, its letters' exponents minimised (k = 0)."""
+    word = shortest_word(Q.semigroup, qgens, x)
+    order = list(dict.fromkeys(qgens[i] for i in word))
+    return minimize_exponents(Q.semigroup, [], order, [], x)
 
 
 # -- derived-series generating set (unbounded width) -------------------------
@@ -307,6 +314,7 @@ class SolvablePlan:
     ``program`` computes every record of ``delta`` without INV, and ``held``
     maps each value to the lowest register holding it after ``program`` ran;
     ``levels`` are the derived series' steps for ``delta``'s values.
+    ``builder`` holds ``program`` spliced at register 0, for targets to fork.
     """
 
     delta: DeltaSet
@@ -314,6 +322,7 @@ class SolvablePlan:
     program: Slp
     held: dict[int, int]
     levels: list[Level]
+    builder: SlpBuilder
 
 
 def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
@@ -327,20 +336,21 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
     program = eliminate_inverses(G, emit_delta_program(G, delta))
     # from the highest register down, so the lowest holding a value wins
     registers = sorted(evaluate(G.base, program).registers.items(), reverse=True)
-    return SolvablePlan(delta, chain, program, {v: r for r, v in registers}, levels)
+    b = SlpBuilder()
+    b.splice(program, 0)
+    return SolvablePlan(delta, chain, program, {v: r for r, v in registers}, levels, b)
 
 
 def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """O(log |G|)-length ordinary SLP for solvable G, width unbounded.
 
     The plan is built once per generator list and memoised on the table, so
-    a target copies its program and walks its levels in one builder, the
-    walk's registers above the program's.
+    a target forks the plan's builder and walks its levels there, the walk's
+    registers above the program's.
     """
     sigma = tuple(int(s) for s in sigma)
     plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
-    b = SlpBuilder()
-    b.splice(plan.program, 0)
+    b = plan.builder.fork()
     return b.finish(adapt_subnormal(G, plan.levels, t, b, plan.held))
 
 
@@ -363,6 +373,8 @@ class PolycyclicGenSet:
     chain_indices: list[int]
     chain: SeriesChain
     exponent: int                       # of the group, for omega-minus-one inverses
+    # per chain record: ``_record_block``'s block, its value's register, a free one
+    blocks: list[tuple[tuple, int, int]]
 
     def chain_records(self) -> list[PolyRecord]:
         return [self.records[i] for i in self.chain_indices]
@@ -456,19 +468,19 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
             )
         if terms[j - 1].cardinality % sub.cardinality:
             raise ChainVerificationFailedError("non-Lagrangian chain step")
-    chain = SeriesChain(terms)
-    return PolycyclicGenSet(records, kept, chain, G.exponent())
+    exponent = G.exponent()
+    blocks = [_record_block(records, records[i], inverting_power(exponent)) for i in kept]
+    return PolycyclicGenSet(records, kept, SeriesChain(terms), exponent, blocks)
 
 
 class _BoundedEmitter:
-    """Width-4 emission: accumulator + three working registers."""
+    """Width-3 emission of one record into three working registers, which
+    a target's program shares with its accumulator."""
 
-    def __init__(self, G: GroupView, pcs: PolycyclicGenSet, inv_exp: int):
-        self.G = G
-        self.pcs = pcs
+    def __init__(self, records: list[PolyRecord], inv_exp: int):
+        self.records = records
         self.inv_exp = inv_exp
         self.b = SlpBuilder()
-        self.acc = self.b.fresh()
         self.work = [self.b.fresh(), self.b.fresh(), self.b.fresh()]
 
     def _invert(self, src: int, dst: int) -> None:
@@ -494,7 +506,7 @@ class _BoundedEmitter:
             b.mul(B, B, A)
             self._word_right(B, A, rec.u_word)
             return B, [A, C]
-        rg, free = self.emit_record(self.pcs.records[rec.parent], allowed)
+        rg, free = self.emit_record(self.records[rec.parent], allowed)
         A, B = free
         v = rec.v_word or []
         u = rec.u_word
@@ -521,16 +533,27 @@ class _BoundedEmitter:
         return B, [A, rg]
 
 
+def _record_block(records: list[PolyRecord], rec: PolyRecord, inv_exp: int) -> tuple[tuple, int, int]:
+    """The instructions ``_BoundedEmitter`` writes for ``rec`` into registers
+    0 .. 2, each load naming its value, not a symbol; the register holding
+    ``rec`` after them and one free register."""
+    em = _BoundedEmitter(records, inv_exp)
+    reg, free = em.emit_record(rec, em.work)
+    alphabet = em.b.alphabet
+    block = tuple(("L", i[1], alphabet[i[2]]) if i[0] == "L" else i for i in em.b.instructions)
+    return block, reg, free[0]
+
+
 def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G.
 
-    The polycyclic set is built once per generator list and memoised on the
-    table.
+    The polycyclic set, with each chain record's block, is built once per
+    generator list and memoised on the table; a target runs the discrete logs
+    and joins the blocks of its nonzero exponents with square-and-multiply.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     pcs = G.base.cached(("polycyclic_set", tuple(sigma)), lambda: build_polycyclic_set(G, sigma))
     exponent = pcs.exponent
-    inv_exp = inverting_power(exponent)
 
     # pass 1: discrete logarithms along the chain
     table = G.base.table
@@ -540,9 +563,7 @@ def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) 
         term_next = pcs.chain.terms[j + 1]
         a, p = 0, G.identity
         limit = G.element_order(rec.value) + 1
-        while True:
-            if table.item(G.inverse[p], t_prime) in term_next:
-                break
+        while table.item(G.inverse[p], t_prime) not in term_next:
             p = table.item(p, rec.value)
             a += 1
             if a > limit:
@@ -552,26 +573,19 @@ def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) 
     if t_prime != G.identity:
         raise SlpforgeError("polycyclic walk did not exhaust the target")
 
-    contributions = [
-        (j, a) for j, a in enumerate(exps) if a > 0
-    ]
+    contributions = [(j, a) for j, a in enumerate(exps) if a > 0]
     if not contributions:
         return fast_exp(sigma[0], G.element_order(sigma[0]))
 
-    em = _BoundedEmitter(G, pcs, inv_exp)
-    b = em.b
-    first = True
-    chain_recs = pcs.chain_records()
-    for j, a in contributions:
-        rreg, free = em.emit_record(chain_recs[j], em.work)
-        if first:
-            e_use = a if a >= 2 else a + exponent
-            b.fast_exp_into(em.acc, rreg, e_use)
-            first = False
+    b, acc = SlpBuilder(), 3  # the blocks write registers 0 .. 2
+    for n, (j, a) in enumerate(contributions):
+        block, rreg, spare = pcs.blocks[j]
+        b.write(block)
+        if n == 0:
+            b.fast_exp_into(acc, rreg, a if a >= 2 else a + exponent)
+        elif a == 1:
+            b.mul(acc, acc, rreg)
         else:
-            if a == 1:
-                b.mul(em.acc, em.acc, rreg)
-            else:
-                b.fast_exp_into(free[0], rreg, a)
-                b.mul(em.acc, em.acc, free[0])
-    return b.finish(em.acc)
+            b.fast_exp_into(spare, rreg, a)
+            b.mul(acc, acc, spare)
+    return b.finish(acc)

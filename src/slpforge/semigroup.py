@@ -165,9 +165,9 @@ class Semigroup:
         nothing behind, so a failed build is retried on the next call.  Cached
         values are shared between callers and must not be mutated, with two
         exceptions that only grow, so what a caller already read stays valid:
-        the ``group-bsz`` cube list, appended to by
-        ``reachability.build_cube``, and the ``shortest_word`` search tree,
-        which gains whole BFS levels as deeper targets are asked.
+        the ``group-bsz`` cube list, appended to by ``build_cube``, whose states
+        get their h_i program prefix and its inverse-elimination pass on first
+        use; and the ``shortest_word`` tree, which gains whole BFS levels.
         """
         try:
             return self._memo[key]

@@ -17,6 +17,7 @@ and ``io.parse_slp`` renumber what they are given into that order.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -118,19 +119,19 @@ def evaluate(S: Semigroup, prog: Slp, group: Optional[GroupView] = None) -> Eval
     for v in prog.alphabet:
         if not 0 <= v < S.n:
             raise InvalidProgramError(f"alphabet value {v} outside semigroup")
-    table = S.table
-    regs: dict[int, int] = {}
+    item, alphabet = S.table.item, prog.alphabet
+    regs = [0] * prog.width  # canonical: every register 0 .. width - 1 is written
     for ins in prog.instructions:
-        if ins[0] == "L":
-            val = prog.alphabet[ins[2]]
-        elif ins[0] == "M":
-            val = table.item(regs[ins[2]], regs[ins[3]])
+        op = ins[0]
+        if op == "M":
+            regs[ins[1]] = item(regs[ins[2]], regs[ins[3]])
+        elif op == "L":
+            regs[ins[1]] = alphabet[ins[2]]
         else:
             if group is None:
                 raise InverseOutsideGroupError("INV without a group")
-            val = group.inverse[regs[ins[2]]]
-        regs[ins[1]] = val
-    return EvalTrace(regs, regs[prog.output])
+            regs[ins[1]] = group.inverse[regs[ins[2]]]
+    return EvalTrace(dict(enumerate(regs)), regs[prog.output])
 
 
 def verify(S: Semigroup, prog: Slp, t: int, group=None) -> bool:
@@ -146,6 +147,12 @@ class SlpBuilder:
         self.alphabet: list[int] = []
         self._sym_index: dict[int, int] = {}
         self._next_reg = 0
+
+    def fork(self) -> "SlpBuilder":
+        """A new builder holding a copy of everything this one holds."""
+        b = copy.copy(self)
+        b.instructions, b.alphabet, b._sym_index = list(b.instructions), list(b.alphabet), dict(b._sym_index)
+        return b
 
     def fresh(self) -> int:
         r = self._next_reg
@@ -168,6 +175,14 @@ class SlpBuilder:
 
     def inv(self, dst: int, a: int) -> None:
         self.instructions.append(("I", dst, a))
+
+    def write(self, block: Sequence[tuple]) -> None:
+        """Append instructions whose loads name alphabet values, not symbols."""
+        for ins in block:
+            if ins[0] == "L":
+                self.load(ins[1], ins[2])
+            else:
+                self.instructions.append(ins)
 
     def word_product(self, values: Sequence[int], acc: int, scratch: int) -> None:
         """acc <- left-to-right product of the given element values."""
@@ -227,22 +242,66 @@ def fast_exp(symbol: int, n: int) -> Slp:
     return b.finish(acc)
 
 
-class _MirrorState:
-    """Physical register allocation for the inverse-elimination mirror pass.
+class InverseMirror:
+    """The inverse-elimination pass over one alphabet, resumable.
 
-    Each original register owns a (pos, neg) slot pair.  INV re-binds a pair
-    with flipped orientation instead of emitting instructions, so a later
-    write must allocate fresh physical registers when the old ones are shared.
-    ``refs`` counts the slots bound to each physical register.
+    The prelude computes the inverses of a minimal generating subset once
+    (prefix/suffix products and one omega-minus-one exponentiation).  ``feed``
+    pairs each input register with two of ``b``, ``neg`` holding the inverse;
+    INV swaps the pair, so a write takes fresh registers where the old ones
+    are shared (``refs`` counts slots per register).  The output depends on
+    the input registers only through which are equal, so a program fed in
+    pieces, under any such numbering, gives the same program.
     """
 
-    def __init__(self, first_free: int):
-        self.pos: dict[int, int] = {}
-        self.neg: dict[int, int] = {}
-        self.refs: dict[int, int] = {}
-        self.next_reg = first_free
-        self.free: list[int] = []
-        self.pinned: set[int] = set()
+    def __init__(self, G: GroupView, alphabet: Sequence[int]):
+        sigma = tuple(sorted(set(alphabet)))
+        # the prelude's inputs depend only on the alphabet; memoised on the table
+        sigma_min, inv_exp = G.base.cached(("inverse_prelude", sigma), lambda: _inverse_prelude(G, sigma))
+        self.G, self.alphabet, self.sigma_min, self.b = G, tuple(alphabet), sigma_min, SlpBuilder()
+        b, s = self.b, len(sigma_min)
+
+        # prefixes h_i = g_1 ... g_i parked in the future inverse slots
+        regs = [b.fresh()]
+        b.load(regs[0], sigma_min[0])
+        scratch = b.fresh() if s >= 2 else None
+        for i in range(1, s):
+            b.load(scratch, sigma_min[i])
+            regs.append(b.fresh())
+            b.mul(regs[i], regs[i - 1], scratch)
+        # gbar = (g_1 ... g_s)^-1 via the group exponent
+        gbar = b.fresh()
+        b.fast_exp_into(gbar, regs[s - 1], inv_exp)
+        self.inv_reg = dict(zip(sigma_min, regs))  # later holds g^-1
+        # extract inverses right to left: g_i^-1 = (g_i+1 ... g_s) gbar h_i-1,
+        # the suffix product kept in kreg
+        for i in range(s - 1, 0, -1):
+            if i == s - 1:
+                b.mul(regs[i], gbar, regs[i - 1])
+                kreg = b.fresh()
+                b.load(kreg, sigma_min[i])
+            else:
+                b.mul(scratch, kreg, gbar)
+                b.mul(regs[i], scratch, regs[i - 1])
+                b.load(scratch, sigma_min[i])
+                b.mul(kreg, scratch, kreg)
+        if s == 1:
+            self.inv_reg[sigma_min[0]] = gbar
+        else:
+            b.mul(regs[0], kreg, gbar)
+        self.pos, self.neg, self.refs, self.free = {}, {}, {}, []
+        self.pinned = set(self.inv_reg.values())
+
+    def fork(self) -> "InverseMirror":
+        """A copy to resume independently of this one."""
+        m = copy.copy(self)
+        m.b, m.pos, m.neg = self.b.fork(), dict(self.pos), dict(self.neg)
+        m.refs, m.free = dict(self.refs), list(self.free)
+        return m
+
+    def _take(self) -> int:
+        """A released register, or a new one."""
+        return self.free.pop() if self.free else self.b.fresh()
 
     def _reusable(self, dst: int) -> list[int]:
         out = []
@@ -253,22 +312,15 @@ class _MirrorState:
         return out
 
     def writable_pair(self, dst: int) -> tuple[int, int]:
-        """Physical (pos, neg) registers safe to overwrite for dst."""
+        """(pos, neg) registers safe to overwrite for dst."""
         out = self._reusable(dst)
         while len(out) < 2:
-            out.append(self.free.pop() if self.free else self._alloc())
+            out.append(self._take())
         return out[0], out[1]
 
     def writable_one(self, dst: int) -> int:
         out = self._reusable(dst)
-        if out:
-            return out[0]
-        return self.free.pop() if self.free else self._alloc()
-
-    def _alloc(self) -> int:
-        r = self.next_reg
-        self.next_reg += 1
-        return r
+        return out[0] if out else self._take()
 
     def rebind(self, dst: int, p: int, n: int) -> None:
         refs = self.refs
@@ -287,82 +339,24 @@ class _MirrorState:
             ):
                 self.free.append(old)
 
-
-def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
-    """Rewrite a group SLP into an ordinary SLP over the same generators.
-
-    Strategy: shrink the alphabet to a minimal generating subset, compute all
-    its inverses once via the prefix/suffix-product trick plus a single
-    omega-minus-one exponentiation, then mirror the program so each original
-    register is paired with one holding the inverse value.  INV becomes a
-    role swap realised by renaming; no copies are emitted.  The prelude's
-    inputs (minimal subset, inverting power) depend only on the alphabet, and
-    are memoised on the table.
-    """
-    if not prog.is_group:
-        return prog
-
-    sigma = tuple(sorted(set(prog.alphabet)))
-    sigma_min, inv_exp = G.base.cached(
-        ("inverse_prelude", sigma), lambda: _inverse_prelude(G, sigma)
-    )
-    s = len(sigma_min)
-
-    b = SlpBuilder()
-    inv_reg = {g: b.fresh() for g in sigma_min}   # later holds g^-1
-    kreg = b.fresh()
-    gbar = b.fresh()
-    scratch = b.fresh()
-    regs = [inv_reg[g] for g in sigma_min]
-
-    # prefixes h_i = g_1 ... g_i parked in the future inverse slots
-    b.load(regs[0], sigma_min[0])
-    for i in range(1, s):
-        b.load(scratch, sigma_min[i])
-        b.mul(regs[i], regs[i - 1], scratch)
-    # gbar = (g_1 ... g_s)^-1 via the group exponent
-    b.fast_exp_into(gbar, regs[s - 1], inv_exp)
-    # extract inverses, sweeping a suffix product from the right
-    for i in range(s - 1, -1, -1):
-        if i == s - 1:
-            if s >= 2:
-                b.mul(regs[i], gbar, regs[i - 1])
-            else:
-                inv_reg[sigma_min[0]] = gbar
-        else:
-            if i >= 1:
-                b.mul(scratch, kreg, gbar)
-                b.mul(regs[i], scratch, regs[i - 1])
-            else:
-                b.mul(regs[0], kreg, gbar)
-        if i >= 1:
-            if i == s - 1:
-                b.load(kreg, sigma_min[i])
-            else:
-                b.load(scratch, sigma_min[i])
-                b.mul(kreg, scratch, kreg)
-
-    sigma_min_set = set(sigma_min)
-
-    state = _MirrorState(first_free=b._next_reg)
-    state.pinned.update(inv_reg.values())
-
-    for ins in prog.instructions:
-        if ins[0] == "L":
-            dst, g = ins[1], prog.alphabet[ins[2]]
-            if g in sigma_min_set:
-                p = state.writable_one(dst)
-                b.load(p, g)
-                state.rebind(dst, p, inv_reg[g])
-            else:
+    def feed(self, instructions: Sequence[tuple]) -> None:
+        b, inv_reg = self.b, self.inv_reg
+        for ins in instructions:
+            if ins[0] == "L":
+                dst, g = ins[1], self.alphabet[ins[2]]
+                if g in inv_reg:
+                    p = self.writable_one(dst)
+                    b.load(p, g)
+                    self.rebind(dst, p, inv_reg[g])
+                    continue
                 # the word search tree is memoised on the table across programs
-                positions = shortest_word(G.base, sigma_min, g)
+                positions = shortest_word(self.G.base, self.sigma_min, g)
                 if positions is None:
                     raise InvalidProgramError(
                         f"generator {g} not expressible over the minimal subset"
                     )
-                w = [sigma_min[i] for i in positions]
-                p, nreg = state.writable_pair(dst)
+                w = [self.sigma_min[i] for i in positions]
+                p, nreg = self.writable_pair(dst)
                 b.load(p, w[0])
                 for letter in w[1:]:
                     b.load(nreg, letter)
@@ -371,30 +365,44 @@ def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
                 b.mul(nreg, inv_reg[rev[0]], inv_reg[rev[1]])
                 for letter in rev[2:]:
                     b.mul(nreg, nreg, inv_reg[letter])
-                state.rebind(dst, p, nreg)
-        elif ins[0] == "M":
-            dst, x, y = ins[1], ins[2], ins[3]
-            px, nx = state.pos[x], state.neg[x]
-            py, ny = state.pos[y], state.neg[y]
-            p, nreg = state.writable_pair(dst)
-            # INV aliasing can make the reused slot an operand of the twin
-            # instruction; order the writes so no operand is clobbered first
-            pos_hazard = p in (nx, ny)
-            neg_hazard = nreg in (px, py)
-            if pos_hazard and neg_hazard:
-                p = state.free.pop() if state.free else state._alloc()
-                pos_hazard = False
-            if pos_hazard:
-                b.mul(nreg, ny, nx)
-                b.mul(p, px, py)
+                self.rebind(dst, p, nreg)
+            elif ins[0] == "M":
+                dst, x, y = ins[1], ins[2], ins[3]
+                px, nx = self.pos[x], self.neg[x]
+                py, ny = self.pos[y], self.neg[y]
+                p, nreg = self.writable_pair(dst)
+                # INV aliasing can make the reused slot an operand of the twin
+                # instruction; order the writes so no operand is clobbered first
+                pos_hazard = p in (nx, ny)
+                neg_hazard = nreg in (px, py)
+                if pos_hazard and neg_hazard:
+                    p = self._take()
+                    pos_hazard = False
+                if pos_hazard:
+                    b.mul(nreg, ny, nx)
+                    b.mul(p, px, py)
+                else:
+                    b.mul(p, px, py)
+                    b.mul(nreg, ny, nx)
+                self.rebind(dst, p, nreg)
             else:
-                b.mul(p, px, py)
-                b.mul(nreg, ny, nx)
-            state.rebind(dst, p, nreg)
-        else:
-            dst, x = ins[1], ins[2]
-            state.rebind(dst, state.neg[x], state.pos[x])
-    return b.finish(state.pos[prog.output])
+                dst, x = ins[1], ins[2]
+                self.rebind(dst, self.neg[x], self.pos[x])
+
+    def finish(self, output: int) -> Slp:
+        """The ordinary program for the value the fed register ``output`` holds."""
+        return self.b.finish(self.pos[output])
+
+
+def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
+    """Rewrite a group SLP into an ordinary SLP over the same generators: the
+    ``InverseMirror`` pass fed the whole program.  A program without INV
+    comes back as it is."""
+    if not prog.is_group:
+        return prog
+    mirror = InverseMirror(G, prog.alphabet)
+    mirror.feed(prog.instructions)
+    return mirror.finish(prog.output)
 
 
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -20,6 +20,7 @@ from slpforge.classify import classify
 from slpforge.compressors import (
     build_cube,
     compress,
+    emit_from_cube,
     compress_group_reachability,
     compress_group_solvable,
     compress_group_solvable_bounded,
@@ -31,7 +32,7 @@ from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
 from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure, sub_semigroup
-from slpforge.slp import Slp
+from slpforge.slp import InverseMirror, Slp, eliminate_inverses
 
 # the package re-exports functions under some of these modules' names
 classify_mod = importlib.import_module("slpforge.classify")
@@ -42,8 +43,11 @@ semigroup_mod = importlib.import_module("slpforge.semigroup")
 slp_mod = importlib.import_module("slpforge.slp")
 permutative_mod = importlib.import_module("slpforge.compressors.permutative")
 
-# the abelian table is the one instance on which ``permutative`` applies
-INSTANCES = [("dihedral", (8,)), ("dihedral", (16,)), ("heisenberg", (3,)), ("abelian", (2, 4, 4))]
+# the abelian table is the one instance on which ``permutative`` applies;
+# S4 > A4 > V4 > 1 has derived length 3
+INSTANCES = [
+    ("dihedral", (8,)), ("dihedral", (16,)), ("heisenberg", (3,)), ("abelian", (2, 4, 4)), ("sym", (4,)),
+]
 STRATEGIES = ("group-solvable", "group-solvable-bw", "group-bsz", "permutative", "auto")
 
 
@@ -433,3 +437,75 @@ def test_word_trees_grow_each_level_once(monkeypatch, S, gens):
         # the tree is built holding the one-letter words; every later level
         # is expanded once, and none past the deepest word asked of it
         assert grows.get(tree, 0) == max(map(len, answers)) - 1
+
+
+@pytest.mark.parametrize(
+    "family,params", [("dihedral", (8,)), ("heisenberg", (3,)), ("sym", (4,)), ("alt", (5,))],
+    ids=["D16", "H3", "S4", "A5"],
+)
+def test_bsz_is_the_elimination_of_the_cube_program(family, params):
+    # each cube state keeps its h_i prefix and the elimination pass fed it;
+    # a target resumes both, and must give what eliminating its whole group
+    # program gives, once every state has been used in an arbitrary order
+    S, gens = _instance(family, params)
+    G = group_view(S)
+    targets = sorted(closure(S, gens))
+    random.Random(family).shuffle(targets)
+    for t in targets:
+        compress_group_reachability(G, gens, t)
+    for t in targets:
+        expect = eliminate_inverses(G, emit_from_cube(G, gens, build_cube(G, gens, t), t))
+        assert compress_group_reachability(G, gens, t) == expect, t
+
+
+LARGE = pytest.mark.parametrize(
+    "family,params", [("dihedral", (128,)), ("heisenberg", (7,))], ids=["D256", "Heis7"]
+)
+
+
+def _planned(family, params, builder):
+    """A group view whose builder has its plan, and 200 random targets."""
+    S, gens = _instance(family, params)
+    G = group_view(S)
+    targets = random.Random(0).choices(range(S.n), k=200)
+    builder(G, gens, targets[0])
+    return G, gens, targets
+
+
+@LARGE
+def test_quotient_normal_forms_are_computed_once(monkeypatch, family, params):
+    G, gens, targets = _planned(family, params, compress_group_solvable)
+    forms = _counting(monkeypatch, solvable, "minimize_exponents")
+    for t in targets:
+        compress_group_solvable(G, gens, t)
+    # (quotient table, element): each level's forms are memoised on its quotient
+    keys = [(id(args[0]), args[4]) for args in forms]
+    assert len(keys) == len(set(keys))
+
+
+@LARGE
+def test_bounded_targets_write_the_plan_blocks(monkeypatch, family, params):
+    G, gens, targets = _planned(family, params, compress_group_solvable_bounded)
+    records = _counting(monkeypatch, solvable._BoundedEmitter, "emit_record")
+    for t in targets:
+        compress_group_solvable_bounded(G, gens, t)
+    assert records == []
+
+
+@LARGE
+def test_bsz_feeds_each_prefix_once_and_builds_one_program(monkeypatch, family, params):
+    G, gens, targets = _planned(family, params, compress_group_reachability)
+    fed, programs = _counting(monkeypatch, InverseMirror, "feed"), []
+    check = Slp.__post_init__
+    monkeypatch.setattr(Slp, "__post_init__", lambda self: programs.append(1) or check(self))
+    for t in targets:
+        programs.clear()
+        compress_group_reachability(G, gens, t)
+        assert len(programs) == 1, t
+    states = {id(s): s for s in (build_cube(G, gens, t) for t in targets)}.values()
+    # a pair loads nothing once there are h_i, so it never equals a prefix
+    prefixes = {tuple(s.prefix.instructions) for s in states if s.prefix and s.rounds}
+    fed_prefixes = [tuple(args[1]) for args in fed if tuple(args[1]) in prefixes]
+    # each state's h_i records are fed once; every other feed is one target's pair
+    assert fed_prefixes and len(fed_prefixes) == len(set(fed_prefixes))
+    assert len(fed) - len(fed_prefixes) <= len(targets)

@@ -10,9 +10,9 @@ from slpforge.errors import InvalidProgramError, InverseOutsideGroupError
 from slpforge.groups import group_view, minimal_generating_subset
 from slpforge.io import parse_slp
 from slpforge.slp import (
+    InverseMirror,
     Slp,
     SlpBuilder,
-    _MirrorState,
     eliminate_inverses,
     evaluate,
     fast_exp,
@@ -408,7 +408,7 @@ def test_canonical_matches_the_oracle_with_repeated_values(prog, perm):
 )
 def test_mirror_reference_counts_match_a_recount(monkeypatch, S, gens):
     rebinds = 0
-    original = _MirrorState.rebind
+    original = InverseMirror.rebind
 
     def checked(state, dst, p, n):
         nonlocal rebinds
@@ -417,7 +417,7 @@ def test_mirror_reference_counts_match_a_recount(monkeypatch, S, gens):
         assert {r: c for r, c in state.refs.items() if c} == recount
         rebinds += 1
 
-    monkeypatch.setattr(_MirrorState, "rebind", checked)
+    monkeypatch.setattr(InverseMirror, "rebind", checked)
     rng = random.Random(31)
     G = group_view(S)
     for _ in range(60):
