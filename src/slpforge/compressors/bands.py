@@ -140,8 +140,8 @@ def compress_normal_band(
                 b.mul(dst, r_e, dst)
                 b.mul(dst, dst, r_e)
             else:
-                helper = None
-                for r in range(base, base + gparent.width):
+                helper = None  # a compact group program may have width 1
+                for r in range(base, base + max(gparent.width, 2)):
                     if r != dst and r not in live_vals:
                         helper = r
                         break
@@ -165,7 +165,7 @@ def compress_normal_band(
                     b.mul(dst, dst, r_e)
         live_vals[dst] = sval
     out = base + gparent.output
-    slp = b.finish(out)
+    slp = b.compact(out)
     trace = evaluate(S, slp)
     if trace.output_value != t:
         raise DecompositionFailedError("band splice produced a wrong value")

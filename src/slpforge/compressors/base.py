@@ -25,7 +25,7 @@ def word_program(values: list[int]) -> Slp:
     acc = b.fresh()
     if len(values) == 1:
         b.load(acc, values[0])
-        return b.finish(acc)
+        return b.compact(acc)
     scratch = b.fresh()
     b.word_product(values, acc, scratch)
-    return b.finish(acc)
+    return b.compact(acc)

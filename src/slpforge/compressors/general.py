@@ -101,7 +101,7 @@ def _compress_sandwich(
     b.mul(out, aux, out)
     b.load(aux, v)
     b.mul(out, out, aux)
-    slp = b.finish(out)
+    slp = b.compact(out)
     if evaluate(S, slp).output_value != t:
         raise NotEligibleError("leaf substitution changed the target value")
     return slp, band, (u, v, t_tilde)

@@ -69,4 +69,4 @@ def nilpotent_peel(
         if word is None:
             raise SlpforgeError(f"inner program loads a value {val} outside delta")
         b.word_product(word, ins[1], scratch)
-    return b.finish(inner_prog.output)
+    return b.compact(inner_prog.output)

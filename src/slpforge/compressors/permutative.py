@@ -187,4 +187,4 @@ def _emit(nf: PermNormalForm) -> Slp:
     for s in nf.suffix:
         in_scratch(s)
         b.mul(acc, acc, scratch)
-    return b.finish(acc)
+    return b.compact(acc)

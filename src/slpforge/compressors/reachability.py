@@ -224,12 +224,13 @@ def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) 
 
 def compress_group_reachability(G: GroupView, gens: Sequence[int], t: int) -> Slp:
     """Ordinary SLP for t over gens: the cube's group program (width <= rounds
-    + 3, strict cube doubling) with its inverses eliminated; the state keeps
-    the elimination pass fed its h_i records, and a fork of it is fed t's."""
+    + 3, strict cube doubling) with its inverses eliminated, compacted; the
+    state keeps the elimination pass fed its h_i records, and a fork of it is
+    fed t's."""
     state = build_cube(G, gens, t)
     b, holder = _emit_target(G, gens, state, t)
     if not any(ins[0] == "I" for ins in b.instructions):
-        return b.finish(holder)
+        return b.compact(holder)
     if state.mirror is None:
         state.mirror = InverseMirror(G, state.prefix.alphabet)
         state.mirror.feed(state.prefix.instructions)

@@ -60,10 +60,13 @@ from ..sets import ElementSet
 from ..slp import (
     Slp,
     SlpBuilder,
+    compact,
+    compact_blocks,
     eliminate_inverses,
     evaluate,
     fast_exp,
     inverting_power,
+    scan_block,
 )
 from .permutative import minimize_exponents
 
@@ -86,6 +89,8 @@ class Level:
     quotient: QuotientGroup
     qgens: list[int]
     rep: dict[int, int]
+    # residual image x -> its normal form and its lift's value, filled as targets ask
+    lifts: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def adapted_levels(
@@ -124,21 +129,13 @@ def adapt_subnormal(
     returns the register that holds it.
 
     Per level the residual target is projected into G_{i-1}/G_i and written as
-    its normal form there (memoised on the quotient's table), a simultaneous
-    square-and-multiply that reads each generator from its register
-    ``held[g]``.  The first lift goes to an accumulator, each later one to a
-    level register that then multiplies the accumulator; both
-    come from ``fresh()`` at their first write.  A lift's value is its product
-    in emission order: the quotient is abelian, G need not be.
+    its normal form there (memoised with its lift's value on the level), a
+    simultaneous square-and-multiply reading each generator from ``held[g]``;
+    the lifts multiply left to right.  Each product takes a new register, and
+    ``compact`` reuses them.  A lift's value is its product in emission order:
+    the quotient is abelian, G need not be.
     """
     table, inverse = G.base.table, G.inverse
-    regs: dict[str, int] = {}
-
-    def written(role: str) -> int:
-        if role not in regs:
-            regs[role] = b.fresh()
-        return regs[role]
-
     out: Optional[int] = None
     for level in levels:
         if t not in level.term:
@@ -147,29 +144,27 @@ def adapt_subnormal(
         x = int(Q.projection[level.to_sub[t]])
         if x == Q.group.identity:
             continue
-        nf = Q.semigroup.cached(
-            ("normal_form", tuple(level.qgens), x), lambda: _quotient_normal_form(Q, level.qgens, x)
-        )
-        role = "acc" if out is None else "lvl"
-        reg = val = None
+        if x not in level.lifts:
+            level.lifts[x] = _lift(table, level, x)
+        nf, val = level.lifts[x]
+        reg = None
         for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
             if reg is not None:
-                dst = written(role)
+                dst = b.fresh()
                 b.mul(dst, reg, reg)
-                reg, val = dst, table.item(val, val)
+                reg = dst
             for q, e in zip(nf.order, nf.exponents):
                 if e >> bit & 1:
-                    g = level.rep[q]
                     if reg is None:
-                        reg, val = held[g], g
+                        reg = held[level.rep[q]]
                     else:
-                        dst = written(role)
-                        b.mul(dst, reg, held[g])
-                        reg, val = dst, table.item(val, g)
+                        dst = b.fresh()
+                        b.mul(dst, reg, held[level.rep[q]])
+                        reg = dst
         if out is None:
             out = reg
         else:
-            acc = written("acc")
+            acc = b.fresh()
             b.mul(acc, out, reg)
             out = acc
         t = table.item(inverse[val], t)
@@ -181,10 +176,26 @@ def adapt_subnormal(
         e = G.element_order(g)
         if e == 1:
             return held[g]
-        acc = written("acc")
+        acc = b.fresh()
         b.fast_exp_into(acc, held[g], e)
         return acc
     return out
+
+
+def _lift(table, level: Level, x: int):
+    """x's normal form (memoised on the quotient's table) and the value of the
+    lift ``adapt_subnormal`` writes for it: the square-and-multiply product of
+    the generators in emission order."""
+    Q = level.quotient
+    nf = Q.semigroup.cached(("normal_form", tuple(level.qgens), x), lambda: _quotient_normal_form(Q, level.qgens, x))
+    val = None
+    for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
+        if val is not None:
+            val = table.item(val, val)
+        for q, e in zip(nf.order, nf.exponents):
+            if e >> bit & 1:
+                val = level.rep[q] if val is None else table.item(val, level.rep[q])
+    return nf, val
 
 
 def _quotient_normal_form(Q: QuotientGroup, qgens: list[int], x: int):
@@ -333,7 +344,8 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
     levels = adapted_levels(G, delta.values, chain, top=delta.top)
-    program = eliminate_inverses(G, emit_delta_program(G, delta))
+    # uncompacted: ``held`` reads every register
+    program = eliminate_inverses(G, emit_delta_program(G, delta), compacted=False)
     # from the highest register down, so the lowest holding a value wins
     registers = sorted(evaluate(G.base, program).registers.items(), reverse=True)
     b = SlpBuilder()
@@ -351,7 +363,7 @@ def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     sigma = tuple(int(s) for s in sigma)
     plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
     b = plan.builder.fork()
-    return b.finish(adapt_subnormal(G, plan.levels, t, b, plan.held))
+    return b.compact(adapt_subnormal(G, plan.levels, t, b, plan.held))
 
 
 # -- polycyclic generating set (bounded width) --------------------------------
@@ -374,7 +386,9 @@ class PolycyclicGenSet:
     chain: SeriesChain
     exponent: int                       # of the group, for omega-minus-one inverses
     # per chain record: ``_record_block``'s block, its value's register, a free one
-    blocks: list[tuple[tuple, int, int]]
+    blocks: list[tuple[list, int, int]]
+    # (record, power, first?) -> ``_join``'s block, filled as targets ask
+    joins: dict = field(default_factory=dict)
 
     def chain_records(self) -> list[PolyRecord]:
         return [self.records[i] for i in self.chain_indices]
@@ -533,15 +547,16 @@ class _BoundedEmitter:
         return B, [A, rg]
 
 
-def _record_block(records: list[PolyRecord], rec: PolyRecord, inv_exp: int) -> tuple[tuple, int, int]:
+def _record_block(records: list[PolyRecord], rec: PolyRecord, inv_exp: int) -> tuple[list, int, int]:
     """The instructions ``_BoundedEmitter`` writes for ``rec`` into registers
-    0 .. 2, each load naming its value, not a symbol; the register holding
-    ``rec`` after them and one free register."""
+    0 .. 2, each load naming its value, not a symbol, scanned by
+    ``scan_block``; the register holding ``rec`` after them and one free
+    register."""
     em = _BoundedEmitter(records, inv_exp)
     reg, free = em.emit_record(rec, em.work)
     alphabet = em.b.alphabet
-    block = tuple(("L", i[1], alphabet[i[2]]) if i[0] == "L" else i for i in em.b.instructions)
-    return block, reg, free[0]
+    block = [("L", i[1], alphabet[i[2]]) if i[0] == "L" else i for i in em.b.instructions]
+    return scan_block(block, (reg,)), reg, free[0]
 
 
 def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
@@ -549,11 +564,11 @@ def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) 
 
     The polycyclic set, with each chain record's block, is built once per
     generator list and memoised on the table; a target runs the discrete logs
-    and joins the blocks of its nonzero exponents with square-and-multiply.
+    and joins the blocks of its nonzero exponents with square-and-multiply,
+    in one forward scan of ``compact``.
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     pcs = G.base.cached(("polycyclic_set", tuple(sigma)), lambda: build_polycyclic_set(G, sigma))
-    exponent = pcs.exponent
 
     # pass 1: discrete logarithms along the chain
     table = G.base.table
@@ -575,17 +590,28 @@ def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) 
 
     contributions = [(j, a) for j, a in enumerate(exps) if a > 0]
     if not contributions:
-        return fast_exp(sigma[0], G.element_order(sigma[0]))
+        return compact(fast_exp(sigma[0], G.element_order(sigma[0])))
 
-    b, acc = SlpBuilder(), 3  # the blocks write registers 0 .. 2
+    # the blocks load values, so the alphabet maps each value to itself
+    blocks = []
     for n, (j, a) in enumerate(contributions):
-        block, rreg, spare = pcs.blocks[j]
-        b.write(block)
-        if n == 0:
-            b.fast_exp_into(acc, rreg, a if a >= 2 else a + exponent)
-        elif a == 1:
-            b.mul(acc, acc, rreg)
-        else:
-            b.fast_exp_into(spare, rreg, a)
-            b.mul(acc, acc, spare)
-    return b.finish(acc)
+        if (j, a, n == 0) not in pcs.joins:
+            pcs.joins[j, a, n == 0] = _join(pcs, j, a, n == 0)
+        blocks += (pcs.blocks[j][0], pcs.joins[j, a, n == 0])
+    return compact_blocks(range(G.order), blocks, 3)
+
+
+def _join(pcs: PolycyclicGenSet, j: int, a: int, first: bool) -> list:
+    """Square-and-multiply of chain record j's value to the power a into the
+    accumulator, register 3, after record j's block (which writes registers
+    0 .. 2); scanned by ``scan_block``, the accumulator alone read later."""
+    _, rreg, spare = pcs.blocks[j]
+    b, acc = SlpBuilder(), 3
+    if first:
+        b.fast_exp_into(acc, rreg, a if a >= 2 else a + pcs.exponent)
+    elif a == 1:
+        b.mul(acc, acc, rreg)
+    else:
+        b.fast_exp_into(spare, rreg, a)
+        b.mul(acc, acc, spare)
+    return scan_block(b.instructions, (acc,))

@@ -11,13 +11,20 @@ are immutable values; a strategy composes pieces by emitting them into one
 ``SlpBuilder`` (``splice``, ``word_product``).  Every ``Slp`` is canonical:
 its constructor rejects a first write to any register but the next unused
 number, so registers are 0, 1, 2, ... in first-assignment order, and metrics
-and file round-trips are reproducible bit for bit.  ``SlpBuilder.finish``
-and ``io.parse_slp`` renumber what they are given into that order.
+and file round-trips are reproducible bit for bit.
+
+Every program a strategy returns passes once through ``compact``
+(``SlpBuilder.compact``): one backward liveness scan drops each instruction
+whose value is never read, and one forward scan gives each value the
+register most recently freed by a last read, or the next new one.  The
+result is canonical, never longer or wider than its input, loads only the
+alphabet values it reads, and is its own compaction.  ``SlpBuilder.finish``
+and ``io.parse_slp`` only renumber: programs a plan keeps, whose every
+register a later target may read, and a file, which is the user's program.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,12 +43,12 @@ class Slp:
     is_group: bool = field(init=False)  # an INV instruction is present
 
     def __post_init__(self):
-        width, is_group = 0, False
+        width, is_group, symbols = 0, False, len(self.alphabet)
         for ins in self.instructions:
             op = ins[0]
             if op == "L":
                 _, dst, k = ins
-                if not 0 <= k < len(self.alphabet):
+                if not 0 <= k < symbols:
                     raise InvalidProgramError(f"load of unknown symbol {k}")
             elif op == "M":
                 _, dst, a, b = ins
@@ -64,6 +71,13 @@ class Slp:
             raise InvalidProgramError("output register never assigned")
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "is_group", is_group)
+
+    @classmethod
+    def _scanned(cls, alphabet: tuple, instructions: tuple, output: int, width: int, is_group: bool) -> "Slp":
+        """A program ``compact``'s scan numbered canonically as it wrote it."""
+        prog = object.__new__(cls)
+        prog.__dict__.update(alphabet=alphabet, instructions=instructions, output=output, width=width, is_group=is_group)
+        return prog
 
     @property
     def length(self) -> int:
@@ -108,6 +122,186 @@ def _renumbered(alphabet, instructions: tuple, output: int) -> tuple[tuple, int]
     return tuple(out), ren[output]
 
 
+def _liveness(instructions: Sequence[tuple], live: set, pending: set) -> list[tuple[tuple, int]]:
+    """``compact``'s backward scan of a block.  ``live`` holds the registers
+    read after it, ``pending`` those read after it by dropped instructions.
+    Returns the instructions whose value is read, each with the operands it
+    reads last (1: the first, 2: the second, 3: both), and leaves in both sets
+    what is read before the block."""
+    kept = []
+    for ins in reversed(instructions):
+        op, dst = ins[0], ins[1]
+        if pending:
+            pending.discard(dst)
+        if op not in ("L", "M", "I"):
+            raise InvalidProgramError(f"unknown opcode {op!r}")
+        if dst not in live:
+            pending.update(ins[2:] if op != "L" else ())
+            continue
+        live.discard(dst)
+        last = 0
+        if op == "M":
+            a, b = ins[2], ins[3]
+            last = (a not in live) + 2 * (b != a and b not in live)
+            live.add(a)
+            live.add(b)
+        elif op == "I":
+            last = ins[2] not in live
+            live.add(ins[2])
+        kept.append((ins, last))
+    kept.reverse()
+    return kept
+
+
+def _unread(*reads: set) -> None:
+    if any(reads):
+        raise InvalidProgramError(f"read of unassigned register {min(set().union(*reads))}")
+
+
+class _Scan:
+    """``compact``'s forward scan, resumable: each kept value goes to the
+    register its last read freed most recently (the first operand's when both
+    are), or else to the next new one; symbols are numbered by first load."""
+
+    __slots__ = ("where", "free", "width", "sym", "first", "values", "out", "is_group")
+
+    def __init__(self):
+        self.where: dict[int, int] = {}  # input register -> register holding its value
+        self.free: list[int] = []        # freed registers, the latest on top
+        self.sym: dict[int, int] = {}    # input symbol -> output symbol
+        self.first: dict[int, int] = {}  # value -> output symbol
+        self.values: list[int] = []
+        self.out: list[tuple] = []
+        self.width, self.is_group = 0, False
+
+    def copy(self, keep) -> "_Scan":
+        """A copy to resume that knows where only the registers ``keep`` went."""
+        c = _Scan.__new__(_Scan)
+        c.where = {r: self.where[r] for r in keep}
+        c.free, c.sym, c.first = list(self.free), dict(self.sym), dict(self.first)
+        c.values, c.out, c.width, c.is_group = list(self.values), list(self.out), self.width, self.is_group
+        return c
+
+    def _symbol(self, alphabet: Sequence[int], k: int) -> int:
+        if not 0 <= k < len(alphabet):
+            raise InvalidProgramError(f"load of unknown symbol {k}")
+        if alphabet[k] not in self.first:
+            self.first[alphabet[k]] = len(self.values)
+            self.values.append(alphabet[k])
+        self.sym[k] = self.first[alphabet[k]]
+        return self.sym[k]
+
+    def run(self, alphabet: Sequence[int], kept: Sequence[tuple[tuple, int]]) -> None:
+        """Scan ``_liveness``'s output; ``alphabet`` maps its symbols to values."""
+        where, free, sym, emit, width = self.where, self.free, self.sym, self.out.append, self.width
+        try:
+            for ins, last in kept:
+                op = ins[0]
+                if op == "M":
+                    a, b = where[ins[2]], where[ins[3]]
+                    if last == 1:
+                        dst = a
+                    elif last == 2:
+                        dst = b
+                    elif last:
+                        free.append(b)
+                        dst = a
+                    elif free:
+                        dst = free.pop()
+                    else:
+                        dst, width = width, width + 1
+                    emit(("M", dst, a, b))
+                else:
+                    if op == "L":  # never a last read: ``a`` is a symbol
+                        a = sym[ins[2]] if ins[2] in sym else self._symbol(alphabet, ins[2])
+                    else:
+                        a, self.is_group = where[ins[2]], True
+                    if last:
+                        dst = a
+                    elif free:
+                        dst = free.pop()
+                    else:
+                        dst, width = width, width + 1
+                    emit((op, dst, a))
+                where[ins[1]] = dst
+        except KeyError:
+            raise InvalidProgramError(f"read of unassigned register in {ins}") from None
+        self.width = width
+
+    def program(self, output: int) -> Slp:
+        return Slp._scanned(tuple(self.values), tuple(self.out), self.where[output], self.width, self.is_group)
+
+
+def _compacted(alphabet: Sequence[int], instructions: Sequence[tuple], output: int) -> Slp:
+    live, pending = {output}, set()
+    kept = _liveness(instructions, live, pending)
+    if not kept:
+        raise InvalidProgramError("output register never assigned")
+    _unread(live, pending)
+    scan = _Scan()
+    scan.run(alphabet, kept)
+    return scan.program(output)
+
+
+def compact(prog: Slp) -> Slp:
+    """The program without the instructions whose value is never read, each
+    value in the register most recently freed by a last read (or the next new
+    one), loading only the alphabet values it reads.  Never longer or wider
+    than ``prog``; a program already compact comes back as it is."""
+    out = _compacted(prog.alphabet, prog.instructions, prog.output)
+    return prog if out == prog else out
+
+
+def scan_block(instructions: Sequence[tuple], live) -> list[tuple[tuple, int]]:
+    """``compact``'s backward scan of a block after which the registers
+    ``live`` are read, for ``compact_blocks``.  The block may read registers
+    written before it, but may not drop an instruction that does."""
+    live, pending = set(live), set()
+    kept = _liveness(instructions, live, pending)
+    _unread(pending)
+    return kept
+
+
+def compact_blocks(alphabet: Sequence[int], blocks: Sequence[list], output: int) -> Slp:
+    """``compact`` of the program the blocks form in order, each scanned by
+    ``scan_block`` with what the blocks after it and ``output`` read."""
+    scan = _Scan()
+    for kept in blocks:
+        scan.run(alphabet, kept)
+    return scan.program(output)
+
+
+class _SharedPrefix:
+    """The first ``n`` instructions of every fork of one builder, and
+    ``compact``'s scan of them per set of their registers the rest reads.
+    The scans hold one tuple per distinct instruction they wrote."""
+
+    def __init__(self, n: int):
+        self.n, self.written, self.scans, self.interned = n, None, {}, {}
+
+    def compact(self, alphabet: Sequence[int], instructions: Sequence[tuple], output: int) -> Slp:
+        live, pending = {output}, set()
+        kept = _liveness(instructions[self.n :], live, pending)
+        if pending or not kept:
+            if self.written is None:
+                self.written = {ins[1] for ins in instructions[: self.n]}
+            _unread(pending - self.written)
+            if not kept and output not in self.written:
+                raise InvalidProgramError("output register never assigned")
+        reads = frozenset(live)
+        if reads not in self.scans:
+            pending = set()
+            head = _liveness(instructions[: self.n], live, pending)
+            _unread(live, pending)
+            scan = _Scan()
+            scan.run(alphabet, head)
+            scan = self.scans[reads] = scan.copy(reads)
+            scan.out = [self.interned.setdefault(ins, ins) for ins in scan.out]
+        scan = self.scans[reads].copy(reads)
+        scan.run(alphabet, kept)
+        return scan.program(output)
+
+
 @dataclass
 class EvalTrace:
     registers: dict[int, int]
@@ -147,11 +341,19 @@ class SlpBuilder:
         self.alphabet: list[int] = []
         self._sym_index: dict[int, int] = {}
         self._next_reg = 0
+        self._prefix: Optional[_SharedPrefix] = None  # what this fork shares
+        self._shared: Optional[_SharedPrefix] = None  # what forks of this share
 
     def fork(self) -> "SlpBuilder":
-        """A new builder holding a copy of everything this one holds."""
-        b = copy.copy(self)
-        b.instructions, b.alphabet, b._sym_index = list(b.instructions), list(b.alphabet), dict(b._sym_index)
+        """A new builder holding a copy of everything this one holds.  Its
+        ``compact`` scans this builder's instructions once per set of their
+        registers the fork goes on to read, across all forks."""
+        b = SlpBuilder.__new__(SlpBuilder)
+        b.instructions, b.alphabet, b._sym_index = list(self.instructions), list(self.alphabet), dict(self._sym_index)
+        b._next_reg = self._next_reg
+        if self._shared is None or self._shared.n != len(self.instructions):
+            self._shared = _SharedPrefix(len(self.instructions))
+        b._prefix, b._shared = self._shared, None
         return b
 
     def fresh(self) -> int:
@@ -175,14 +377,6 @@ class SlpBuilder:
 
     def inv(self, dst: int, a: int) -> None:
         self.instructions.append(("I", dst, a))
-
-    def write(self, block: Sequence[tuple]) -> None:
-        """Append instructions whose loads name alphabet values, not symbols."""
-        for ins in block:
-            if ins[0] == "L":
-                self.load(ins[1], ins[2])
-            else:
-                self.instructions.append(ins)
 
     def word_product(self, values: Sequence[int], acc: int, scratch: int) -> None:
         """acc <- left-to-right product of the given element values."""
@@ -223,9 +417,16 @@ class SlpBuilder:
         return base + prog.output
 
     def finish(self, output: int) -> Slp:
-        """The program, its registers numbered in first-assignment order."""
+        """The program, its registers numbered in first-assignment order and
+        every instruction kept: for a plan whose registers are read later."""
         instructions, output = _renumbered(self.alphabet, tuple(self.instructions), output)
         return Slp(tuple(self.alphabet), instructions, output)
+
+    def compact(self, output: int) -> Slp:
+        """The program compacted (``compact``): for a program returned."""
+        if self._prefix is None:
+            return _compacted(self.alphabet, self.instructions, output)
+        return self._prefix.compact(self.alphabet, self.instructions, output)
 
 
 def fast_exp(symbol: int, n: int) -> Slp:
@@ -248,10 +449,11 @@ class InverseMirror:
     The prelude computes the inverses of a minimal generating subset once
     (prefix/suffix products and one omega-minus-one exponentiation).  ``feed``
     pairs each input register with two of ``b``, ``neg`` holding the inverse;
-    INV swaps the pair, so a write takes fresh registers where the old ones
-    are shared (``refs`` counts slots per register).  The output depends on
-    the input registers only through which are equal, so a program fed in
-    pieces, under any such numbering, gives the same program.
+    a write takes new registers and INV swaps the pair, so no value the pair
+    holds is ever overwritten, and ``finish`` leaves register reuse to
+    ``compact``.  The output depends on the input registers only through which
+    are equal, so a program fed in pieces, under any such numbering, gives the
+    same program.
     """
 
     def __init__(self, G: GroupView, alphabet: Sequence[int]):
@@ -289,65 +491,26 @@ class InverseMirror:
             self.inv_reg[sigma_min[0]] = gbar
         else:
             b.mul(regs[0], kreg, gbar)
-        self.pos, self.neg, self.refs, self.free = {}, {}, {}, []
-        self.pinned = set(self.inv_reg.values())
+        self.pos: dict[int, int] = {}
+        self.neg: dict[int, int] = {}
 
     def fork(self) -> "InverseMirror":
         """A copy to resume independently of this one."""
-        m = copy.copy(self)
+        m = InverseMirror.__new__(InverseMirror)
+        m.__dict__.update(self.__dict__)
         m.b, m.pos, m.neg = self.b.fork(), dict(self.pos), dict(self.neg)
-        m.refs, m.free = dict(self.refs), list(self.free)
         return m
 
-    def _take(self) -> int:
-        """A released register, or a new one."""
-        return self.free.pop() if self.free else self.b.fresh()
-
-    def _reusable(self, dst: int) -> list[int]:
-        out = []
-        for m in (self.pos, self.neg):
-            old = m.get(dst)
-            if old is not None and old not in self.pinned and self.refs[old] == 1:
-                out.append(old)
-        return out
-
-    def writable_pair(self, dst: int) -> tuple[int, int]:
-        """(pos, neg) registers safe to overwrite for dst."""
-        out = self._reusable(dst)
-        while len(out) < 2:
-            out.append(self._take())
-        return out[0], out[1]
-
-    def writable_one(self, dst: int) -> int:
-        out = self._reusable(dst)
-        return out[0] if out else self._take()
-
-    def rebind(self, dst: int, p: int, n: int) -> None:
-        refs = self.refs
-        for m, new in ((self.pos, p), (self.neg, n)):
-            old = m.get(dst)
-            m[dst] = new
-            refs[new] = refs.get(new, 0) + 1
-            if old is None:
-                continue
-            refs[old] -= 1
-            if (
-                old not in (p, n)
-                and old not in self.pinned
-                and refs[old] == 0
-                and old not in self.free
-            ):
-                self.free.append(old)
-
     def feed(self, instructions: Sequence[tuple]) -> None:
-        b, inv_reg = self.b, self.inv_reg
+        b, inv_reg, pos, neg, fresh = self.b, self.inv_reg, self.pos, self.neg, self.b.fresh
         for ins in instructions:
+            dst = ins[1]
             if ins[0] == "L":
-                dst, g = ins[1], self.alphabet[ins[2]]
+                g = self.alphabet[ins[2]]
+                p = fresh()
                 if g in inv_reg:
-                    p = self.writable_one(dst)
                     b.load(p, g)
-                    self.rebind(dst, p, inv_reg[g])
+                    pos[dst], neg[dst] = p, inv_reg[g]
                     continue
                 # the word search tree is memoised on the table across programs
                 positions = shortest_word(self.G.base, self.sigma_min, g)
@@ -356,53 +519,42 @@ class InverseMirror:
                         f"generator {g} not expressible over the minimal subset"
                     )
                 w = [self.sigma_min[i] for i in positions]
-                p, nreg = self.writable_pair(dst)
+                n = fresh()
                 b.load(p, w[0])
                 for letter in w[1:]:
-                    b.load(nreg, letter)
-                    b.mul(p, p, nreg)
+                    b.load(n, letter)
+                    b.mul(p, p, n)
                 rev = list(reversed(w))
-                b.mul(nreg, inv_reg[rev[0]], inv_reg[rev[1]])
+                b.mul(n, inv_reg[rev[0]], inv_reg[rev[1]])
                 for letter in rev[2:]:
-                    b.mul(nreg, nreg, inv_reg[letter])
-                self.rebind(dst, p, nreg)
+                    b.mul(n, n, inv_reg[letter])
             elif ins[0] == "M":
-                dst, x, y = ins[1], ins[2], ins[3]
-                px, nx = self.pos[x], self.neg[x]
-                py, ny = self.pos[y], self.neg[y]
-                p, nreg = self.writable_pair(dst)
-                # INV aliasing can make the reused slot an operand of the twin
-                # instruction; order the writes so no operand is clobbered first
-                pos_hazard = p in (nx, ny)
-                neg_hazard = nreg in (px, py)
-                if pos_hazard and neg_hazard:
-                    p = self._take()
-                    pos_hazard = False
-                if pos_hazard:
-                    b.mul(nreg, ny, nx)
-                    b.mul(p, px, py)
-                else:
-                    b.mul(p, px, py)
-                    b.mul(nreg, ny, nx)
-                self.rebind(dst, p, nreg)
+                x, y = ins[2], ins[3]
+                p, n = fresh(), fresh()
+                b.mul(p, pos[x], pos[y])
+                b.mul(n, neg[y], neg[x])
             else:
-                dst, x = ins[1], ins[2]
-                self.rebind(dst, self.neg[x], self.pos[x])
+                p, n = neg[ins[2]], pos[ins[2]]
+            pos[dst], neg[dst] = p, n
 
-    def finish(self, output: int) -> Slp:
-        """The ordinary program for the value the fed register ``output`` holds."""
+    def finish(self, output: int, compacted: bool = True) -> Slp:
+        """The ordinary program for the value the fed register ``output``
+        holds, compacted, or else with every register the pass wrote."""
+        if compacted:
+            return self.b.compact(self.pos[output])
         return self.b.finish(self.pos[output])
 
 
-def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
+def eliminate_inverses(G: GroupView, prog: Slp, compacted: bool = True) -> Slp:
     """Rewrite a group SLP into an ordinary SLP over the same generators: the
-    ``InverseMirror`` pass fed the whole program.  A program without INV
-    comes back as it is."""
+    ``InverseMirror`` pass fed the whole program, then ``compact``.  Without
+    ``compacted`` every register the pass wrote is kept, for a plan that
+    reads them all, and a program without INV comes back as it is."""
     if not prog.is_group:
-        return prog
+        return compact(prog) if compacted else prog
     mirror = InverseMirror(G, prog.alphabet)
     mirror.feed(prog.instructions)
-    return mirror.finish(prog.output)
+    return mirror.finish(prog.output, compacted)
 
 
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

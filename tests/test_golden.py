@@ -16,10 +16,11 @@ import itertools
 import pytest
 
 from slpforge import zoo
-from slpforge.compressors import compress
+from slpforge.compressors import STRATEGIES, compress
 from slpforge.errors import SlpforgeError
 from slpforge.io import dump_slp, parse_slp
 from slpforge.semigroup import closure
+from slpforge.slp import compact
 
 from conftest import random_semigroups
 
@@ -47,58 +48,58 @@ GROUPS = {
 }
 
 PINNED = {
-    'S4/group-solvable': 'cefd17bb220097ab426e38621a348e8f2bb526a7ba265265fa9e6b3ab1041e38',
-    'S4/group-solvable-bw': '63d97ba9a7fbbc9f8a8f07522a27d4aafd558fc61f0d5fe0cce08cfd674b19e2',
-    'S4/group-bsz': '9315a6beddd73ab18ad608895f4768503776ea6f2d77b162e4573d55fb520b4d',
-    'A4/group-solvable': '7a5300eb5f0d3c02613312a54be48c53fd32b0459c97c07dbea350352d7d05a7',
-    'A4/group-solvable-bw': 'e758c49cfe6081626c75de49926a4bd592e98d47c89e06489596787d11d3d947',
-    'A4/group-bsz': '83c3815995c8d91c2796a7eec6648fbc5e17122ab7699d131f70ad17618e8b71',
-    'D8/group-solvable': '36225badbf1d84f00c8500679d4cd7831a82a20b74629dc3f024145046d1445c',
-    'D8/group-solvable-bw': '2f010fdef0734a802a4c4a225a2efa8dd4ac72015f3c41dfa8695e4cff58bd98',
-    'D8/group-bsz': '43333a7099e96269a6cafe8993a20b2b61393591945d2605b69c2c30b3b86e8e',
-    'H3/group-solvable': '1a2d95da781a1fb5b62bf31e9bd361703c0be336d01c90a3560602d46e0edb60',
-    'H3/group-solvable-bw': 'e9125bab48344ba97fa81b76f924964dc12bacc6ba65a2f7658419408fb75eaf',
-    'H3/group-bsz': 'b36271f68ad32c02c3c21ddd08d77a70c781acf9390f862c693b4d1327addd90',
+    'S4/group-solvable': '228215795870c2e91d02e9aac24d94651e2146068fd9baaa64aec7612a434ac0',
+    'S4/group-solvable-bw': '4d633c63a116f9217d08f9a311af534b40a65ec66909d5f7a63fce8a40e4d759',
+    'S4/group-bsz': 'ed432f5e7e94b7c9d9474e7a806a9ec168d0b415a6c52b47b24f3172d02f6969',
+    'A4/group-solvable': '6d2ef6cff57769a07990714ce78af4a2bd0395fcb9acf1a0f389316ef40f6ed3',
+    'A4/group-solvable-bw': '21446bb53c940cb4c48e9043cdb653cdb81ef32ac53d6d0ff1e6b5291182fb1e',
+    'A4/group-bsz': '17e083b00e390cc6a9f4d3978f7890d415508e9e3bd7be829ad470d857818122',
+    'D8/group-solvable': '9b2ed7a1cc20f974ce25e538df804aab15e052dcfdea3cf9d7f9b6fcfb14ed82',
+    'D8/group-solvable-bw': '8f06b517b310975e4584aeeec3e8f764538b8b7f1abe34d5d3c0fe60c102e940',
+    'D8/group-bsz': 'dbb1e7ea980674ec7ca1475e7f8abd47b8b277a160f4ff7acbf1db4fd4ecb19b',
+    'H3/group-solvable': '46e344f138540ccf44c5bc7a7582959a1bd4193e0f68d56024ec0efe113762cb',
+    'H3/group-solvable-bw': 'bf0ea52afb79ae146fdaa50501be51f1e657eea67ef50b403df2e45b706fb76d',
+    'H3/group-bsz': '57ce1f1fec7a95513aa6fd58fa9f026f4a167ac11f5e10480f2f9e3264e08998',
     'rb/auto': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
-    'rb/normal-band': '6c6afd863862f5cba856419eeefe09e53726096952c3942d7e8976f7eaeb3791',
+    'rb/normal-band': 'f1eb66f27d94f609c5092b4f0dd40fd712094b69d125d2b04ede44b2b6bf90dd',
     'rb/general': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
     'rb/permutative': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
     'lrb-witness/auto': '6699585cfa65158c9462b50e3194b133a641bd6075c2b48dbd07bad4a1d9c04e',
     'lrb-witness/normal-band': 'effc8c65cad10f037be040d0ab3ee8cef7eb37e9a361b75373c19c42563fe585',
-    'lrb-witness/general': '5b3e938abe9d2fa8d127f5384619123c4bc5d61b2ac050748112bbb71e68dc3a',
+    'lrb-witness/general': '2cec7136e94938da84c282524875cac1dce8e72449329700cd2c489617be572d',
     'lrb-witness/permutative': '521abdc8fab8a7bfc448451299a6d218244e92be745fa8fa9c589bbca18f29d8',
     'rrb-witness/auto': '6699585cfa65158c9462b50e3194b133a641bd6075c2b48dbd07bad4a1d9c04e',
     'rrb-witness/normal-band': 'effc8c65cad10f037be040d0ab3ee8cef7eb37e9a361b75373c19c42563fe585',
-    'rrb-witness/general': '5b3e938abe9d2fa8d127f5384619123c4bc5d61b2ac050748112bbb71e68dc3a',
+    'rrb-witness/general': '2cec7136e94938da84c282524875cac1dce8e72449329700cd2c489617be572d',
     'rrb-witness/permutative': '521abdc8fab8a7bfc448451299a6d218244e92be745fa8fa9c589bbca18f29d8',
     't-witness/auto': 'd5ff6446bbf5dc04b87d6f98aa3b81943e3093a077fc1ff53809600bf0022647',
     't-witness/normal-band': '9d2e4e1aa87863d71cc1cb903385b37712164c6b71c0f02692ab203b396d45bb',
-    't-witness/general': 'a674c7204b8e87058bb531a0af723ceca9af0a4c93683bf8e77b6cf3c18366e1',
+    't-witness/general': 'e9d449ff66e9a338e69b34a4500fbdb0156214af95231d360f27a9e44a692c69',
     't-witness/permutative': 'd5ff6446bbf5dc04b87d6f98aa3b81943e3093a077fc1ff53809600bf0022647',
     'u-witness/auto': '711da96edca58df995aef1d5605a0fe3a60ed6141752307a8ffb51a6dd79e392',
     'u-witness/normal-band': 'ebd70d1461d447f87fd7835102d04d2f2ed621fab1d6c5b5488643bd841705dd',
-    'u-witness/general': 'fc5e2fca7e705086840a9a6b0bf070c64af861f0a2a4c7faf4148923010e465e',
+    'u-witness/general': '688f097352a603384785a19eee56872dc972a54fedb28e7c4edfae24281718bf',
     'u-witness/permutative': '3ee1b0c20fe81336a7a7bd9da53fc705e996d1a0fa98e81ea530815a01b25a83',
     'semilattice/auto': '1002c2457b0118ec1001eae19dca7109c939a6c33bd2b08947ff140f3c131215',
-    'semilattice/normal-band': '4751fd84bded85808f3163eae2dc9d7bb9f9b5c8f171d24e48029fa24c91851b',
-    'semilattice/general': '38665cb0f4a020cfdbb2e417fa6d74fd15ef96a6a86565aac8d7b0e16aac19ba',
+    'semilattice/normal-band': '0855defb26bf45b909306e71a6799af65a6fad73b3331c0d898b077ff81aeeeb',
+    'semilattice/general': 'f66b2c5420f0ba3250262855ec0598a16fe50c617b8498bb89cfe21326769302',
     'semilattice/permutative': '1002c2457b0118ec1001eae19dca7109c939a6c33bd2b08947ff140f3c131215',
     'power-witness/auto': '111f0e1623925307ce87289f1c4da449560d3e7b59e3ccd17616c7a4b3091ee2',
-    'power-witness/normal-band': 'a75366ec07a1338340d0e9a6ce4a48c85bc7db78ac1ecc6fc9f825c43ac97b17',
-    'power-witness/general': 'e7551c44b380de0197f3c58cb66d94c068498b0ed11034974955e16cdcf90e4b',
+    'power-witness/normal-band': '1cde27874cdd00935401b0c6892bdf8027386663e6cc3a5d300d7c20033455b5',
+    'power-witness/general': 'b6a208f2a0e92dc34d60d5769f3a4c3651e647d41698c2419f5e054f0418b16f',
     'power-witness/permutative': '111f0e1623925307ce87289f1c4da449560d3e7b59e3ccd17616c7a4b3091ee2',
-    'rb-x-cyclic/auto': '2b7baad9f4730c5a3087ebb24e3714064d26ab2749a8ea7359ce460581a63112',
-    'rb-x-cyclic/normal-band': '03b6d072fca7a0ac6bc2d1daecd07ef0dedf7b0b936c7bad33148679e74f5206',
-    'rb-x-cyclic/general': 'a47d07524379516425c081387d7046e8a752cc2aba3fe3292a43b55c92ef5f7b',
-    'rb-x-cyclic/permutative': '2b7baad9f4730c5a3087ebb24e3714064d26ab2749a8ea7359ce460581a63112',
+    'rb-x-cyclic/auto': '5062acfdb75ebfc2273ef0d733af3a57b590ba469506ac1bf55a4fc2d31f0e15',
+    'rb-x-cyclic/normal-band': 'd2ef485a4b43f539c9b208004af6ba619eda1c29340229e3cfc702bb8c3cadf2',
+    'rb-x-cyclic/general': '319ffe69464d1ac7762585bf49f8cabdd9981bfef2c82d4818c4598ddd6c907d',
+    'rb-x-cyclic/permutative': '5062acfdb75ebfc2273ef0d733af3a57b590ba469506ac1bf55a4fc2d31f0e15',
     'clifford-z4-z2/auto': '2be0a8af855eb102632d4ef6ffff410c7c74483c542c74471f9e20460a621064',
-    'clifford-z4-z2/normal-band': 'db972549d7decf988fca5597e7e9cb7785010ac45e169f04faac12fe2e9c3131',
-    'clifford-z4-z2/general': '34e854d7e63215828312698aac851d5d7f7cc29d074a491212fc470b1a79ba77',
+    'clifford-z4-z2/normal-band': 'a8e55029534efdb5fac63c91d19b85660da21ccf59f7b4b19ac34e670671d0fd',
+    'clifford-z4-z2/general': '7a81fd27c81eed5cb30466f9d21c208574b29b7bb33a0333bfca215b3146b62f',
     'clifford-z4-z2/permutative': '2be0a8af855eb102632d4ef6ffff410c7c74483c542c74471f9e20460a621064',
-    'nilpotent-rb/auto': '5714acb916e6503e3c5c7b94f13115c00c1e412f821e433078b5c2ca13954cb4',
+    'nilpotent-rb/auto': '8ec8db8a0fb852cacd23774a451e043a14f8e6299a444059ed862249ff614909',
     'nilpotent-rb/normal-band': 'fe842c5985bccc4aeda0a1169a7f0c9d22ba773b7f023e659c398d90cda49115',
-    'nilpotent-rb/general': '5242747e46ca38a14e2711cdb68f54fcc32452f098c42fa4ec7c686083439438',
-    'nilpotent-rb/permutative': '5714acb916e6503e3c5c7b94f13115c00c1e412f821e433078b5c2ca13954cb4',
+    'nilpotent-rb/general': '031a45719b3b2567c85dea2467e7e6cb65f29e62c5c344db7d498059d5b7566e',
+    'nilpotent-rb/permutative': '8ec8db8a0fb852cacd23774a451e043a14f8e6299a444059ed862249ff614909',
     'random/auto': '0ef51e9807495d4546ba310bdbc634d8a935d23da7d8994e9700523eb79ffd05',
 }
 
@@ -181,6 +182,23 @@ def test_family_programs_pinned(family):
 
 def test_random_programs_pinned():
     assert random_digest() == PINNED["random/auto"]
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_returned_programs_are_compact(strategy):
+    # every family above over its generators, and every group above over
+    # its first generating pair; every element as a target
+    cases = [zoo.build_family(family, params)[:2] for family, params in FAMILIES.items()]
+    for family, params in GROUPS.values():
+        S = zoo.make_group(family, params)
+        cases.append((S, next(_generating_pairs(S))))
+    for S, gens in cases:
+        for t in range(S.n):
+            try:
+                prog = compress(S, gens, t, strategy).slp
+            except SlpforgeError:
+                continue
+            assert compact(prog) == prog, (S.name, t)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
 from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure, sub_semigroup
-from slpforge.slp import InverseMirror, Slp, eliminate_inverses
+from slpforge.slp import InverseMirror, Slp, compact, eliminate_inverses
 
 # the package re-exports functions under some of these modules' names
 classify_mod = importlib.import_module("slpforge.classify")
@@ -230,6 +230,16 @@ def _counting_everywhere(monkeypatch, module, name):
     return calls
 
 
+def _counting_programs(monkeypatch) -> list:
+    """Grows by one per ``Slp`` made, by the constructor or by the scan of
+    ``compact``, which numbers its program canonically as it writes it."""
+    programs = []
+    check, scanned = Slp.__post_init__, Slp._scanned.__func__
+    monkeypatch.setattr(Slp, "__post_init__", lambda self: programs.append(1) or check(self))
+    monkeypatch.setattr(Slp, "_scanned", classmethod(lambda cls, *args: programs.append(1) or scanned(cls, *args)))
+    return programs
+
+
 def test_solvable_plan_eliminates_inverses_once(monkeypatch):
     S, gens = _instance("dihedral", (8,))
     targets = sorted(closure(S, gens))
@@ -252,9 +262,7 @@ def test_solvable_target_on_a_reused_table_builds_one_program(monkeypatch, famil
     S, gens = _instance(family, params)
     targets = sorted(closure(S, gens))
     compress(S, gens, targets[0], "group-solvable")  # builds the plan
-    programs = []
-    check = Slp.__post_init__
-    monkeypatch.setattr(Slp, "__post_init__", lambda self: programs.append(1) or check(self))
+    programs = _counting_programs(monkeypatch)
     evaluations = _counting_everywhere(monkeypatch, slp_mod, "evaluate")
     permutative = _counting_everywhere(monkeypatch, permutative_mod, "compress_permutative")
     for t in targets[1:]:
@@ -265,17 +273,27 @@ def test_solvable_target_on_a_reused_table_builds_one_program(monkeypatch, famil
     assert permutative == []
 
 
+GROUP_ONLY = ("group-solvable", "group-solvable-bw", "group-bsz")
+
+
 @pytest.mark.parametrize(
-    "family,params", [("dihedral", (128,)), ("heisenberg", (7,)), ("abelian", (32, 32))],
-    ids=["D256", "Heis7", "Z32xZ32"],
+    "family,params,strategies",
+    [
+        ("dihedral", (128,), GROUP_ONLY),
+        ("heisenberg", (7,), GROUP_ONLY),
+        ("abelian", (32, 32), GROUP_ONLY),
+        ("rb-x-cyclic", (2, 3, 4), ("normal-band",)),
+        ("nilpotent-rb", (2, 2, 3, 3), ("general",)),
+    ],
+    ids=["D256", "Heis7", "Z32xZ32", "rb-x-cyclic", "nilpotent-rb"],
 )
-def test_solvable_programs_need_no_renumbering(monkeypatch, family, params):
-    # the plan's program and the walk number their registers at first write,
-    # so finish returns the builder's instructions as they are
+def test_solvable_programs_need_no_renumbering(monkeypatch, family, params, strategies):
+    # a returned program is compact, numbered at first write by the pass
+    # itself, so no renumbering rebuilds one
     S, gens = _instance(family, params)
-    G = group_view(S)
-    targets = random.Random(0).choices(range(S.n), k=200)
-    compress_group_solvable(G, gens, targets[0])  # builds the plan
+    targets = random.Random(0).choices(sorted(closure(S, gens)), k=200)
+    for strategy in strategies:
+        compress(S, gens, targets[0], strategy)  # builds the plan
     rebuilt = []
     renumbered = slp_mod._renumbered
 
@@ -285,9 +303,11 @@ def test_solvable_programs_need_no_renumbering(monkeypatch, family, params):
         return out
 
     monkeypatch.setattr(slp_mod, "_renumbered", counted)
-    for t in targets:
-        compress_group_solvable(G, gens, t)
-    assert len(rebuilt) == 200 and not any(rebuilt)
+    for strategy in strategies:
+        for t in targets:
+            prog = compress(S, gens, t, strategy).slp
+            assert compact(prog) is prog, (strategy, t)
+    assert not any(rebuilt)
 
 
 def test_solvable_plan_builds_each_quotient_once(monkeypatch):
@@ -495,9 +515,7 @@ def test_bounded_targets_write_the_plan_blocks(monkeypatch, family, params):
 @LARGE
 def test_bsz_feeds_each_prefix_once_and_builds_one_program(monkeypatch, family, params):
     G, gens, targets = _planned(family, params, compress_group_reachability)
-    fed, programs = _counting(monkeypatch, InverseMirror, "feed"), []
-    check = Slp.__post_init__
-    monkeypatch.setattr(Slp, "__post_init__", lambda self: programs.append(1) or check(self))
+    fed, programs = _counting(monkeypatch, InverseMirror, "feed"), _counting_programs(monkeypatch)
     for t in targets:
         programs.clear()
         compress_group_reachability(G, gens, t)

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +12,14 @@ from slpforge.slp import (
     InverseMirror,
     Slp,
     SlpBuilder,
+    compact,
     eliminate_inverses,
     evaluate,
     fast_exp,
     verify,
 )
+
+from conftest import random_semigroups
 
 D8 = zoo.make_dihedral(4)
 D8_VIEW = group_view(D8)
@@ -394,7 +396,7 @@ def test_canonical_matches_the_oracle_with_repeated_values(prog, perm):
     assert parse_slp(text) == _canonical_oracle(prog.alphabet, instrs, perm[prog.output])
 
 
-# -- inverse elimination: the mirror's reference counts ------------------------
+# -- inverse elimination: each pair holds its value and its inverse ----------
 
 
 @pytest.mark.parametrize(
@@ -406,22 +408,167 @@ def test_canonical_matches_the_oracle_with_repeated_values(prog, perm):
     ],
     ids=["S4", "D8", "Heis3"],
 )
-def test_mirror_reference_counts_match_a_recount(monkeypatch, S, gens):
-    rebinds = 0
-    original = InverseMirror.rebind
-
-    def checked(state, dst, p, n):
-        nonlocal rebinds
-        original(state, dst, p, n)
-        recount = Counter([*state.pos.values(), *state.neg.values()])
-        assert {r: c for r, c in state.refs.items() if c} == recount
-        rebinds += 1
-
-    monkeypatch.setattr(InverseMirror, "rebind", checked)
+def test_mirror_pairs_hold_each_value_and_its_inverse(S, gens):
+    # every write takes new registers, so after the whole feed each input
+    # register's pair still holds its last value and that value's inverse
     rng = random.Random(31)
     G = group_view(S)
     for _ in range(60):
         prog = _random_group_slp(rng, gens, rng.randrange(2, 30))
-        plain = eliminate_inverses(G, prog)
-        assert evaluate(S, plain).output_value == evaluate(S, prog, group=G).output_value
-    assert rebinds > 500
+        mirror = InverseMirror(G, prog.alphabet)
+        mirror.feed(prog.instructions)
+        kept = mirror.finish(prog.output, compacted=False)
+        assert kept.instructions == tuple(mirror.b.instructions)  # numbered at first write
+        got = evaluate(S, kept).registers
+        for r, v in evaluate(S, prog, group=G).registers.items():
+            assert (got[mirror.pos[r]], got[mirror.neg[r]]) == (v, G.inverse[v])
+        assert eliminate_inverses(G, prog) == compact(kept)
+
+
+# -- compact: liveness and register reuse --------------------------------------
+
+
+def test_compact_drops_dead_values_and_reuses_registers():
+    b = SlpBuilder()
+    b.load(7, 4)    # dead: overwritten before any read
+    b.load(7, 5)
+    b.load(2, 6)    # dead: never read
+    b.load(3, 4)
+    b.mul(9, 7, 3)  # both operands read for the last time
+    b.mul(9, 9, 9)
+    prog = b.compact(9)
+    assert prog.alphabet == (5, 4)  # 6 is never loaded; order of first load
+    assert prog.instructions == (("L", 0, 0), ("L", 1, 1), ("M", 0, 0, 1), ("M", 0, 0, 0))
+    assert (prog.output, prog.width) == (0, 2)
+    assert compact(prog) is prog
+    assert compact(b.finish(9)) == prog
+
+
+def test_compact_gives_the_latest_freed_register():
+    b = SlpBuilder()
+    for r in range(4):
+        b.load(r, r)
+    b.mul(4, 0, 1)  # both read for the last time: 4 takes 0's register, 1's is freed
+    b.mul(5, 2, 3)  # likewise: 5 in 2's, 3's freed
+    b.load(6, 9)    # takes 3's, the latest freed
+    b.load(7, 8)    # then 1's
+    b.mul(8, 4, 5)
+    b.mul(8, 8, 6)
+    b.mul(8, 8, 7)
+    prog = b.compact(8)
+    assert [ins[1] for ins in prog.instructions] == [0, 1, 2, 3, 0, 2, 3, 1, 0, 0, 0]
+    assert (prog.width, prog.output) == (4, 0)
+
+
+def test_compact_rejects_a_read_of_a_register_never_assigned():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 9)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.compact(3)
+    # also when the faulty instruction is dead
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.inv(4, 7)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.compact(5)
+
+
+def test_compact_rejects_a_read_before_the_first_assignment():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 4)  # 4 is written only afterwards
+    b.load(4, 1)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.compact(3)
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(6, 5, 4)  # dead, and 4 is written only afterwards
+    b.load(4, 1)
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        b.compact(5)
+
+
+@pytest.mark.parametrize("output", [0, 1, 2, 9])
+def test_compact_rejects_an_unassigned_output(output):
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.mul(3, 5, 5)
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        b.compact(output)
+
+
+def test_compact_keeps_the_symbol_and_opcode_checks():
+    b = SlpBuilder()
+    b.load(5, 2)
+    b.instructions.append(("L", 3, -1))
+    with pytest.raises(InvalidProgramError, match="unknown symbol"):
+        b.compact(3)
+    for out in (3, 5):  # the bad instruction kept, and dropped
+        b = SlpBuilder()
+        b.load(5, 2)
+        b.instructions.append(("X", 3, 5))
+        with pytest.raises(InvalidProgramError, match="unknown opcode"):
+            b.compact(out)
+
+
+def test_compact_forks_share_the_scan_of_their_prefix():
+    b = SlpBuilder()
+    for r in range(4):
+        b.load(r, r)
+    b.mul(4, 0, 1)
+    forks = []
+    for x, y in ((4, 2), (3, 3), (4, 2), (0, 0)):
+        f = b.fork()
+        f.mul(f.fresh(), x, y)
+        forks.append(f)
+    for f in forks:
+        out = f.instructions[-1][1]
+        assert f.compact(out) == compact(f.finish(out))
+    assert len(b._shared.scans) == 3  # one scan per set of prefix registers read
+
+
+SMALL = random_semigroups(6, seed=5)
+
+
+@st.composite
+def compactable(draw):
+    """A builder over a random transformation semigroup or D8 (INV included),
+    with dead values, aliased writes ``M r r x``, registers first written out
+    of order and repeated alphabet values, and a register it wrote."""
+    S = draw(st.sampled_from([*SMALL, D8]))
+    group = D8_VIEW if S is D8 else None
+    values = draw(st.lists(st.integers(0, S.n - 1), min_size=1, max_size=3))
+    regs = draw(st.permutations(range(10)))[: draw(st.integers(1, 6))]
+    b = SlpBuilder()
+    b.alphabet = list(values) + list(values[:1])  # a repeated value
+    written = []
+    for _ in range(draw(st.integers(1, 24))):
+        op = draw(st.sampled_from("LMMMI" if group else "LMM")) if written else "L"
+        dst = draw(st.sampled_from(regs))
+        if op == "L":
+            b.instructions.append(("L", dst, draw(st.integers(0, len(b.alphabet) - 1))))
+        elif op == "M":
+            x = draw(st.sampled_from(written))
+            b.mul(dst, dst if dst in written and draw(st.booleans()) else x, draw(st.sampled_from(written)))
+        else:
+            b.inv(dst, draw(st.sampled_from(written)))
+        written.append(dst)
+    return S, group, b, draw(st.sampled_from(written))
+
+
+@given(compactable())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compact_properties(case):
+    S, group, b, out = case
+    prog = b.finish(out)
+    small = compact(prog)
+    assert b.compact(out) == small
+    assert evaluate(S, small, group=group).output_value == evaluate(S, prog, group=group).output_value
+    assert small.length <= prog.length and small.width <= prog.width
+    assert Slp(small.alphabet, small.instructions, small.output) == small
+    loaded = [ins[2] for ins in small.instructions if ins[0] == "L"]
+    assert sorted(set(loaded)) == list(range(len(small.alphabet)))
+    assert list(dict.fromkeys(loaded)) == list(range(len(small.alphabet)))
+    assert len(set(small.alphabet)) == len(small.alphabet)
+    assert compact(small) is small
