@@ -58,11 +58,11 @@ from ..groups import (
 from ..semigroup import cached_sub_semigroup, closure, shortest_word, shortest_words
 from ..sets import ElementSet
 from ..slp import (
+    InverseMirror,
     Slp,
     SlpBuilder,
     compact,
     compact_blocks,
-    eliminate_inverses,
     evaluate,
     fast_exp,
     inverting_power,
@@ -80,14 +80,13 @@ class Level:
 
     ``quotient`` is G_{i-1}/G_i, carved out of G_{i-1}, and ``to_sub`` maps
     G's indices into G_{i-1}'s.  ``rep`` maps each distinct image of the
-    generators lying in G_{i-1} to the first generator with that image;
-    ``qgens`` lists those images in that order.
+    generators lying in G_{i-1}, in order of first appearance, to the first
+    generator with that image.
     """
 
     term: ElementSet
     to_sub: np.ndarray
     quotient: QuotientGroup
-    qgens: list[int]
     rep: dict[int, int]
     # residual image x -> its normal form and its lift's value, filled as targets ask
     lifts: dict = field(default_factory=dict, compare=False, repr=False)
@@ -118,7 +117,7 @@ def adapted_levels(
         for s in sigma:
             if s in upper:
                 rep.setdefault(int(Q.projection[to_sub[s]]), s)
-        levels.append(Level(upper, to_sub, Q, list(rep), rep))
+        levels.append(Level(upper, to_sub, Q, rep))
     return levels
 
 
@@ -172,7 +171,7 @@ def adapt_subnormal(
         raise SlpforgeError("chain walk did not exhaust the target")
     if out is None:
         # the identity, as a power of the first generator (G trivial: itself)
-        g = levels[0].rep[levels[0].qgens[0]] if levels else G.identity
+        g = next(iter(levels[0].rep.values())) if levels else G.identity
         e = G.element_order(g)
         if e == 1:
             return held[g]
@@ -183,11 +182,13 @@ def adapt_subnormal(
 
 
 def _lift(table, level: Level, x: int):
-    """x's normal form (memoised on the quotient's table) and the value of the
-    lift ``adapt_subnormal`` writes for it: the square-and-multiply product of
-    the generators in emission order."""
-    Q = level.quotient
-    nf = Q.semigroup.cached(("normal_form", tuple(level.qgens), x), lambda: _quotient_normal_form(Q, level.qgens, x))
+    """x's normal form (its shortest word over the level's generator images,
+    the letters' exponents minimised with k = 0) and the value of the lift
+    ``adapt_subnormal`` writes for it: the square-and-multiply product of the
+    generators in emission order."""
+    quotient, images = level.quotient.semigroup, list(level.rep)
+    order = list(dict.fromkeys(images[i] for i in shortest_word(quotient, images, x)))
+    nf = minimize_exponents(quotient, [], order, [], x)
     val = None
     for bit in range(max(nf.exponents).bit_length() - 1, -1, -1):
         if val is not None:
@@ -196,13 +197,6 @@ def _lift(table, level: Level, x: int):
             if e >> bit & 1:
                 val = level.rep[q] if val is None else table.item(val, level.rep[q])
     return nf, val
-
-
-def _quotient_normal_form(Q: QuotientGroup, qgens: list[int], x: int):
-    """x's shortest word over qgens, its letters' exponents minimised (k = 0)."""
-    word = shortest_word(Q.semigroup, qgens, x)
-    order = list(dict.fromkeys(qgens[i] for i in word))
-    return minimize_exponents(Q.semigroup, [], order, [], x)
 
 
 # -- derived-series generating set (unbounded width) -------------------------
@@ -219,7 +213,6 @@ class DeltaRecord:
 @dataclass
 class DeltaSet:
     records: list[DeltaRecord]
-    per_level: list[list[int]]    # values per derived-series level
     top: QuotientGroup            # G modulo G', which ``adapted_levels`` reuses
 
     @property
@@ -254,7 +247,6 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
             delta0 = trial
     for s in delta0:
         register(DeltaRecord(s, "gen"))
-    per_level = [list(delta0)]
 
     prev_vals = list(delta0)
     for i in range(1, len(chain.terms) - 1):
@@ -272,7 +264,6 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
         for j in taken:
             register(DeltaRecord(int(comms[j]), "comm", g=d1[j // len(d1)], h=d1[j % len(d1)]))
         if not theta:
-            per_level.append([])
             prev_vals = []
             continue
         _, xi2_log = normal_closure_set(G, theta, sigma, quotient=Q)
@@ -282,9 +273,8 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
         image = ElementSet.from_indices(Q.semigroup.n, proj[chain.terms[i].mask])
         if span(Q, delta_i) != image:
             raise SlpforgeError(f"level {i} generators miss their derived term")
-        per_level.append(delta_i)
         prev_vals = delta_i
-    return DeltaSet(records, per_level, Qg)
+    return DeltaSet(records, Qg)
 
 
 def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
@@ -322,15 +312,13 @@ def emit_delta_program(G: GroupView, delta: DeltaSet) -> Slp:
 class SolvablePlan:
     """Target-independent part of the unbounded-width construction.
 
-    ``program`` computes every record of ``delta`` without INV, and ``held``
-    maps each value to the lowest register holding it after ``program`` ran;
-    ``levels`` are the derived series' steps for ``delta``'s values.
-    ``builder`` holds ``program`` spliced at register 0, for targets to fork.
+    ``builder`` computes every record of ``delta`` without INV, for targets
+    to fork, and ``held`` maps each value to the lowest register holding it
+    there; ``levels`` are the derived series' steps for ``delta``'s values.
     """
 
     delta: DeltaSet
     chain: SeriesChain
-    program: Slp
     held: dict[int, int]
     levels: list[Level]
     builder: SlpBuilder
@@ -344,13 +332,19 @@ def solvable_plan(G: GroupView, sigma: Sequence[int]) -> SolvablePlan:
         raise NotSolvableError("derived series does not reach the trivial group")
     delta = build_derived_adapted_set(G, sigma, chain)
     levels = adapted_levels(G, delta.values, chain, top=delta.top)
-    # uncompacted: ``held`` reads every register
-    program = eliminate_inverses(G, emit_delta_program(G, delta), compacted=False)
-    # from the highest register down, so the lowest holding a value wins
-    registers = sorted(evaluate(G.base, program).registers.items(), reverse=True)
-    b = SlpBuilder()
-    b.splice(program, 0)
-    return SolvablePlan(delta, chain, program, {v: r for r, v in registers}, levels, b)
+    program = emit_delta_program(G, delta)
+    if program.is_group:
+        # the pass's own builder, every register it wrote kept for ``held``
+        mirror = InverseMirror(G, program.alphabet)
+        mirror.feed(program.instructions)
+        b = mirror.b
+    else:
+        b = SlpBuilder()
+        b.splice(program, 0)
+    # the builder's registers as they are (numbered at first write, which the
+    # ``Slp`` checks); from the highest down, so the lowest holding a value wins
+    registers = evaluate(G.base, Slp(tuple(b.alphabet), tuple(b.instructions), 0)).registers
+    return SolvablePlan(delta, chain, {v: r for r, v in reversed(registers.items())}, levels, b)
 
 
 def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
@@ -522,15 +516,11 @@ class _BoundedEmitter:
             return B, [A, C]
         rg, free = self.emit_record(self.records[rec.parent], allowed)
         A, B = free
-        v = rec.v_word or []
-        u = rec.u_word
+        v, u = rec.v_word, rec.u_word  # v names a non-identity conjugator
         # W1 = g v g u; the record value is W1^-1 * (v g) * v^-1 * (g v u)
-        if v:
-            b.load(B, v[0])
-            b.mul(A, rg, B)
-            self._word_right(A, B, v[1:])
-        else:
-            b.mul(A, rg, rg)
+        b.load(B, v[0])
+        b.mul(A, rg, B)
+        self._word_right(A, B, v[1:])
         b.mul(A, A, rg)
         self._word_right(A, B, u)
         self._invert(A, B)          # B = u^-1 g^-1 v^-1 g^-1

@@ -212,10 +212,6 @@ class SeriesChain:
     terms: list[ElementSet]
 
     @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-    @property
     def is_trivial_terminal(self) -> bool:
         return self.terms[-1].cardinality == 1
 

@@ -163,11 +163,15 @@ class Semigroup:
         long as this object.  The key must name everything ``build`` depends on
         besides the table.  An exception from ``build`` propagates and leaves
         nothing behind, so a failed build is retried on the next call.  Cached
-        values are shared between callers and must not be mutated, with two
-        exceptions that only grow, so what a caller already read stays valid:
-        the ``group-bsz`` cube list, appended to by ``build_cube``, whose states
-        get their h_i program prefix and its inverse-elimination pass on first
-        use; and the ``shortest_word`` tree, which gains whole BFS levels.
+        values are shared between callers and must not be mutated, except by
+        growing, so that what a caller already read stays valid: the
+        ``group-bsz`` cube list, appended to by ``build_cube``, whose states set
+        their h_i program ``prefix`` and its inverse-elimination pass ``mirror``
+        on first use; the ``shortest_word`` tree, which gains whole BFS levels;
+        the solvable plan's ``Level.lifts`` and the polycyclic set's ``joins``,
+        filled as targets ask; and the shared-prefix scans of a plan's builder
+        (the solvable plan's, a cube state's ``prefix`` and its pass's), one per
+        set of its registers that its forks read.
         """
         try:
             return self._memo[key]
@@ -176,9 +180,6 @@ class Semigroup:
             return value
 
     # -- basic product queries ---------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table.item(a, b)
 
     def word_value(self, word: Sequence[int]) -> int:
         """Left-to-right product of a nonempty element sequence."""

@@ -43,10 +43,6 @@ class ElementSet:
         return cls(np.ones(n, dtype=bool))
 
     @property
-    def n(self) -> int:
-        return self.mask.size
-
-    @property
     def cardinality(self) -> int:
         return int(np.count_nonzero(self.mask))
 
@@ -80,4 +76,4 @@ class ElementSet:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"ElementSet({self.n}, {{{', '.join(map(str, self))}}})"
+        return f"ElementSet({self.mask.size}, {{{', '.join(map(str, self))}}})"

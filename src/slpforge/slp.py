@@ -19,8 +19,9 @@ whose value is never read, and one forward scan gives each value the
 register most recently freed by a last read, or the next new one.  The
 result is canonical, never longer or wider than its input, loads only the
 alphabet values it reads, and is its own compaction.  ``SlpBuilder.finish``
-and ``io.parse_slp`` only renumber: programs a plan keeps, whose every
-register a later target may read, and a file, which is the user's program.
+and ``io.parse_slp`` only renumber: group programs, which the inverse
+elimination reads whole, ``fast_exp``, and a file, which is the user's
+program.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ class SlpBuilder:
 
     def finish(self, output: int) -> Slp:
         """The program, its registers numbered in first-assignment order and
-        every instruction kept: for a plan whose registers are read later."""
+        every instruction kept."""
         instructions, output = _renumbered(self.alphabet, tuple(self.instructions), output)
         return Slp(tuple(self.alphabet), instructions, output)
 
@@ -537,24 +538,20 @@ class InverseMirror:
                 p, n = neg[ins[2]], pos[ins[2]]
             pos[dst], neg[dst] = p, n
 
-    def finish(self, output: int, compacted: bool = True) -> Slp:
-        """The ordinary program for the value the fed register ``output``
-        holds, compacted, or else with every register the pass wrote."""
-        if compacted:
-            return self.b.compact(self.pos[output])
-        return self.b.finish(self.pos[output])
+    def finish(self, output: int) -> Slp:
+        """The ordinary program, compacted, for the value the fed register
+        ``output`` holds."""
+        return self.b.compact(self.pos[output])
 
 
-def eliminate_inverses(G: GroupView, prog: Slp, compacted: bool = True) -> Slp:
+def eliminate_inverses(G: GroupView, prog: Slp) -> Slp:
     """Rewrite a group SLP into an ordinary SLP over the same generators: the
-    ``InverseMirror`` pass fed the whole program, then ``compact``.  Without
-    ``compacted`` every register the pass wrote is kept, for a plan that
-    reads them all, and a program without INV comes back as it is."""
+    ``InverseMirror`` pass fed the whole program, then ``compact``."""
     if not prog.is_group:
-        return compact(prog) if compacted else prog
+        return compact(prog)
     mirror = InverseMirror(G, prog.alphabet)
     mirror.feed(prog.instructions)
-    return mirror.finish(prog.output, compacted)
+    return mirror.finish(prog.output)
 
 
 def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -567,4 +564,4 @@ def _inverse_prelude(G: GroupView, sigma: tuple[int, ...]) -> tuple[tuple[int, .
 
 def inverting_power(exponent: int) -> int:
     """A power k >= 2 with g^k = g^-1 for every g of a group of this exponent."""
-    return exponent - 1 if exponent - 1 >= 2 else 2 * exponent - 1
+    return exponent - 1 if exponent > 2 else exponent + 1

@@ -353,8 +353,9 @@ def test_delta_program_computes_all_records():
     G = group_view(S)
     gens = zoo.heisenberg_generators(3)
     plan = solvable_plan(G, gens)
-    assert not any(ins[0] == "I" for ins in plan.program.instructions)
-    trace = evaluate(S, plan.program)
+    program = plan.builder.finish(0)
+    assert not any(ins[0] == "I" for ins in program.instructions)
+    trace = evaluate(S, program)
     for rec in plan.delta.records:
         assert rec.value in trace.registers.values()
 

@@ -32,7 +32,7 @@ from slpforge.errors import ChainVerificationFailedError, SlpforgeError
 from slpforge.groups import group_view
 from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure, sub_semigroup
-from slpforge.slp import InverseMirror, Slp, compact, eliminate_inverses
+from slpforge.slp import InverseMirror, Slp, compact, eliminate_inverses, verify
 
 # the package re-exports functions under some of these modules' names
 classify_mod = importlib.import_module("slpforge.classify")
@@ -245,7 +245,7 @@ def test_solvable_plan_eliminates_inverses_once(monkeypatch):
     targets = sorted(closure(S, gens))
     random.Random("D16").shuffle(targets)
     fresh = [_fresh(S, gens, t, "group-solvable") for t in targets]
-    eliminations = _counting(monkeypatch, solvable, "eliminate_inverses")
+    eliminations = _counting(monkeypatch, InverseMirror, "feed")
     quotients = _counting(monkeypatch, solvable, "quotient_group")
     reused = Semigroup(S.table)
     assert _answer(reused, gens, targets[0], "group-solvable") == fresh[0]
@@ -476,6 +476,19 @@ def test_bsz_is_the_elimination_of_the_cube_program(family, params):
     for t in targets:
         expect = eliminate_inverses(G, emit_from_cube(G, gens, build_cube(G, gens, t), t))
         assert compress_group_reachability(G, gens, t) == expect, t
+
+
+def test_bsz_writes_an_inverted_chain_times_a_generator():
+    # on S4 with these generators the third h_i record is (h_1 h_2)^-1 * 10:
+    # a chain b and no chain c
+    S = zoo.build_family("sym", [4])[0]
+    G, gens = group_view(S), [13, 9, 10]
+    records = build_cube(G, gens, None).h_records
+    assert (records[2].bmask, records[2].cmask, records[2].sigma) == (3, 0, 10)
+    for t in sorted(closure(S, gens)):
+        prog = compress_group_reachability(G, gens, t)
+        assert prog == eliminate_inverses(G, emit_from_cube(G, gens, build_cube(G, gens, t), t)), t
+        assert verify(S, prog, t), t
 
 
 LARGE = pytest.mark.parametrize(

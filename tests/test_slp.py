@@ -16,6 +16,7 @@ from slpforge.slp import (
     eliminate_inverses,
     evaluate,
     fast_exp,
+    inverting_power,
     verify,
 )
 
@@ -154,6 +155,21 @@ def test_eliminate_inverses_examples():
     hmm = evaluate(D, prog, group=GD).output_value
     plain = eliminate_inverses(GD, prog)
     assert evaluate(D, plain).output_value == hmm
+    # the trivial group has exponent 1: the prelude squares its generator
+    Z1 = zoo.make_cyclic(1)
+    plain = eliminate_inverses(group_view(Z1), Slp((0,), (("L", 0, 0), ("I", 1, 0)), 1))
+    assert not plain.is_group and evaluate(Z1, plain).output_value == 0
+    # 3 lies outside the minimal subset {1} of Z8, so it is written as
+    # 1 * 1 * 1 and its inverse as the product of three inverted letters
+    Z8 = zoo.make_cyclic(8)
+    plain = eliminate_inverses(group_view(Z8), Slp((1, 3), (("L", 0, 1), ("I", 1, 0)), 1))
+    assert not plain.is_group and evaluate(Z8, plain).output_value == 5
+
+
+@pytest.mark.parametrize("exponent", range(1, 13))
+def test_inverting_power_inverts_in_every_exponent(exponent):
+    k = inverting_power(exponent)
+    assert k >= 2 and (k + 1) % exponent == 0
 
 
 def test_eliminate_inverses_no_inv_passthrough():
@@ -417,7 +433,7 @@ def test_mirror_pairs_hold_each_value_and_its_inverse(S, gens):
         prog = _random_group_slp(rng, gens, rng.randrange(2, 30))
         mirror = InverseMirror(G, prog.alphabet)
         mirror.feed(prog.instructions)
-        kept = mirror.finish(prog.output, compacted=False)
+        kept = mirror.b.finish(mirror.pos[prog.output])
         assert kept.instructions == tuple(mirror.b.instructions)  # numbered at first write
         got = evaluate(S, kept).registers
         for r, v in evaluate(S, prog, group=G).registers.items():
