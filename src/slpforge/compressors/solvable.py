@@ -58,6 +58,7 @@ from ..groups import (
 from ..semigroup import cached_sub_semigroup, closure, shortest_word, shortest_words
 from ..sets import ElementSet
 from ..slp import (
+    BlockScans,
     InverseMirror,
     Slp,
     SlpBuilder,
@@ -381,11 +382,20 @@ class PolycyclicGenSet:
     exponent: int                       # of the group, for omega-minus-one inverses
     # per chain record: ``_record_block``'s block, its value's register, a free one
     blocks: list[tuple[list, int, int]]
-    # (record, power, first?) -> ``_join``'s block, filled as targets ask
-    joins: dict = field(default_factory=dict)
+    # per chain record j: each element of term j to the a with x in rec^a term
+    # j+1 (-1 off term j), and the inverse of rec^a for each a
+    logs: list[tuple[np.ndarray, list[int]]]
+    identity: Slp                       # the first generator to its order
+    # ``compact_blocks``' memo over ``block``, filled as targets ask
+    scans: BlockScans = field(repr=False, compare=False)
 
     def chain_records(self) -> list[PolyRecord]:
         return [self.records[i] for i in self.chain_indices]
+
+    def block(self, key) -> list:
+        """The scanned block ``key`` names: chain record j's, or the join
+        (j, a, first) of its a-th power."""
+        return self.blocks[key][0] if isinstance(key, int) else _join(self, *key)
 
 
 def _conjugator_words(G: GroupView, sigma: Sequence[int], k: int) -> list[tuple[int, list[int]]]:
@@ -478,7 +488,28 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
             raise ChainVerificationFailedError("non-Lagrangian chain step")
     exponent = G.exponent()
     blocks = [_record_block(records, records[i], inverting_power(exponent)) for i in kept]
-    return PolycyclicGenSet(records, kept, SeriesChain(terms), exponent, blocks)
+    chain = SeriesChain(terms)
+    logs = [
+        _discrete_logs(G, records[i].value, chain.terms[j], chain.terms[j + 1]) for j, i in enumerate(kept)
+    ]
+    identity = compact(fast_exp(sigma[0], G.element_order(sigma[0])))
+    return PolycyclicGenSet(records, kept, chain, exponent, blocks, logs, identity, BlockScans(G.order))
+
+
+def _discrete_logs(G: GroupView, r: int, term: ElementSet, below: ElementSet) -> tuple[np.ndarray, list[int]]:
+    """The exponent table of the chain step term > below that record value r
+    spans: each element x of ``term`` to the a < [term : below] with x in
+    r^a below, -1 off ``term``; and the inverse of r^a for each a.  Raises
+    ChainVerificationFailedError when the cosets leave an element unmapped."""
+    powers = [G.identity]
+    for _ in range(1, term.cardinality // below.cardinality):
+        powers.append(G.base.table.item(powers[-1], r))
+    logs = np.full(G.order, -1, dtype=np.int32)
+    logs[G.base.table[np.ix_(powers, below.to_array())]] = np.arange(len(powers))[:, None]
+    missed = term.mask & (logs < 0)
+    if missed.any():
+        raise ChainVerificationFailedError(f"the powers of record value {r} miss element {int(missed.argmax())}")
+    return logs, [G.inverse[p] for p in powers]
 
 
 class _BoundedEmitter:
@@ -552,43 +583,24 @@ def _record_block(records: list[PolyRecord], rec: PolyRecord, inv_exp: int) -> t
 def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """Width <= 4 ordinary SLP of length O(log^3 |G|) for solvable G.
 
-    The polycyclic set, with each chain record's block, is built once per
-    generator list and memoised on the table; a target runs the discrete logs
-    and joins the blocks of its nonzero exponents with square-and-multiply,
-    in one forward scan of ``compact``.
+    The polycyclic set, with each chain record's block and exponent table,
+    is built once per generator list and memoised on the table; a target
+    reads its discrete logs off the tables and joins the blocks of its
+    nonzero exponents with square-and-multiply, each block's scan memoised
+    per scan state (``compact_blocks``).
     """
     sigma = list(dict.fromkeys(int(s) for s in sigma))
     pcs = G.base.cached(("polycyclic_set", tuple(sigma)), lambda: build_polycyclic_set(G, sigma))
-
-    # pass 1: discrete logarithms along the chain
-    table = G.base.table
-    t_prime = t
-    exps: list[int] = []
-    for j, rec in enumerate(pcs.chain_records()):
-        term_next = pcs.chain.terms[j + 1]
-        a, p = 0, G.identity
-        limit = G.element_order(rec.value) + 1
-        while table.item(G.inverse[p], t_prime) not in term_next:
-            p = table.item(p, rec.value)
-            a += 1
-            if a > limit:
-                raise SlpforgeError("chain step misses its residual target")
-        exps.append(a)
-        t_prime = table.item(G.inverse[p], t_prime)
-    if t_prime != G.identity:
-        raise SlpforgeError("polycyclic walk did not exhaust the target")
-
-    contributions = [(j, a) for j, a in enumerate(exps) if a > 0]
-    if not contributions:
-        return compact(fast_exp(sigma[0], G.element_order(sigma[0])))
-
-    # the blocks load values, so the alphabet maps each value to itself
-    blocks = []
-    for n, (j, a) in enumerate(contributions):
-        if (j, a, n == 0) not in pcs.joins:
-            pcs.joins[j, a, n == 0] = _join(pcs, j, a, n == 0)
-        blocks += (pcs.blocks[j][0], pcs.joins[j, a, n == 0])
-    return compact_blocks(range(G.order), blocks, 3)
+    table, keys = G.base.table, []
+    for j, (logs, inverses) in enumerate(pcs.logs):
+        a = logs.item(t)
+        if a:
+            first = not keys
+            keys += (j, (j, a, first))
+            t = table.item(inverses[a], t)
+    if not keys:
+        return pcs.identity
+    return compact_blocks(pcs.scans, keys, pcs.block, 3)
 
 
 def _join(pcs: PolycyclicGenSet, j: int, a: int, first: bool) -> list:

@@ -168,10 +168,11 @@ class Semigroup:
         ``group-bsz`` cube list, appended to by ``build_cube``, whose states set
         their h_i program ``prefix`` and its inverse-elimination pass ``mirror``
         on first use; the ``shortest_word`` tree, which gains whole BFS levels;
-        the solvable plan's ``Level.lifts`` and the polycyclic set's ``joins``,
-        filled as targets ask; and the shared-prefix scans of a plan's builder
-        (the solvable plan's, a cube state's ``prefix`` and its pass's), one per
-        set of its registers that its forks read.
+        the solvable plan's ``Level.lifts`` and the polycyclic set's scan memo
+        ``scans``, one entry per block and scan state, filled as targets ask;
+        and the shared-prefix scans of a plan's builder (the solvable plan's, a
+        cube state's ``prefix`` and its pass's), one per set of its registers
+        that its forks read.
         """
         try:
             return self._memo[key]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import InvalidProgramError, InverseOutsideGroupError
 from .groups import GroupView, minimal_generating_subset
@@ -263,13 +263,56 @@ def scan_block(instructions: Sequence[tuple], live) -> list[tuple[tuple, int]]:
     return kept
 
 
-def compact_blocks(alphabet: Sequence[int], blocks: Sequence[list], output: int) -> Slp:
-    """``compact`` of the program the blocks form in order, each scanned by
-    ``scan_block`` with what the blocks after it and ``output`` read."""
-    scan = _Scan()
-    for kept in blocks:
-        scan.run(alphabet, kept)
-    return scan.program(output)
+class BlockScans:
+    """``compact_blocks``' memo over blocks whose loads name values 0 .. n-1:
+    per block key and ``_Scan`` state on entry, the instructions the scan
+    writes for the block and the state it leaves.  A state is where, free,
+    width, the values loaded so far in first-load order, and is_group; each
+    is numbered at first sight, 0 being the empty scan.  It only grows."""
+
+    def __init__(self, n: int):
+        self.alphabet = range(n)
+        self.states: list[tuple] = [((), (), 0, (), False)]
+        self.numbers: dict[tuple, int] = {self.states[0]: 0}
+        self.out: dict[tuple, tuple[tuple, int]] = {}
+
+    def scan(self, key, state: int, kept: Sequence[tuple[tuple, int]]) -> tuple[tuple, int]:
+        """Run ``_Scan`` over ``kept`` from state number ``state``; memoises
+        and returns the instructions it wrote and the state it left."""
+        where, free, width, values, is_group = self.states[state]
+        scan = _Scan()
+        scan.where, scan.free, scan.width, scan.is_group = dict(where), list(free), width, is_group
+        # a symbol is its value, so the symbol map is the value map
+        scan.values, scan.first = list(values), {v: k for k, v in enumerate(values)}
+        scan.sym = scan.first
+        scan.run(self.alphabet, kept)
+        after = (tuple(sorted(scan.where.items())), tuple(scan.free), scan.width, tuple(scan.values), scan.is_group)
+        number = self.numbers.setdefault(after, len(self.states))
+        if number == len(self.states):
+            self.states.append(after)
+        piece = self.out[key, state] = (tuple(scan.out), number)
+        return piece
+
+
+def compact_blocks(memo: BlockScans, keys: Iterable[Hashable], block: Callable[[Hashable], list], output: int) -> Slp:
+    """``compact`` of the program the blocks ``keys`` name form in order.
+    ``block(key)`` is ``scan_block``'s scan of a block, with what the blocks
+    after it and ``output`` read; its loads name values.  Each block is
+    scanned once per state the scan enters it in, memoised in ``memo``, so
+    the program joins memoised pieces."""
+    out: list[tuple] = []
+    state, pieces = 0, memo.out
+    for key in keys:
+        piece = pieces.get((key, state))
+        if piece is None:
+            piece = memo.scan(key, state, block(key))
+        out += piece[0]
+        state = piece[1]
+    where, _, width, values, is_group = memo.states[state]
+    where = dict(where)
+    if output not in where:
+        raise InvalidProgramError("output register never assigned")
+    return Slp._scanned(values, tuple(out), where[output], width, is_group)
 
 
 class _SharedPrefix:

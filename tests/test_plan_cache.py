@@ -29,10 +29,10 @@ from slpforge.compressors import (
     solvable,
 )
 from slpforge.errors import ChainVerificationFailedError, SlpforgeError
-from slpforge.groups import group_view
+from slpforge.groups import SeriesChain, group_view, subgroup_closure
 from slpforge.io import dump_cay, dump_slp, parse_cay
 from slpforge.semigroup import Semigroup, closure, sub_semigroup
-from slpforge.slp import InverseMirror, Slp, compact, eliminate_inverses, verify
+from slpforge.slp import InverseMirror, Slp, SlpBuilder, compact, eliminate_inverses, fast_exp, verify
 
 # the package re-exports functions under some of these modules' names
 classify_mod = importlib.import_module("slpforge.classify")
@@ -523,6 +523,96 @@ def test_bounded_targets_write_the_plan_blocks(monkeypatch, family, params):
     for t in targets:
         compress_group_solvable_bounded(G, gens, t)
     assert records == []
+
+
+@LARGE
+def test_warm_bounded_targets_scan_no_block(monkeypatch, family, params):
+    G, gens, targets = _planned(family, params, compress_group_solvable_bounded)
+    first = [compress_group_solvable_bounded(G, gens, t) for t in targets]
+    scans = _counting(monkeypatch, slp_mod._Scan, "run")
+    assert [compress_group_solvable_bounded(G, gens, t) for t in targets] == first
+    assert scans == []
+
+
+# Z1 has no chain record, so its one target is the identity program
+BW_INSTANCES = pytest.mark.parametrize(
+    "family,params",
+    [("dihedral", (8,)), ("sym", (4,)), ("alt", (4,)), ("heisenberg", (3,)), ("abelian", (8, 8)), ("cyclic", (1,))],
+    ids=["D16", "S4", "A4", "Heis3", "Z8xZ8", "Z1"],
+)
+
+
+def _least_power(G, r, below, x) -> int:
+    """The least a with (r^a)^-1 x in ``below``, by multiplying r up."""
+    a, p = 0, G.identity
+    while G.base.table.item(G.inverse[p], x) not in below:
+        p, a = G.base.table.item(p, r), a + 1
+        assert a <= G.order
+    return a
+
+
+def _joined(G, sigma, pcs, t) -> Slp:
+    """``compact`` of the blocks that the chain walk of t names, joined."""
+    keys = []
+    for j, rec in enumerate(pcs.chain_records()):
+        a = _least_power(G, rec.value, pcs.chain.terms[j + 1], t)
+        if a:
+            keys += (j, (j, a, not keys))
+        for _ in range(a):
+            t = G.base.table.item(G.inverse[rec.value], t)
+    assert t == G.identity
+    if not keys:
+        return compact(fast_exp(sigma[0], G.element_order(sigma[0])))
+    b = SlpBuilder()
+    for key in keys:
+        for ins, _ in pcs.block(key):
+            b.instructions.append(("L", ins[1], b.symbol(ins[2])) if ins[0] == "L" else ins)
+    return compact(b.finish(3))
+
+
+@BW_INSTANCES
+def test_bounded_programs_are_the_compacted_joined_blocks(family, params):
+    S, gens = _instance(family, params)
+    targets = sorted(closure(S, gens))
+    fresh = {t: compress_group_solvable_bounded(group_view(Semigroup(S.table)), gens, t) for t in targets}
+    random.Random(f"{family}{params}").shuffle(targets)
+    G = group_view(S)
+    warm = {t: compress_group_solvable_bounded(G, gens, t) for t in targets}
+    pcs = solvable.build_polycyclic_set(G, gens)
+    for t in targets:
+        expect = _joined(G, gens, pcs, t)
+        for prog in (fresh[t], warm[t]):
+            assert prog == expect, t
+            assert Slp(prog.alphabet, prog.instructions, prog.output) == prog
+            assert verify(S, prog, t), t
+
+
+@BW_INSTANCES
+def test_exponent_tables_match_the_walk(family, params):
+    S, gens = _instance(family, params)
+    G = group_view(S)
+    pcs = solvable.build_polycyclic_set(G, gens)
+    assert len(pcs.logs) == len(pcs.chain_indices) == len(pcs.chain.terms) - 1
+    for j, (rec, (logs, inverses)) in enumerate(zip(pcs.chain_records(), pcs.logs)):
+        term, below = pcs.chain.terms[j], pcs.chain.terms[j + 1]
+        for x in range(G.order):
+            assert logs.item(x) == (_least_power(G, rec.value, below, x) if x in term else -1), (j, x)
+        power = G.identity
+        for inverse in inverses:
+            assert inverse == G.inverse[power]
+            power = S.table.item(power, rec.value)
+        assert len(inverses) == term.cardinality // below.cardinality
+
+
+def test_a_chain_step_its_record_does_not_span_fails_the_plan(monkeypatch):
+    S, gens = _instance("dihedral", (8,))
+    G = group_view(S)
+    trivial = subgroup_closure(G, [])
+    # below the whole group, the trivial group: the powers of one record
+    # cannot cover the non-cyclic D16
+    monkeypatch.setattr(solvable, "SeriesChain", lambda terms: SeriesChain([terms[0], trivial, *terms[2:]]))
+    with pytest.raises(ChainVerificationFailedError, match="miss element"):
+        solvable.build_polycyclic_set(G, gens)
 
 
 @LARGE

@@ -9,14 +9,17 @@ from slpforge.errors import InvalidProgramError, InverseOutsideGroupError
 from slpforge.groups import group_view, minimal_generating_subset
 from slpforge.io import parse_slp
 from slpforge.slp import (
+    BlockScans,
     InverseMirror,
     Slp,
     SlpBuilder,
     compact,
+    compact_blocks,
     eliminate_inverses,
     evaluate,
     fast_exp,
     inverting_power,
+    scan_block,
     verify,
 )
 
@@ -542,6 +545,33 @@ def test_compact_forks_share_the_scan_of_their_prefix():
         out = f.instructions[-1][1]
         assert f.compact(out) == compact(f.finish(out))
     assert len(b._shared.scans) == 3  # one scan per set of prefix registers read
+
+
+def test_compact_blocks_joins_memoised_scans():
+    blocks = {
+        "a": scan_block([("L", 0, 7), ("M", 1, 0, 0)], (1,)),
+        "b": scan_block([("L", 2, 5), ("M", 1, 1, 2)], (1,)),
+    }
+    memo = BlockScans(8)
+    for keys in (["a", "b", "b"], ["a", "b"], ["a", "b", "b", "b"]):
+        b = SlpBuilder()
+        for ins, _ in (i for k in keys for i in blocks[k]):
+            b.instructions.append(("L", ins[1], b.symbol(ins[2])) if ins[0] == "L" else ins)
+        assert compact_blocks(memo, keys, blocks.get, 1) == compact(b.finish(1))
+    # "b" is scanned after "a" and after "b"; a third "b" enters the state the second left
+    assert len(memo.out) == 3
+
+
+def test_compact_blocks_rejects_a_read_of_a_register_no_block_wrote():
+    blocks = {"load": scan_block([("L", 0, 2)], (0,)), "read": scan_block([("M", 1, 0, 5)], (1,))}
+    memo = BlockScans(4)
+    for keys in (["read"], ["load", "read"]):
+        with pytest.raises(InvalidProgramError, match="unassigned"):
+            compact_blocks(memo, keys, blocks.get, 1)
+    # the faulty block's scan is never memoised
+    assert list(memo.out) == [("load", 0)] and len(memo.states) == 2
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        compact_blocks(memo, ["load"], blocks.get, 1)
 
 
 SMALL = random_semigroups(6, seed=5)
