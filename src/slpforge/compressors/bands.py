@@ -110,11 +110,8 @@ def compress_normal_band(
     base = b._next_reg
 
     r_t = b.splice(lift, base)
-    om_exp = int(S.omega_exponents[t_alpha])
-    if om_exp >= 2:
-        b.fast_exp_into(r_e, r_t, om_exp)
-    else:
-        b.mul(r_e, r_t, r_t)
+    # e_a = t_a^omega; an idempotent t_a (exponent 1) is its own square
+    b.fast_exp_into(r_e, r_t, max(int(S.omega_exponents[t_alpha]), 2))
 
     live_vals: dict[int, int] = {}
     table = S.table
@@ -157,11 +154,7 @@ def compress_normal_band(
                     b.load(r_e, wit[1])
                     b.mul(dst, dst, r_e)
                     donor = min(r for r in live_vals if r != dst)
-                    d_exp = int(S.omega_exponents[live_vals[donor]])
-                    if d_exp >= 2:
-                        b.fast_exp_into(r_e, donor, d_exp)
-                    else:
-                        b.mul(r_e, donor, donor)
+                    b.fast_exp_into(r_e, donor, max(int(S.omega_exponents[live_vals[donor]]), 2))
                     b.mul(dst, dst, r_e)
         live_vals[dst] = sval
     out = base + gparent.output

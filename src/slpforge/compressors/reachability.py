@@ -189,7 +189,11 @@ def build_cube(G: GroupView, gens: Sequence[int], target: Optional[int]) -> Cube
 
 def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> tuple[SlpBuilder, int]:
     """A fork of the builder holding the state's h_i records (registers 0 ..
-    rounds - 1), with t written after them; returns it and t's register."""
+    rounds - 1), with t written after them; returns it and t's register.
+
+    The identity is always written as a power of the first generator: the
+    0-round cube already holds it, so ``build_cube`` returns that state for it.
+    """
     if t not in state.kk:
         raise NotInSubgroupError(f"target {t} is not covered by the cube")
     regs = list(range(state.rounds))
@@ -203,10 +207,6 @@ def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) ->
     if bmask or cmask:
         return b, _emit_pair(b, regs, bmask, cmask, None, out, u1, u2)
     # t is the identity
-    if regs:
-        b.inv(u1, regs[0])
-        b.mul(out, u1, regs[0])
-        return b, out
     g = int(gens[0])
     order = G.element_order(g)
     b.load(u1, g)
@@ -217,7 +217,8 @@ def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) ->
 
 
 def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
-    """Assemble the group SLP for a target already inside K^-1 K."""
+    """Assemble the group SLP for a target already inside K^-1 K; the
+    identity is a power of the first generator, as the 0-round cube holds it."""
     b, holder = _emit_target(G, gens, state, t)
     return b.finish(holder)
 

@@ -107,8 +107,6 @@ def adapted_levels(
         raise NotAdaptedError("generating set is not adapted to the chain")
     levels: list[Level] = []
     for upper, lower in zip(chain.terms, chain.terms[1:]):
-        if upper == lower:
-            continue
         if upper.cardinality == G.order:
             to_sub, Q = np.arange(G.order), top or quotient_group(G, lower)
         else:
@@ -264,9 +262,6 @@ def build_derived_adapted_set(G: GroupView, sigma: Sequence[int], chain: SeriesC
         _, taken = grow_span(Q.group, proj, theta, subgroup_closure(Q.group, []), comms)
         for j in taken:
             register(DeltaRecord(int(comms[j]), "comm", g=d1[j // len(d1)], h=d1[j % len(d1)]))
-        if not theta:
-            prev_vals = []
-            continue
         _, xi2_log = normal_closure_set(G, theta, sigma, quotient=Q)
         for step in xi2_log:
             register(DeltaRecord(step.value, "conj", g=step.g, h=step.h))
@@ -389,9 +384,6 @@ class PolycyclicGenSet:
     # ``compact_blocks``' memo over ``block``, filled as targets ask
     scans: BlockScans = field(repr=False, compare=False)
 
-    def chain_records(self) -> list[PolyRecord]:
-        return [self.records[i] for i in self.chain_indices]
-
     def block(self, key) -> list:
         """The scanned block ``key`` names: chain record j's, or the join
         (j, a, first) of its a-th power."""
@@ -438,8 +430,6 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
     layer = 0
     while members.size:
         layer += 1
-        if layer >= len(dchain.terms):
-            break
         # [g, g^v] for every member g and nonempty conjugator word v
         gt = conjugates(G, member_vals, h[1:])
         g = np.repeat(member_vals, h.size - 1)

@@ -53,9 +53,6 @@ class ElementSet:
     def __contains__(self, i) -> bool:
         return 0 <= i < self.mask.size and bool(self.mask[i])
 
-    def issubset(self, other: "ElementSet") -> bool:
-        return not np.any(self.mask & ~other.mask)
-
     def __iter__(self) -> Iterator[int]:
         return iter(np.flatnonzero(self.mask).tolist())
 

@@ -188,3 +188,56 @@ def test_classify_honours_the_sidecar_generators(tmp_path, capsys):
     assert "strategy=permutative" in capsys.readouterr().out
     assert run(["classify", "--cayley", cay, "--gens", "1,4"]) == 0
     assert "recommended=group-solvable-bw" in capsys.readouterr().out
+
+
+def test_compress_reads_kmax_and_budget(tmp_path, capsys):
+    cay = str(tmp_path / "z6.cay")
+    assert run(["gen", "--family", "cyclic", "--params", "6,", "--out", cay]) == 0
+    argv = ["compress", "--cayley", cay, "--target", "5", "--strategy", "permutative"]
+    assert run(argv + ["--kmax", "3", "--budget", "1000"]) == 0
+    assert "strategy=permutative" in capsys.readouterr().out
+
+
+def test_gen_without_parameters(tmp_path, capsys):
+    cay = str(tmp_path / "clifford.cay")
+    assert run(["gen", "--family", "clifford-z4-z2", "--out", cay]) == 0
+    assert "n=6" in capsys.readouterr().out
+
+
+def test_missing_generators_or_target_exit_2(tmp_path, capsys):
+    bare, gens_only, slp = (str(tmp_path / name) for name in ("bare.cay", "gens.cay", "p.slp"))
+    S = zoo.make_cyclic(4)
+    write_cay(bare, S)
+    write_cay(gens_only, S, gens=[1])
+    write_slp(slp, compress(S, [1], 3).slp)
+    for argv, message in (
+        (["compress", "--cayley", bare, "--target", "3"], "no generators: pass --gens"),
+        (["compress", "--cayley", gens_only], "no target: pass --target"),
+        (["verify", "--cayley", gens_only, "--slp", slp], "no target given"),
+        (["member", "--cayley", bare, "--target", "3"], "no generators given"),
+        (["member", "--cayley", gens_only], "no target given"),
+    ):
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_member_certify_non_member(tmp_path, capsys):
+    cay = str(tmp_path / "z4.cay")
+    write_cay(cay, zoo.make_cyclic(4), gens=[2])
+    assert run(["member", "--cayley", cay, "--target", "1", "--certify"]) == 1
+    assert capsys.readouterr().out == "non-member\n"
+
+
+def test_bench_to_stdout_counts_failed_cases_and_keeps_the_family_target(capsys):
+    # A5 is not solvable, so every group-solvable case fails; the lrb witness
+    # brings its own target
+    assert run(["bench", "--family", "alt", "--instances", "5", "--strategies",
+                "group-solvable", "--targets", "1", "--no-time"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("family,params,N,target,strategy,")
+    assert ",-1,-1,5.9069,false,0.000" in out
+    assert "# summary" not in out
+    assert run(["bench", "--family", "lrb-witness", "--instances", "4", "--targets", "1", "--no-time"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    target = zoo.build_family("lrb-witness", [4])[2]
+    assert rows[1].startswith(f"lrb-witness,4,10,{target},auto,")

@@ -760,3 +760,40 @@ def test_group_strategies_with_every_element_as_a_generator(S):
             for t in range(S.n):
                 slp = compress(S, gens, t, name).slp
                 assert evaluate(S, slp).output_value == t, (name, gens, t)
+
+
+def test_the_trivial_group_has_an_empty_delta_set_and_no_delta_program():
+    G = group_view(zoo.make_cyclic(1))
+    delta = build_derived_adapted_set(G, [], derived_series(G))
+    assert delta.records == []
+    with pytest.raises(SlpforgeError, match="empty generating set"):
+        emit_delta_program(G, delta)
+
+
+def test_the_first_cube_covers_only_the_identity():
+    G = group_view(zoo.make_dihedral(4))
+    state = build_cube(G, [1, 4], G.identity)
+    assert state.rounds == 0 and list(state.kk) == [G.identity]
+    prog = emit_from_cube(G, [1, 4], state, G.identity)
+    assert evaluate(G.base, prog, group=G).output_value == G.identity
+    with pytest.raises(NotInSubgroupError, match="not covered by the cube"):
+        emit_from_cube(G, [1, 4], state, 1)
+
+
+def test_normal_band_mode_is_wide_or_narrow():
+    S, gens, _ = zoo.build_family("rb-x-cyclic", [1, 1, 3])
+    with pytest.raises(ValueError, match="'wide' or 'narrow'"):
+        compress_normal_band(S, gens, 1, mode="x")
+
+
+def test_peel_and_permutative_reject_an_ungenerated_target():
+    w = zoo.make_obstruction_witness("T", 3)  # nilpotent: S^4 is the zero
+    s1, s2 = w.generators[:2]
+    with pytest.raises(UnreachableError, match=f"target {s2} is not generated"):
+        nilpotent_peel(w.semigroup, [s1], s2, 2, compress_permutative)
+    # inside S^2: the words over s1 alone reach only the zero of it
+    zero = w.semigroup.n - 1
+    with pytest.raises(SlpforgeError, match="short-word values do not generate the ideal"):
+        nilpotent_peel(w.semigroup, [s1], zero, 2, compress_permutative)
+    with pytest.raises(UnreachableError, match="target 1 is not generated"):
+        compress_permutative(zoo.make_cyclic(4), [2], 1, kstar=0)

@@ -116,6 +116,15 @@ def test_normal_closure_abelian_empty():
     assert not xi and not log
 
 
+def test_normal_closure_of_nothing_is_empty():
+    S, swap, cycle = _s3()
+    G = group_view(S)
+    Q = quotient_group(G, subgroup_closure(G, [cycle]))
+    for quotient in (None, Q):
+        xi, log = normal_closure_set(G, [], [swap, cycle], quotient=quotient)
+        assert xi == ElementSet.from_indices(6, []) and log == []
+
+
 def test_normal_closure_s3_transposition():
     S, swap, cycle = _s3()
     G = group_view(S)
@@ -300,6 +309,22 @@ def test_is_adapted():
     chain = derived_series(G)
     assert is_adapted(G, [swap, cycle], chain)
     assert not is_adapted(G, [swap], chain)
+    # two transpositions generate S3 but meet A3 nowhere; the identity alone
+    # lies in A3 but does not generate it
+    other_swap = zoo.perm_index(3, (0, 2, 1))
+    assert not is_adapted(G, [swap, other_swap], chain)
+    assert G.identity == 0 and not is_adapted(G, [0, swap, other_swap], chain)
+
+
+def test_quotient_needs_a_subgroup():
+    S, swap, cycle = _s3()
+    G = group_view(S)
+    with pytest.raises(NotAGroupError, match="does not contain the identity") as err:
+        quotient_group(G, ElementSet.from_indices(6, [swap]))
+    assert err.value.witness == G.identity
+    with pytest.raises(NotAGroupError, match="not product-closed") as err:
+        quotient_group(G, ElementSet.from_indices(6, [G.identity, cycle]))
+    assert err.value.witness == G.inverse[cycle]
 
 
 @pytest.mark.parametrize("family,params", [("sym", [4]), ("dihedral", [4]), ("heisenberg", [3])])

@@ -78,3 +78,24 @@ def test_evaluate_concrete():
 def test_variables_must_be_contiguous():
     with pytest.raises(ValueError):
         satisfies_identity(zoo.make_cyclic(2), OmegaTerm.var(1), OmegaTerm.var(1))
+
+
+def test_a_term_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        OmegaTerm(())
+
+
+def test_word_and_repr():
+    S = zoo.make_obstruction_witness("LRB", 3).semigroup
+    assert satisfies_identity(S, OmegaTerm.word(0, 1, 0), x * y)
+    assert repr(OmegaTerm.word(0, 1, 0)) == "x0 x1 x0"
+    assert repr(x * (x * y).omega() * y.omega_plus_one()) == "x0 (x0 x1)^w (x1)^(w+1)"
+    assert repr(ZERO) == "ZERO"
+
+
+def test_zero_on_either_side():
+    t3 = zoo.make_obstruction_witness("T", 3).semigroup
+    assert satisfies_identity(t3, ZERO, x * x)
+    assert not satisfies_identity(t3, ZERO, x * y)
+    assert satisfies_identity(t3, ZERO, ZERO)
+    assert not satisfies_identity(zoo.make_cyclic(3), ZERO, ZERO)

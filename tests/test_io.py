@@ -33,6 +33,11 @@ def test_cay_comments_anywhere():
     assert S.n == 2 and gens == [1] and target is None
 
 
+def test_cay_blank_lines_anywhere():
+    S, gens, target = parse_cay("\nCAYLEY 2\n0 1\n\n  \n1 0\n\n")
+    assert S.n == 2 and gens is None and target is None
+
+
 def test_cay_errors():
     with pytest.raises(FormatError):
         parse_cay("0 1\n1 0\n")
@@ -104,6 +109,7 @@ def test_slp_errors():
         "SLP\nA x\nL 0 0\nO 0\n",  # not an element index
         "SLP\nAB 1\nL 0 0\nO 0\n",  # not the alphabet keyword
         "SLP\nA 1\nL 0 0\nL 1 0\nO 0\nO 1\n",  # a second output line
+        "SLP\nA 1\nL 0 0\nM 0 x 0\nO 0\n",  # a register that is not a number
     ):
         with pytest.raises(FormatError):
             parse_slp(text)

@@ -554,7 +554,7 @@ def _least_power(G, r, below, x) -> int:
 def _joined(G, sigma, pcs, t) -> Slp:
     """``compact`` of the blocks that the chain walk of t names, joined."""
     keys = []
-    for j, rec in enumerate(pcs.chain_records()):
+    for j, rec in enumerate(pcs.records[i] for i in pcs.chain_indices):
         a = _least_power(G, rec.value, pcs.chain.terms[j + 1], t)
         if a:
             keys += (j, (j, a, not keys))
@@ -593,7 +593,7 @@ def test_exponent_tables_match_the_walk(family, params):
     G = group_view(S)
     pcs = solvable.build_polycyclic_set(G, gens)
     assert len(pcs.logs) == len(pcs.chain_indices) == len(pcs.chain.terms) - 1
-    for j, (rec, (logs, inverses)) in enumerate(zip(pcs.chain_records(), pcs.logs)):
+    for j, (rec, (logs, inverses)) in enumerate(zip((pcs.records[i] for i in pcs.chain_indices), pcs.logs)):
         term, below = pcs.chain.terms[j], pcs.chain.terms[j + 1]
         for x in range(G.order):
             assert logs.item(x) == (_least_power(G, rec.value, below, x) if x in term else -1), (j, x)

@@ -6,6 +6,7 @@ import pytest
 
 from slpforge import zoo
 from slpforge.errors import (
+    BudgetExceededError,
     EmptyGeneratorsError,
     NotAnIdealError,
     NotAssociativeError,
@@ -22,6 +23,7 @@ from slpforge.semigroup import (
     shortest_word,
     shortest_words,
     sub_semigroup,
+    table_dtype,
     validate_table,
     _WordTree,
 )
@@ -302,7 +304,7 @@ def test_closure_idempotent_and_monotone_on_zoo(zoo_small):
         again = closure(S, list(full))
         assert again == full, name
         sub = closure(S, gens[:1])
-        assert sub.issubset(full), name
+        assert not (sub.mask & ~full.mask).any(), name
 
 
 def test_closure_matches_the_python_oracle_on_random_semigroups():
@@ -534,7 +536,7 @@ def test_ideal_chain_stabilises(zoo_small):
             cur = ideal_power(S, k)
             if prev is not None and cur == prev:
                 break
-            assert prev is None or cur.issubset(prev), name
+            assert prev is None or not (cur.mask & ~prev.mask).any(), name
             prev = cur
         else:
             pytest.fail(f"{name}: ideal chain did not stabilise")
@@ -695,3 +697,45 @@ def test_power_caches_match_the_per_power_walk():
     for name, S in _power_cases():
         for got, expect, what in zip(S._build_power_caches(), _power_walk(S), ("omega", "exponent", "period")):
             assert np.array_equal(got, expect), (name, what)
+
+
+def test_table_dtype_is_the_narrowest_that_fits():
+    assert [table_dtype(n) for n in (256, 257, 65_536, 65_537)] == [np.uint8, np.uint16, np.uint16, np.int32]
+
+
+def test_repr_names_the_table():
+    assert repr(zoo.make_cyclic(3)) == "Semigroup(n=3 'Z3')"
+    assert repr(Semigroup(np.zeros((2, 2), dtype=np.int64))) == "Semigroup(n=2)"
+
+
+def test_power_and_ideal_power_need_a_positive_exponent():
+    Z4 = zoo.make_cyclic(4)
+    assert Z4.power(1, 3) == 3
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        Z4.power(1, 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ideal_power(Z4, 0)
+
+
+def test_word_searches_need_generators():
+    Z4 = zoo.make_cyclic(4)
+    with pytest.raises(EmptyGeneratorsError):
+        shortest_word(Z4, [], 0)
+    with pytest.raises(EmptyGeneratorsError):
+        shortest_words(Z4, [], 2)
+
+
+def test_the_empty_set_is_no_ideal():
+    assert not is_ideal(zoo.make_cyclic(4), ElementSet.from_indices(4, []))
+
+
+def test_direct_product_budget():
+    Z4 = zoo.make_cyclic(4)
+    assert direct_product(Z4, Z4, budget=16).n == 16
+    with pytest.raises(BudgetExceededError, match="product size 16 exceeds budget 15"):
+        direct_product(Z4, Z4, budget=15)
+
+
+def test_sub_semigroup_needs_a_product_closed_subset():
+    with pytest.raises(ValueError, match="not product-closed"):
+        sub_semigroup(zoo.make_cyclic(4), ElementSet.from_indices(4, [0, 1]))

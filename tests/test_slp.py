@@ -618,3 +618,35 @@ def test_compact_properties(case):
     assert list(dict.fromkeys(loaded)) == list(range(len(small.alphabet)))
     assert len(set(small.alphabet)) == len(small.alphabet)
     assert compact(small) is small
+
+
+def test_constructor_rejects_an_output_never_assigned():
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        Slp((0,), (("L", 0, 0),), 1)
+
+
+def test_compact_of_a_fork_that_writes_nothing_needs_an_output_its_prefix_wrote():
+    b = SlpBuilder()
+    b.load(b.fresh(), 3)
+    assert b.fork().compact(0) == Slp((3,), (("L", 0, 0),), 0)
+    with pytest.raises(InvalidProgramError, match="output register never assigned"):
+        b.fork().compact(1)
+
+
+def test_evaluate_rejects_an_alphabet_value_outside_the_semigroup():
+    with pytest.raises(InvalidProgramError, match="outside semigroup"):
+        evaluate(zoo.make_cyclic(5), Slp((5,), (("L", 0, 0),), 0))
+
+
+@pytest.mark.parametrize("e", [0, 1])
+def test_fast_exp_into_needs_an_exponent_of_two_or_more(e):
+    b = SlpBuilder()
+    b.load(b.fresh(), 0)
+    with pytest.raises(ValueError, match="exponent >= 2"):
+        b.fast_exp_into(b.fresh(), 0, e)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_fast_exp_needs_a_positive_exponent(n):
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        fast_exp(0, n)

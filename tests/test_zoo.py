@@ -6,7 +6,9 @@ import pytest
 from slpforge import zoo
 from slpforge.errors import (
     BudgetExceededError,
+    DecompositionFailedError,
     NotAHomomorphismError,
+    SlpforgeError,
     UnknownFamilyError,
 )
 from slpforge.identities import (
@@ -383,3 +385,61 @@ def test_zoo_registry_covers_cli_families():
         assert isinstance(zoo.FAMILIES[fam], str)
     S, gens, tgt = zoo.build_family("lrb-witness", [4])
     assert tgt is not None and gens is not None
+
+
+RB22, Z3 = zoo.make_rectangular_band(2, 2), zoo.make_cyclic(3)
+T2 = zoo.make_obstruction_witness("T", 2).semigroup
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: zoo.build_family("u-witness", [16]), BudgetExceededError, "cell budget"),
+        (lambda: zoo.build_family("u-witness", [1]), BudgetExceededError, r"in \[2, 16\]"),
+        (lambda: zoo.build_family("abelian", [100, 100]), BudgetExceededError, "abelian order 10000"),
+        (lambda: zoo.build_family("dihedral", [0]), BudgetExceededError, "dihedral order 0"),
+        (lambda: zoo.build_family("dihedral", [2501]), BudgetExceededError, "dihedral order 5002"),
+        (lambda: zoo.build_family("heisenberg", [19]), BudgetExceededError, "order 6859"),
+        (lambda: zoo.build_family("sym", [6]), BudgetExceededError, "up to degree 5"),
+        (lambda: zoo.build_family("alt", [6]), BudgetExceededError, "up to degree 5"),
+        (lambda: zoo.perm_index(3, (1, 0, 2), even_only=True), ValueError, "not in the enum"),
+        (lambda: zoo.build_family("lrb-witness", [1]), BudgetExceededError, r"in \[2, 200\]"),
+        (lambda: zoo.build_family("t-witness", [201]), BudgetExceededError, r"in \[2, 200\]"),
+        (lambda: zoo.make_obstruction_witness("X", 3), UnknownFamilyError, "variant 'X'"),
+        (lambda: zoo.make_power_witness(RB22, 0, 2), SlpforgeError, "needs a monoid"),
+        (lambda: zoo.make_power_witness(Z3, 0, 2), SlpforgeError, "s distinct from"),
+        (lambda: zoo.make_power_witness(Z3, 1, 3, max_elements=5), BudgetExceededError, "exceeded 5"),
+        (lambda: zoo.build_family("semilattice", [0]), BudgetExceededError, r"n in \[1, 13\]"),
+        (lambda: zoo.build_family("semilattice", [14]), BudgetExceededError, r"n in \[1, 13\]"),
+        (lambda: zoo.build_family("rb", [0, 3]), BudgetExceededError, "p, q >= 1"),
+        (lambda: zoo.build_family("rb", [200, 51]), BudgetExceededError, "pq <= 10"),
+        (
+            lambda: zoo.make_normal_band_of_groups("clifford", top=zoo.make_cyclic(4), bottom=Z3, hom=[0, 1]),
+            NotAHomomorphismError, "all of the top group",
+        ),
+        (lambda: zoo.make_normal_band_of_groups("tower"), UnknownFamilyError, "shape 'tower'"),
+        (
+            # the T witness has nilpotent elements, so RB(1, 1) x T is no union of groups
+            lambda: zoo.make_normal_band_of_groups("product", p=1, q=1, group=T2),
+            DecompositionFailedError, "not a normal band of groups",
+        ),
+        (lambda: zoo.build_family("nilpotent-rb", [1, 1, 2, 1]), BudgetExceededError, "threshold k must be >= 2"),
+        (lambda: zoo.make_nilpotent_extension(Z3, 2, [1], 2), SlpforgeError, "whole alphabet"),
+        (lambda: zoo.build_family("nilpotent-rb", [1, 2, 2, 15]), BudgetExceededError, "short words"),
+    ],
+    ids=[
+        "u-witness-cells", "u-witness-n", "abelian", "dihedral-0", "dihedral-order", "heisenberg", "sym", "alt",
+        "odd-perm", "lrb-n", "t-n", "variant", "power-non-monoid", "power-neutral", "power-elements",
+        "semilattice-0", "semilattice-14", "rb-empty", "rb-size", "clifford-hom-length", "band-shape",
+        "band-not-union-of-groups", "nilpotent-k", "nilpotent-assignment", "nilpotent-words",
+    ],
+)
+def test_out_of_range_parameters_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_alt_of_degree_below_three_is_trivial(n):
+    S, gens, target = zoo.build_family("alt", [n])
+    assert (S.n, gens, target) == (1, [0], None)

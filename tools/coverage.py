@@ -11,7 +11,8 @@ A statement, docstrings aside, is executable when its own lines (a compound
 statement's header only, its decorators included) hold compiled code, and
 run when one of those lines produced a line event.  Code run in child processes, as the CLI and
 demo tests start, is not seen.  The tracer slows the suite several times, so
-this is a probe to run by hand, not a CI step.
+the whole-suite probe is run by hand; CI runs it over one test file only, to
+keep the tracer path working.
 
 Prints each file's unrun statements as line ranges and the total, then exits
 with pytest's status.
