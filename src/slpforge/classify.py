@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, SlpforgeError
+from .decomposition import _commutes_modulo, _right_classes, cached_decomposition, is_medial
+from .errors import BandNotNormalError, BudgetExceededError, HNotCongruenceError, SlpforgeError
 from .groups import GroupView, group_view, is_solvable
 from .semigroup import (
     Semigroup, cached_closure, cached_sub_semigroup, ideal_chain, products_outside, sub_semigroup
@@ -52,41 +53,6 @@ class ClassReport:
     groups_solvable: Optional[bool]
     recommended: str
     ideal_sizes: list[int] = field(default_factory=list)
-
-
-def _row_classes(rows: np.ndarray) -> np.ndarray:
-    """Class id per row of a 2-D array; equal rows share an id.
-
-    Each row is viewed as one opaque byte string, so a 1-D unique sorts
-    fixed-width keys instead of comparing rows column by column.  Ids are
-    only meaningful for equality; their order is unspecified.
-    """
-    rows = np.ascontiguousarray(rows)
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, inv = np.unique(keys.ravel(), return_inverse=True)
-    return inv.ravel()
-
-
-def _right_classes(S: Semigroup, cols: np.ndarray) -> np.ndarray:
-    """Class ids of elements under u ~ v iff u*b == v*b for all b in cols."""
-    return _row_classes(S.table[:, cols])
-
-
-def _commutes_modulo(S: Semigroup, members: np.ndarray) -> bool:
-    """Does a*x*y*b == a*y*x*b hold for all a, b in members and x, y in S?
-
-    Exactly when x*y and y*x share a two-sided class over ``members``
-    (z ~ z' iff a*z*b == a*z'*b for all a, b in it): the right class of u
-    names the map b -> u*b, and z's key is the right class of a*z for every a.
-    O(n |members|) for the classes plus O(n^2) for the comparisons.
-    """
-    table = S.table
-    rcls = _right_classes(S, members).astype(table.dtype)  # ids < n fit
-    two = _row_classes(rcls[table[members, :]].T).astype(table.dtype)
-    both = two[table]
-    return bool(np.array_equal(both, both.T))
 
 
 def _ideal_levels(S: Semigroup, kmax: int):
@@ -174,15 +140,6 @@ def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:
         if ok:
             return k
     return None
-
-
-def is_medial(S: Semigroup) -> bool:
-    """Does uxyv = uyxv hold for all u, x, y, v in S?  O(n^2 log n).
-
-    That is commutation modulo the two-sided classes over all of S: xy and
-    yx must share a class.  On a band this is the normal-band law.
-    """
-    return _commutes_modulo(S, np.arange(S.n))
 
 
 def _band_flags(S: Semigroup) -> tuple[bool, Optional[bool], Optional[bool], Optional[bool]]:
@@ -281,11 +238,14 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
     1. some S^k (k <= kmax) is a rectangular band -> bounded-diameter
     2. central commutation at some level k <= kmax -> permutative
     3. a group -> group-solvable-bw if solvable, else group-bsz
-    4. completely regular -> normal-band
-    5. the sandwich identity at some level k <= kmax -> general
+    4. completely regular -> normal-band if S is a normal band of groups,
+       else bounded-diameter
+    5. the sandwich identity at some level k <= kmax, and the completely
+       regular part of S^k a normal band of groups -> general
     6. otherwise -> bounded-diameter
 
-    A scan over budget on rung 2 or 5 counts as "no".
+    A scan over budget on rung 2 or 5 counts as "no".  Rungs 4 and 5 check
+    the decomposition their strategy needs (README, "How ``auto`` decides").
     """
     cfg = config or Config()
     kmax, budget = cfg.kmax, cfg.scan_budget
@@ -298,10 +258,18 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
         if _is_group(S):
             return group_route(group_view(S))
         if S.is_completely_regular():
-            return "normal-band"
-        if _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0] is not None:
-            return "general"
-        return "bounded-diameter"
+            bands, strategy = S, "normal-band"
+        else:
+            k = _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0]
+            if k is None:
+                return "bounded-diameter"
+            part = S.completely_regular_elements().mask & ideal_chain(S)[k - 1]
+            bands, strategy = cached_sub_semigroup(S, ElementSet(part))[0], "general"
+        try:
+            cached_decomposition(bands)  # a failure stores nothing, but the answer is memoised
+        except (HNotCongruenceError, BandNotNormalError):
+            return "bounded-diameter"
+        return strategy
 
     return S.cached(("recommend", kmax, budget), ladder)
 

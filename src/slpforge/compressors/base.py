@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..groups import GroupView
 from ..slp import Slp, SlpBuilder
 
 
@@ -29,3 +31,13 @@ def word_program(values: list[int]) -> Slp:
     scratch = b.fresh()
     b.word_product(values, acc, scratch)
     return b.compact(acc)
+
+
+def identity_program(G: GroupView, g: int) -> Slp:
+    """``compact(fast_exp(g, order of g))``, made as one program: the identity
+    of G as every group builder writes it, g its first generator."""
+    b, order = SlpBuilder(), G.element_order(g)
+    b.load(0, g)
+    if order > 1:
+        b.fast_exp_into(1, 0, order)
+    return b.compact(0 if order == 1 else 1)

@@ -52,10 +52,11 @@ def compress(
     """Compress t over gens with the named strategy; 'auto' dispatches.
 
     The generated subsemigroup is carved once, and the strategy (or ``auto``'s
-    recommendation) runs there, so identities verified by the classifier hold
-    exactly where the program lives.  The program is relabelled to S and
-    verified once, by evaluation on S; a mismatch raises SlpforgeError and is
-    never a reason to fall back.  Target-independent structure (the closure,
+    recommendation) runs there once, so identities verified by the classifier
+    hold exactly where the program lives.  ``auto`` picks only a strategy that
+    applies, so any error the strategy raises propagates, as for a named one.
+    The program is relabelled to S and verified once, by evaluation on S; a
+    mismatch raises SlpforgeError.  Target-independent structure (the closure,
     the sub-semigroup, the ``auto`` recommendation, and the group builders'
     plans and cubes) is memoised on S, so later targets on the same table
     reuse it.  An unknown strategy name raises ValueError before any of it is
@@ -74,18 +75,9 @@ def compress(
         sub_gens, sub_t = [int(to_sub[g]) for g in gens], int(to_sub[t])
 
     # a named strategy reports no extras; ``auto`` reports its decision
-    extras: dict = {}
-    chosen = strategy
-    if strategy == "auto":
-        chosen = extras["classified"] = recommend(sub, cfg)
-    try:
-        slp = STRATEGIES[chosen](sub, sub_gens, sub_t, cfg)
-    except SlpforgeError as exc:
-        if strategy != "auto" or chosen == "bounded-diameter":
-            raise
-        chosen = "bounded-diameter"
-        slp = STRATEGIES[chosen](sub, sub_gens, sub_t, cfg)
-        extras.update(fallback=True, fallback_reason=f"{type(exc).__name__}: {exc}")
+    chosen = recommend(sub, cfg) if strategy == "auto" else strategy
+    extras = {"classified": chosen} if strategy == "auto" else {}
+    slp = STRATEGIES[chosen](sub, sub_gens, sub_t, cfg)
     if to_parent is not None:
         slp = slp.relabel(to_parent)
     if not verify(S, slp, t):

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from ..errors import NotInSubgroupError
 from ..groups import GroupView
 from ..slp import InverseMirror, Slp, SlpBuilder
+from .base import identity_program
 
 
 @dataclass
@@ -187,13 +188,10 @@ def build_cube(G: GroupView, gens: Sequence[int], target: Optional[int]) -> Cube
         i += 1
 
 
-def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> tuple[SlpBuilder, int]:
+def _emit_target(state: CubeState, t: int) -> tuple[SlpBuilder, int]:
     """A fork of the builder holding the state's h_i records (registers 0 ..
-    rounds - 1), with t written after them; returns it and t's register.
-
-    The identity is always written as a power of the first generator: the
-    0-round cube already holds it, so ``build_cube`` returns that state for it.
-    """
+    rounds - 1), with t, not the identity, written after them; returns it and
+    t's register."""
     if t not in state.kk:
         raise NotInSubgroupError(f"target {t} is not covered by the cube")
     regs = list(range(state.rounds))
@@ -204,22 +202,15 @@ def _emit_target(G: GroupView, gens: Sequence[int], state: CubeState, t: int) ->
             _emit_pair(state.prefix, regs, rec.bmask, rec.cmask, rec.sigma, regs[i], u1, u2)
     b = state.prefix.fork()
     bmask, cmask = state.kk[t]
-    if bmask or cmask:
-        return b, _emit_pair(b, regs, bmask, cmask, None, out, u1, u2)
-    # t is the identity
-    g = int(gens[0])
-    order = G.element_order(g)
-    b.load(u1, g)
-    if order == 1:
-        return b, u1
-    b.fast_exp_into(out, u1, order)
-    return b, out
+    return b, _emit_pair(b, regs, bmask, cmask, None, out, u1, u2)
 
 
 def emit_from_cube(G: GroupView, gens: Sequence[int], state: CubeState, t: int) -> Slp:
     """Assemble the group SLP for a target already inside K^-1 K; the
-    identity is a power of the first generator, as the 0-round cube holds it."""
-    b, holder = _emit_target(G, gens, state, t)
+    identity is ``identity_program``, as every group builder writes it."""
+    if t == G.identity:
+        return identity_program(G, gens[0])
+    b, holder = _emit_target(state, t)
     return b.finish(holder)
 
 
@@ -229,7 +220,9 @@ def compress_group_reachability(G: GroupView, gens: Sequence[int], t: int) -> Sl
     state keeps the elimination pass fed its h_i records, and a fork of it is
     fed t's."""
     state = build_cube(G, gens, t)
-    b, holder = _emit_target(G, gens, state, t)
+    if t == G.identity:
+        return identity_program(G, gens[0])
+    b, holder = _emit_target(state, t)
     if not any(ins[0] == "I" for ins in b.instructions):
         return b.compact(holder)
     if state.mirror is None:

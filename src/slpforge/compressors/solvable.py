@@ -62,13 +62,12 @@ from ..slp import (
     InverseMirror,
     Slp,
     SlpBuilder,
-    compact,
     compact_blocks,
     evaluate,
-    fast_exp,
     inverting_power,
     scan_block,
 )
+from .base import identity_program
 from .permutative import minimize_exponents
 
 
@@ -122,9 +121,10 @@ def adapted_levels(
 
 def adapt_subnormal(
     G: GroupView, levels: Sequence[Level], t: int, b: SlpBuilder, held: dict[int, int]
-) -> int:
+) -> Optional[int]:
     """Write t into ``b`` level by level through the chain's abelian quotients;
-    returns the register that holds it.
+    returns the register that holds it, or None for the identity, which no
+    level writes.
 
     Per level the residual target is projected into G_{i-1}/G_i and written as
     its normal form there (memoised with its lift's value on the level), a
@@ -168,15 +168,6 @@ def adapt_subnormal(
         t = table.item(inverse[val], t)
     if t != G.identity:
         raise SlpforgeError("chain walk did not exhaust the target")
-    if out is None:
-        # the identity, as a power of the first generator (G trivial: itself)
-        g = next(iter(levels[0].rep.values())) if levels else G.identity
-        e = G.element_order(g)
-        if e == 1:
-            return held[g]
-        acc = b.fresh()
-        b.fast_exp_into(acc, held[g], e)
-        return acc
     return out
 
 
@@ -352,6 +343,8 @@ def compress_group_solvable(G: GroupView, sigma: Sequence[int], t: int) -> Slp:
     """
     sigma = tuple(int(s) for s in sigma)
     plan = G.base.cached(("solvable_plan", sigma), lambda: solvable_plan(G, sigma))
+    if t == G.identity:
+        return identity_program(G, sigma[0])
     b = plan.builder.fork()
     return b.compact(adapt_subnormal(G, plan.levels, t, b, plan.held))
 
@@ -380,7 +373,7 @@ class PolycyclicGenSet:
     # per chain record j: each element of term j to the a with x in rec^a term
     # j+1 (-1 off term j), and the inverse of rec^a for each a
     logs: list[tuple[np.ndarray, list[int]]]
-    identity: Slp                       # the first generator to its order
+    identity: Slp                       # ``identity_program`` of the first generator
     # ``compact_blocks``' memo over ``block``, filled as targets ask
     scans: BlockScans = field(repr=False, compare=False)
 
@@ -482,7 +475,7 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
     logs = [
         _discrete_logs(G, records[i].value, chain.terms[j], chain.terms[j + 1]) for j, i in enumerate(kept)
     ]
-    identity = compact(fast_exp(sigma[0], G.element_order(sigma[0])))
+    identity = identity_program(G, sigma[0])
     return PolycyclicGenSet(records, kept, chain, exponent, blocks, logs, identity, BlockScans(G.order))
 
 

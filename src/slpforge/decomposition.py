@@ -4,7 +4,7 @@ H-classes are computed from mutual left/right divisibility; each is a group
 (Clifford and Preston, vol. I), checked to hold one idempotent, and the
 partition is checked to be a congruence.  The quotient band must be normal
 (uxyv = uyxv); anything else is reported as the corresponding structural
-failure.
+failure.  The normal-band test ``is_medial`` lives here, below ``classify``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,52 @@ from .errors import (
     HNotCongruenceError,
     NotCompletelyRegularError,
 )
-from .classify import _row_classes, is_medial
 from .semigroup import Semigroup
 from .sets import ElementSet
+
+
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """Class id per row of a 2-D array; equal rows share an id.
+
+    Each row is viewed as one opaque byte string, so a 1-D unique sorts
+    fixed-width keys instead of comparing rows column by column.  Ids are
+    only meaningful for equality; their order is unspecified.
+    """
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, inv = np.unique(keys.ravel(), return_inverse=True)
+    return inv.ravel()
+
+
+def _right_classes(S: Semigroup, cols: np.ndarray) -> np.ndarray:
+    """Class ids of elements under u ~ v iff u*b == v*b for all b in cols."""
+    return _row_classes(S.table[:, cols])
+
+
+def _commutes_modulo(S: Semigroup, members: np.ndarray) -> bool:
+    """Does a*x*y*b == a*y*x*b hold for all a, b in members and x, y in S?
+
+    Exactly when x*y and y*x share a two-sided class over ``members``
+    (z ~ z' iff a*z*b == a*z'*b for all a, b in it): the right class of u
+    names the map b -> u*b, and z's key is the right class of a*z for every a.
+    O(n |members|) for the classes plus O(n^2) for the comparisons.
+    """
+    table = S.table
+    rcls = _right_classes(S, members).astype(table.dtype)  # ids < n fit
+    two = _row_classes(rcls[table[members, :]].T).astype(table.dtype)
+    both = two[table]
+    return bool(np.array_equal(both, both.T))
+
+
+def is_medial(S: Semigroup) -> bool:
+    """Does uxyv = uyxv hold for all u, x, y, v in S?  O(n^2 log n).
+
+    That is commutation modulo the two-sided classes over all of S: xy and
+    yx must share a class.  On a band this is the normal-band law.
+    """
+    return _commutes_modulo(S, np.arange(S.n))
 
 
 @dataclass(frozen=True)
@@ -59,9 +102,9 @@ def cached_decomposition(S: Semigroup) -> BandDecomposition:
 
 def band_of_groups_decomposition(S: Semigroup) -> BandDecomposition:
     """Split a completely regular S into subgroups over its H-class band."""
-    if not S.is_completely_regular():
-        base = np.arange(S.n, dtype=np.int64)
-        bad = np.flatnonzero(S.table[S.omega_powers, base] != base)[0]
+    regular = S.completely_regular_elements()
+    if regular.cardinality < S.n:
+        bad = np.flatnonzero(~regular.mask)[0]
         raise NotCompletelyRegularError(
             f"element {int(bad)} has s^(w+1) != s; not a union of groups"
         )

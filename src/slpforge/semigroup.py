@@ -284,9 +284,7 @@ class Semigroup:
         return None
 
     def is_completely_regular(self) -> bool:
-        om = self.omega_powers
-        base = np.arange(self.n, dtype=np.int64)
-        return bool((self.table[om, base] == base).all())
+        return self.completely_regular_elements().cardinality == self.n
 
     def completely_regular_elements(self) -> ElementSet:
         om = self.omega_powers

@@ -9,7 +9,6 @@ from slpforge.classify import (
     Config,
     _ideal_levels,
     _right_classes,
-    _row_classes,
     central_commutation_level,
     classify,
     group_route,
@@ -17,12 +16,20 @@ from slpforge.classify import (
     rb_ideal_level,
     recommend,
     sandwich_ideal_level,
+    stable_ideal_level,
 )
 from slpforge.compressors import GROUP_STRATEGIES, STRATEGIES, compress
-from slpforge.errors import BudgetExceededError, SlpforgeError
+from slpforge.decomposition import _row_classes, band_of_groups_decomposition
+from slpforge.errors import (
+    BandNotNormalError,
+    BudgetExceededError,
+    HNotCongruenceError,
+    SlpforgeError,
+)
 from slpforge.groups import group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
-from slpforge.semigroup import Semigroup, closure
+from slpforge.semigroup import Semigroup, closure, ideal_chain, sub_semigroup
+from slpforge.sets import ElementSet
 
 from conftest import random_semigroups
 
@@ -206,6 +213,20 @@ def test_classify_general_extension_nonabelian_base():
     assert rep.recommended == "general"
 
 
+def test_band_flags_need_a_band():
+    # a null semigroup has xyx = xy = yx = 0, but x*x = 0 != x: not a band
+    rep = classify(Semigroup.trusted(np.zeros((3, 3), dtype=np.int64)))
+    assert not rep.is_band
+    assert (rep.is_lrb, rep.is_rrb, rep.is_normal_band) == (False, False, False)
+
+
+def test_stable_ideal_level_on_the_t_witness():
+    # T4: the ten intervals of [1..4] and a zero; S^k keeps the intervals of
+    # length >= k, so the chain stops at S^5 = {0}
+    T4 = zoo.make_obstruction_witness("T", 4).semigroup
+    assert stable_ideal_level(T4) == (5, [11, 7, 4, 2, 1, 1])
+
+
 def test_stable_ideal_chain():
     w = zoo.make_u_witness(4)
     rep = classify(w.semigroup)
@@ -231,8 +252,76 @@ def test_recommend_matches_classify_on_random_semigroups():
         rec = recommend(_fresh(S))
         assert rec == classify(_fresh(S)).recommended, S.table.tolist()
         seen.add(rec)
-    # the draw reaches every rung but the group ones
-    assert {"bounded-diameter", "permutative", "normal-band", "general"} <= seen
+    # the draw reaches rungs 1, 2, 5 and 6; each of its completely regular
+    # non-groups fails the decomposition, so ``RUNG_PINS`` pins rung 4
+    assert {"bounded-diameter", "permutative", "general"} <= seen
+
+
+def _table(rows) -> Semigroup:
+    return Semigroup.trusted(np.asarray(rows))
+
+
+# completely regular, but H is not a congruence: rung 4 refuses it
+CR_H_NOT_CONGRUENCE = [[2, 1, 0, 3], [3, 1, 1, 3], [0, 1, 2, 3], [1, 1, 3, 3]]
+# the sandwich identity holds in some S^k, but H is not a congruence on the
+# completely regular part of S^k: rung 5 refuses it
+SANDWICH_PART_FAILS = [
+    [2, 3, 2, 5, 0, 5],
+    [2, 4, 2, 5, 1, 5],
+    [2, 5, 2, 5, 2, 5],
+    [2, 0, 2, 5, 3, 5],
+    [2, 1, 2, 5, 4, 5],
+    [2, 2, 2, 5, 5, 5],
+]
+# no S^k satisfies the sandwich identity, though the completely regular part
+# of the stable ideal decomposes: rung 6
+NO_SANDWICH = [[0, 1, 3, 3], [3, 3, 1, 3], [3, 3, 2, 3], [3, 3, 3, 3]]
+
+# one table per rung of ``recommend``, and where ``auto`` sends it
+RUNG_PINS = {
+    "1-rectangular-band": (lambda: zoo.make_rectangular_band(3, 4), "bounded-diameter"),
+    "2-central-commutation": (lambda: zoo.build_family("rb-x-cyclic", [2, 2, 3])[0], "permutative"),
+    "3-group": (lambda: zoo.make_dihedral(4), "group-solvable-bw"),
+    "4-normal-band": (
+        lambda: zoo.make_normal_band_of_groups("product", p=2, q=2, group=zoo.make_sym(3)),
+        "normal-band",
+    ),
+    "4-band-not-normal": (lambda: zoo.build_family("lrb-witness", [4])[0], "bounded-diameter"),
+    "4-h-not-congruence": (lambda: _table(CR_H_NOT_CONGRUENCE), "bounded-diameter"),
+    "5-general": (_general_extension, "general"),
+    "5-part-fails": (lambda: _table(SANDWICH_PART_FAILS), "bounded-diameter"),
+    "6-no-sandwich": (lambda: _table(NO_SANDWICH), "bounded-diameter"),
+}
+
+
+@pytest.mark.parametrize("case", list(RUNG_PINS))
+def test_auto_takes_one_rung_per_table(case):
+    build, expected = RUNG_PINS[case]
+    S = build()
+    assert recommend(_fresh(S)) == expected
+    # the whole table as generators, so ``auto`` decides on S itself
+    gens = list(range(S.n))
+    for t in range(S.n):
+        report = compress(S, gens, t, "auto")
+        assert (report.strategy, report.extras) == (expected, {"classified": expected}), t
+
+
+def test_rung_pins_fail_where_they_say():
+    lrb = zoo.build_family("lrb-witness", [4])[0]
+    assert lrb.is_completely_regular()
+    with pytest.raises(BandNotNormalError):
+        band_of_groups_decomposition(lrb)
+    cr = _table(CR_H_NOT_CONGRUENCE)
+    assert cr.is_completely_regular()
+    with pytest.raises(HNotCongruenceError):
+        band_of_groups_decomposition(cr)
+    S = _table(SANDWICH_PART_FAILS)
+    k = sandwich_ideal_level(S)
+    assert not S.is_completely_regular() and k is not None
+    part = ElementSet(S.completely_regular_elements().mask & ideal_chain(S)[k - 1])
+    with pytest.raises(HNotCongruenceError):
+        band_of_groups_decomposition(sub_semigroup(S, part)[0])
+    assert sandwich_ideal_level(_table(NO_SANDWICH)) is None
 
 
 def test_recommend_is_keyed_by_budget():

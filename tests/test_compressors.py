@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from slpforge import zoo
-from slpforge.classify import Config
+from slpforge.classify import Config, recommend
 from slpforge.compressors import dispatch, peel, solvable
+from slpforge.compressors.base import identity_program
 from slpforge.compressors import (
     GROUP_STRATEGIES,
     STRATEGIES,
@@ -36,6 +37,7 @@ from slpforge.compressors import (
 from slpforge.errors import (
     CompressorFailedError,
     DiameterExceededError,
+    NotEligibleError,
     NotInSubgroupError,
     NotSolvableError,
     SlpforgeError,
@@ -43,8 +45,8 @@ from slpforge.errors import (
 )
 from slpforge.groups import derived_series, group_view, is_adapted, subgroup_closure
 from slpforge.membership import member_certified
-from slpforge.semigroup import closure, ideal_power, shortest_word
-from slpforge.slp import Slp, SlpBuilder, eliminate_inverses, evaluate
+from slpforge.semigroup import Semigroup, closure, ideal_power, shortest_word, sub_semigroup
+from slpforge.slp import Slp, SlpBuilder, compact, eliminate_inverses, evaluate, fast_exp
 
 from conftest import py_shortest_words, random_semigroups, table_of
 
@@ -308,8 +310,12 @@ def test_adapt_subnormal_s3():
         held = {g: b.fresh() for g in (swap, cycle)}
         for g, r in held.items():
             b.load(r, g)
-        prog = b.finish(adapt_subnormal(G, levels, t, b, held))
-        assert evaluate(S, prog).output_value == t
+        out = adapt_subnormal(G, levels, t, b, held)
+        if t == G.identity:
+            # no level writes it: the builders return ``identity_program``
+            assert out is None
+            continue
+        assert evaluate(S, b.finish(out)).output_value == t
 
 
 def test_adapt_subnormal_rejects_unadapted():
@@ -464,8 +470,32 @@ def test_solvable_bounded_on_every_generating_pair(family, n):
             rep = compress(S, gens, t, "group-solvable-bw")
             assert rep.verified and rep.width <= 4, (gens, t)
             auto = compress(S, gens, t, "auto")
-            assert auto.strategy == "group-solvable-bw", (gens, t)
-            assert "fallback" not in auto.extras, (gens, t)
+            assert auto.extras == {"classified": "group-solvable-bw"}, (gens, t)
+
+
+# (group, generator lists): each builder's identity is the first generator
+# to its order
+IDENTITY_CASES = (
+    (("sym", [3]), [[2, 3], [1, 2], [3, 1]]),
+    (("sym", [4]), [[9, 6], [6, 9]]),
+    (("dihedral", [8]), [[1, 8], [8, 1], [3, 9]]),
+    (("heisenberg", [3]), [[9, 3], [3, 9]]),
+    (("cyclic", [1]), [[0]]),
+)
+
+
+@pytest.mark.parametrize("strategy", sorted(GROUP_STRATEGIES))
+def test_group_builders_write_one_identity_program(strategy):
+    for (family, params), gen_lists in IDENTITY_CASES:
+        S = zoo.make_group(family, params)
+        G = group_view(S)
+        for gens in gen_lists:
+            assert closure(S, gens).cardinality == S.n, (family, gens)
+            expect = compact(fast_exp(gens[0], G.element_order(gens[0])))
+            assert identity_program(G, gens[0]) == expect
+            assert GROUP_STRATEGIES[strategy](G, gens, G.identity) == expect, (family, gens)
+            state = build_cube(G, gens, G.identity)
+            assert emit_from_cube(G, gens, state, G.identity) == expect, (family, gens)
 
 
 def test_solvable_cyclic_collapses_to_fast_exp():
@@ -552,8 +582,6 @@ def test_general_leaf_substitution_equality():
 
 
 def test_general_not_eligible():
-    from slpforge.errors import NotEligibleError
-
     w = zoo.make_obstruction_witness("T", 12)
     with pytest.raises(NotEligibleError):
         compress_general(w.semigroup, w.generators, w.target, Config(kmax=3))
@@ -602,13 +630,51 @@ def test_readme_lists_the_strategy_table():
     assert set(GROUP_STRATEGIES) < set(STRATEGIES)
 
 
-def test_auto_records_why_it_fell_back():
-    S, gens, _ = zoo.build_family("lrb-witness", [4])
-    rep = compress(S, gens, S.n - 1, "auto")
-    assert rep.verified and rep.strategy == "bounded-diameter"
-    assert rep.extras["classified"] == "normal-band" and rep.extras["fallback"]
-    assert rep.extras["fallback_reason"].startswith("BandNotNormalError: ")
-    assert set(rep.extras) == {"classified", "fallback", "fallback_reason"}
+# solvable zoo groups of order <= 32: every family, several orders
+SMALL_SOLVABLE_GROUPS = (
+    ("cyclic", [8]),
+    ("abelian", [2, 4]),
+    ("dihedral", [3]),
+    ("dihedral", [4]),
+    ("dihedral", [8]),
+    ("dihedral", [16]),
+    ("heisenberg", [3]),
+    ("sym", [3]),
+    ("sym", [4]),
+    ("alt", [4]),
+)
+
+
+def _auto_cases():
+    """(S, gens, targets): random tables over all their elements and over one
+    to three random ones, and every generating pair of each small solvable
+    group; at most three members of the generated sub-semigroup each, all
+    drawn from one seed."""
+    rng = random.Random(99)
+    for S in random_semigroups(150, seed=99):
+        for gens in (list(range(S.n)), rng.sample(range(S.n), min(S.n, rng.randint(1, 3)))):
+            members = sorted(closure(S, gens))
+            yield S, gens, rng.sample(members, min(3, len(members)))
+    for family, params in SMALL_SOLVABLE_GROUPS:
+        G = zoo.make_group(family, params)
+        for pair in itertools.permutations(range(G.n), 2):
+            if closure(G, pair).cardinality == G.n:
+                yield G, list(pair), rng.sample(range(G.n), 1)
+
+
+def test_auto_runs_what_recommend_picks_and_never_raises():
+    strategies = set()
+    for S, gens, targets in _auto_cases():
+        members = closure(S, gens)
+        sub = S if members.cardinality == S.n else sub_semigroup(S, members)[0]
+        expected = recommend(Semigroup.trusted(sub.table))
+        strategies.add(expected)
+        for t in targets:
+            report = compress(S, gens, t, "auto")
+            assert report.strategy == expected, (S.table.tolist(), gens, t)
+            assert evaluate(S, report.slp).output_value == t, (S.table.tolist(), gens, t)
+    # the draw reaches rungs 1 or 6, 2, 3 and 5
+    assert strategies == {"bounded-diameter", "permutative", "group-solvable-bw", "general"}
 
 
 def test_compress_unreachable():
@@ -628,6 +694,21 @@ WRONG_PROGRAM_CASES = {
     "full-table": (zoo.make_cyclic(7), [1], 3),
     "proper-closure": (zoo.make_cyclic(12), [2], 6),
 }
+
+
+def test_auto_propagates_what_its_strategy_raises(monkeypatch):
+    ran = []
+
+    def refuses(S, gens, t, cfg):
+        ran.append(S.n)
+        raise NotEligibleError("refused")
+
+    for name in STRATEGIES:
+        monkeypatch.setitem(STRATEGIES, name, refuses)
+    # one strategy, run once: no second path catches the error
+    with pytest.raises(NotEligibleError, match="refused"):
+        compress(zoo.make_cyclic(7), [1], 3, "auto")
+    assert ran == [7]
 
 
 @pytest.mark.parametrize("strategy", ["permutative", "auto"])

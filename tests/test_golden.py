@@ -48,10 +48,10 @@ GROUPS = {
 }
 
 PINNED = {
-    'S4/group-solvable': '228215795870c2e91d02e9aac24d94651e2146068fd9baaa64aec7612a434ac0',
+    'S4/group-solvable': '6054e93ac47f6a5e49fc2eda5ed616ccb16c5386a55331fffc23a981c4c8beb0',
     'S4/group-solvable-bw': '4d633c63a116f9217d08f9a311af534b40a65ec66909d5f7a63fce8a40e4d759',
     'S4/group-bsz': 'ed432f5e7e94b7c9d9474e7a806a9ec168d0b415a6c52b47b24f3172d02f6969',
-    'A4/group-solvable': '6d2ef6cff57769a07990714ce78af4a2bd0395fcb9acf1a0f389316ef40f6ed3',
+    'A4/group-solvable': '58f15b2fd4a5455e128255a5010e5def3a726ca0a53b898b051cec3b9523bcc6',
     'A4/group-solvable-bw': '21446bb53c940cb4c48e9043cdb653cdb81ef32ac53d6d0ff1e6b5291182fb1e',
     'A4/group-bsz': '17e083b00e390cc6a9f4d3978f7890d415508e9e3bd7be829ad470d857818122',
     'D8/group-solvable': '9b2ed7a1cc20f974ce25e538df804aab15e052dcfdea3cf9d7f9b6fcfb14ed82',

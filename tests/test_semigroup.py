@@ -252,6 +252,13 @@ def test_omega_power_group_is_identity():
         assert Z6.omega_power(g) == 0
 
 
+def test_zero_element_is_two_sided():
+    # every z of a left-zero band has z*y = z, but y*z = y; right-zero dually
+    assert zoo.make_rectangular_band(3, 1).zero_element() is None
+    assert zoo.make_rectangular_band(1, 3).zero_element() is None
+    assert zoo.make_u_witness(3).semigroup.zero_element() is not None
+
+
 def test_omega_power_t_witness_generator_squares_to_zero():
     w = zoo.make_obstruction_witness("T", 2)
     S = w.semigroup

@@ -40,6 +40,13 @@ def test_unassigned_register_rejected():
         Slp((0,), (("M", 0, 0, 1),), 0)
 
 
+@pytest.mark.parametrize("mul", [("M", 1, 0, 1), ("M", 1, 1, 0)])
+def test_first_write_cannot_read_its_own_register(mul):
+    # register 1 is first written by this M, so neither operand may name it
+    with pytest.raises(InvalidProgramError, match="unassigned"):
+        Slp((0,), (("L", 0, 0), mul), 1)
+
+
 @pytest.mark.parametrize(
     "instructions, output",
     [
