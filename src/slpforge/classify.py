@@ -258,20 +258,30 @@ def recommend(S: Semigroup, config: Optional[Config] = None) -> str:
         if _is_group(S):
             return group_route(group_view(S))
         if S.is_completely_regular():
-            bands, strategy = S, "normal-band"
-        else:
-            k = _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0]
-            if k is None:
-                return "bounded-diameter"
-            part = S.completely_regular_elements().mask & ideal_chain(S)[k - 1]
-            bands, strategy = cached_sub_semigroup(S, ElementSet(part))[0], "general"
-        try:
-            cached_decomposition(bands)  # a failure stores nothing, but the answer is memoised
-        except (HNotCongruenceError, BandNotNormalError):
-            return "bounded-diameter"
-        return strategy
+            return "normal-band" if _decomposes(S) else "bounded-diameter"
+        k = _level_or_unknown(S, sandwich_ideal_level, kmax, budget)[0]
+        if k is not None and cached_flag(S, sandwich_part_decomposes, k):
+            return "general"
+        return "bounded-diameter"
 
     return S.cached(("recommend", kmax, budget), ladder)
+
+
+def _decomposes(S: Semigroup) -> bool:
+    """Is the completely regular S a normal band of groups?"""
+    try:
+        cached_decomposition(S)  # a failure stores nothing; callers memoise the answer
+    except (HNotCongruenceError, BandNotNormalError):
+        return False
+    return True
+
+
+def sandwich_part_decomposes(S: Semigroup, k: int) -> bool:
+    """Rung 5's check, which ``general`` makes too: is the completely regular
+    part of S^k (closed under products once S^k satisfies the sandwich
+    identity), carved as a table, a normal band of groups?"""
+    part = S.completely_regular_elements().mask & ideal_chain(S)[k - 1]
+    return _decomposes(cached_sub_semigroup(S, ElementSet(part))[0])
 
 
 def classify(S: Semigroup, gens=None, config: Optional[Config] = None) -> ClassReport:

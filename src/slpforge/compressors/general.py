@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..classify import Config, cached_flag, sandwich_ideal_level
+from ..classify import Config, cached_flag, sandwich_ideal_level, sandwich_part_decomposes
 from ..errors import NotEligibleError, UnreachableError
 from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, shortest_word
 from ..slp import Slp, SlpBuilder, evaluate
@@ -45,6 +45,10 @@ def compress_general(
     if k is None:
         raise NotEligibleError(
             f"no ideal power up to {cfg.kmax} satisfies the sandwich identity"
+        )
+    if not cached_flag(S, sandwich_part_decomposes, k):
+        raise NotEligibleError(
+            f"the completely regular part of S^{k} is not a normal band of groups"
         )
     info: dict = {}
 

@@ -13,11 +13,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import parallel
 from .errors import FormatError
 from .semigroup import Semigroup, validate_table
 from .slp import Slp, _renumbered
 
 PathLike = Union[str, Path]
+
+_TEXT_PER_WORKER = 1 << 18  # bytes of .cay text that make a row range worth a thread
 
 
 def dump_cay(
@@ -71,38 +74,38 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
     # GENS / TARGET -> (line number, elements); range-checked once n is known
     header: dict[str, tuple[int, list[int]]] = {}
     name = ""
-    rows: list[np.ndarray] = []
+    rows: list[tuple[int, str]] = []  # (line number, row text), parsed after the loop
     n: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("GENS"):
-                header["GENS"] = lineno, _header_ints(body, lineno)
-            elif body.startswith("TARGET"):
-                header["TARGET"] = lineno, _header_ints(body, lineno)
-                if len(header["TARGET"][1]) != 1:
-                    raise FormatError(f"line {lineno}: TARGET takes one element")
-            elif body.startswith("NAME"):
-                name = body[4:].strip()
-            continue
-        if n is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "CAYLEY":
-                raise FormatError(f"line {lineno}: expected 'CAYLEY <n>'")
-            n = _header_ints(line, lineno)[0]
-            continue
-        try:
-            row = np.fromstring(line, dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning) as exc:
-            raise FormatError(f"line {lineno}: bad table row") from exc
-        if len(row) != n:
-            raise FormatError(f"line {lineno}: row has {len(row)} entries, expected {n}")
-        rows.append(row)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("GENS"):
+                    header["GENS"] = lineno, _header_ints(body, lineno)
+                elif body.startswith("TARGET"):
+                    header["TARGET"] = lineno, _header_ints(body, lineno)
+                    if len(header["TARGET"][1]) != 1:
+                        raise FormatError(f"line {lineno}: TARGET takes one element")
+                elif body.startswith("NAME"):
+                    name = body[4:].strip()
+                continue
+            if n is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "CAYLEY":
+                    raise FormatError(f"line {lineno}: expected 'CAYLEY <n>'")
+                n = _header_ints(line, lineno)[0]
+                continue
+            rows.append((lineno, line))
+    except FormatError:
+        if rows:
+            _parse_rows(rows, n, 0)  # a bad row above the bad header line is reported first
+        raise
     if n is None:
         raise FormatError("missing CAYLEY header")
+    table = _parse_rows(rows, n, len(text))
     if len(rows) != n:
         raise FormatError(f"expected {n} rows, found {len(rows)}")
     for lineno, elements in header.values():
@@ -111,7 +114,37 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
                 raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
     gens = header["GENS"][1] if "GENS" in header else None
     target = header["TARGET"][1][0] if "TARGET" in header else None
-    return np.array(rows, dtype=np.int64), name, gens, target
+    return table, name, gens, target
+
+
+def _parse_rows(rows: list[tuple[int, str]], n: int, size: int) -> np.ndarray:
+    """The rows as a table, parsed in one contiguous range of rows per
+    worker once the text is ``size`` >= _TEXT_PER_WORKER bytes per worker.
+    Ranges run in order, so the first bad row is the one reported.
+
+    A well-formed row has at least n characters, so when len(rows) * n
+    exceeds ``size`` some row is short: the rows are then only checked, in
+    one range, which raises that row's error with no table of the header's
+    n allocated.
+    """
+    fits = n >= 0 and len(rows) * n <= size
+    table = np.empty((len(rows), n if fits else 0), dtype=np.int64)
+
+    def parse(span: tuple[int, int]) -> None:
+        for i in range(*span):
+            lineno, line = rows[i]
+            try:
+                row = np.fromstring(line, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning) as exc:
+                raise FormatError(f"line {lineno}: bad table row") from exc
+            if len(row) != n:
+                raise FormatError(f"line {lineno}: row has {len(row)} entries, expected {n}")
+            if fits:
+                table[i] = row
+
+    k = max(1, min(parallel.workers(), len(rows), size // _TEXT_PER_WORKER)) if fits else 1
+    parallel.parallel_map(parse, [(len(rows) * i // k, len(rows) * (i + 1) // k) for i in range(k)])
+    return table
 
 
 def read_cay(path: PathLike) -> tuple[Semigroup, Optional[list[int]], Optional[int]]:

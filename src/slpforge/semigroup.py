@@ -8,7 +8,14 @@ Associativity is checked by Light's test over a generating set (Clifford &
 Preston, *The Algebraic Theory of Semigroups* I, section 1.2): if
 ``(a*g)*b == a*(g*b)`` for every a, b and every g in a set that reaches every
 element under repeated (non-associative) pairwise products, the table is
-associative.  Each g costs two n x n gathers.  Closed-form constructors and
+associative.  Each g costs two n x n gathers, made over blocks of rows of
+at most ``_LIGHT_BLOCK`` entries against one transposed copy of the table,
+so beside the table the test holds n^2 entries plus 2 _LIGHT_BLOCK per
+worker.  Once |gens| n^2 reaches
+``_LIGHT_READS_PER_WORKER`` per worker, the gens are split into one strided
+slice per CPU (``parallel.workers()``), each on its own thread, so the test
+costs about |gens| n^2 / workers on each core; the witness reported is the
+one whose g comes first, as in a serial run.  Closed-form constructors and
 ``.cay`` headers that know a small generating set pass it as a hint; without
 one, or when the hint does not generate the table, the set is picked
 greedily.  Once the test passes over a hint, the hint generates the whole
@@ -23,6 +30,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
@@ -34,6 +42,8 @@ from .sets import ElementSet
 
 DIRECT_PRODUCT_MAX = 20_000
 _ROUND_READS = 4096  # products a closure round may spend on shortcuts past the seed
+_LIGHT_READS_PER_WORKER = 1 << 20  # Light's test entries that make a slice of gens worth a thread
+_LIGHT_BLOCK = 1 << 18  # entries of each side of Light's test a worker holds at once
 
 _V = TypeVar("_V")
 
@@ -87,13 +97,35 @@ class Semigroup:
         hint_generates = bool(gens) and any(close(gens).all() for close in closures)
         if not hint_generates:
             gens = self._greedy_generators()
-        tableT = np.ascontiguousarray(table.T)
-        for g in gens:
-            lhs = table[table[:, g].astype(np.int64), :]       # (a*g)*b
-            rhs = tableT[table[g, :].astype(np.int64), :].T    # a*(g*b)
-            if not np.array_equal(lhs, rhs):
-                a, b = np.argwhere(lhs != rhs)[0]
-                raise NotAssociativeError(int(a), g, int(b))
+        k = max(1, min(parallel.workers(), len(gens), len(gens) * n * n // _LIGHT_READS_PER_WORKER))
+        rows = max(1, _LIGHT_BLOCK // n)  # rows of (a*g)*b compared at once
+        # slabs[s][b, a - lo] = a*b over the s-th block of rows a, so that a*(g*b)
+        # over a block is a gather of whole slab rows; one copy, read by every worker
+        slabs = [np.ascontiguousarray(table[lo : lo + rows].T) for lo in range(0, n, rows)]
+
+        def first_failure(w: int) -> Optional[tuple[int, int, int, int]]:
+            """(position in gens, a, g, b) of worker w's first failing g, if any."""
+            lhs_buf, rhs_buf = buffers[w]
+            for i in range(w, len(gens), k):
+                g = gens[i]
+                for lo, slab in zip(range(0, n, rows), slabs):
+                    m = slab.shape[1]
+                    lhs = lhs_buf[: m * n].reshape(m, n)  # lhs[a - lo, b] = (a*g)*b
+                    rhs = rhs_buf[: n * m].reshape(n, m)  # rhs[b, a - lo] = a*(g*b)
+                    # every index is in range; mode="raise" would buffer a copy of the output
+                    np.take(table, table[lo : lo + m, g], axis=0, out=lhs, mode="clip")
+                    np.take(slab, table[g, :], axis=0, out=rhs, mode="clip")
+                    if np.bitwise_xor(lhs, rhs.T, out=lhs).any():
+                        a, b = np.argwhere(lhs)[0]  # nonzero where the two sides differ
+                        return i, lo + int(a), g, int(b)
+            return None
+
+        # allocated here, not in the workers, so no thread grows its own malloc arena
+        size = min(rows, n) * n
+        buffers = [(np.empty(size, table.dtype), np.empty(size, table.dtype)) for _ in range(k)]
+        failures = [f for f in parallel.parallel_map(first_failure, range(k)) if f is not None]
+        if failures:
+            raise NotAssociativeError(*min(failures)[1:])
         if hint_generates:
             self.cached(("closure", tuple(sorted(gens))), lambda: ElementSet.full(n))
 
@@ -550,9 +582,10 @@ def rees_quotient(S: Semigroup, I: ElementSet) -> tuple[Semigroup, np.ndarray]:
     m = keep.size
     proj = np.full(S.n, m, dtype=np.int64)
     proj[keep] = np.arange(m)
-    qtable = np.full((m + 1, m + 1), m, dtype=np.int64)
+    qtable = np.full((m + 1, m + 1), m, dtype=table_dtype(m + 1))
     if m:
-        qtable[:m, :m] = proj[S.table[np.ix_(keep, keep)].astype(np.int64)]
+        qtable[:m, :m] = proj.astype(qtable.dtype)[S.table[np.ix_(keep, keep)]]
+    qtable.setflags(write=False)  # at the stored dtype and read-only, so the quotient shares it
     name = f"{S.name}/I" if S.name else ""
     return Semigroup.trusted(qtable, name=name), proj
 
@@ -564,12 +597,14 @@ def direct_product(S: Semigroup, T: Semigroup, budget: int = DIRECT_PRODUCT_MAX)
         raise BudgetExceededError(f"product size {n} exceeds budget {budget}")
     sa = np.repeat(np.arange(S.n, dtype=np.int64), T.n)
     tb = np.tile(np.arange(T.n, dtype=np.int64), S.n)
-    st = S.table.astype(np.int64)[np.ix_(sa, sa)]
-    tt = T.table.astype(np.int64)[np.ix_(tb, tb)]
+    scaled = (np.arange(S.n) * T.n).astype(table_dtype(n))  # a -> a*|T|, which fits
+    table = scaled[S.table[np.ix_(sa, sa)]]
+    table += T.table[np.ix_(tb, tb)]
+    table.setflags(write=False)  # at the stored dtype and read-only, so the product shares it
     name = ""
     if S.name and T.name:
         name = f"{S.name}x{T.name}"
-    return Semigroup.trusted(st * T.n + tt, name=name)
+    return Semigroup.trusted(table, name=name)
 
 
 def sub_semigroup(S: Semigroup, members: ElementSet) -> tuple[Semigroup, np.ndarray, np.ndarray]:
@@ -585,5 +620,7 @@ def sub_semigroup(S: Semigroup, members: ElementSet) -> tuple[Semigroup, np.ndar
     to_sub[mem] = np.arange(mem.size)
     to_sub.setflags(write=False)
     mem.setflags(write=False)
-    sub_table = to_sub[S.table[np.ix_(mem, mem)].astype(np.int64)]
+    # non-members wrap in the narrow lookup, but no product of members reads them
+    sub_table = to_sub.astype(table_dtype(mem.size))[S.table[np.ix_(mem, mem)]]
+    sub_table.setflags(write=False)  # at the stored dtype and read-only, so the sub-semigroup shares it
     return Semigroup.trusted(sub_table), to_sub, mem

@@ -587,6 +587,18 @@ def test_general_not_eligible():
         compress_general(w.semigroup, w.generators, w.target, Config(kmax=3))
 
 
+def test_general_refuses_what_rung_5_refuses_before_any_work():
+    # S^1 satisfies the sandwich identity, but H is not a congruence on its
+    # completely regular part: once only t = 7 reached the bare inner error
+    S = random_semigroups(150, seed=2)[37]
+    assert closure(S, [0, 1]).cardinality == S.n and recommend(S) == "bounded-diameter"
+    for t in range(S.n):
+        with pytest.raises(NotEligibleError, match="S\\^1 is not a normal band of groups"):
+            compress_general(S, [0, 1], t)
+        with pytest.raises(NotEligibleError):
+            compress(S, [0, 1], t, "general")
+
+
 # -- dispatcher ---------------------------------------------------------------------
 
 

@@ -66,11 +66,11 @@ PINNED = {
     'rb/permutative': '84780f1e5539bdf9f8b327e045b3cc4bb9c9bc7d61cddbfd0565d09ceb85d8ca',
     'lrb-witness/auto': '6699585cfa65158c9462b50e3194b133a641bd6075c2b48dbd07bad4a1d9c04e',
     'lrb-witness/normal-band': 'effc8c65cad10f037be040d0ab3ee8cef7eb37e9a361b75373c19c42563fe585',
-    'lrb-witness/general': '2cec7136e94938da84c282524875cac1dce8e72449329700cd2c489617be572d',
+    'lrb-witness/general': 'd3206a734609709e557926f4a281fae05dbc64b03e9b45ec56459bc6a79afa6d',
     'lrb-witness/permutative': '521abdc8fab8a7bfc448451299a6d218244e92be745fa8fa9c589bbca18f29d8',
     'rrb-witness/auto': '6699585cfa65158c9462b50e3194b133a641bd6075c2b48dbd07bad4a1d9c04e',
     'rrb-witness/normal-band': 'effc8c65cad10f037be040d0ab3ee8cef7eb37e9a361b75373c19c42563fe585',
-    'rrb-witness/general': '2cec7136e94938da84c282524875cac1dce8e72449329700cd2c489617be572d',
+    'rrb-witness/general': 'd3206a734609709e557926f4a281fae05dbc64b03e9b45ec56459bc6a79afa6d',
     'rrb-witness/permutative': '521abdc8fab8a7bfc448451299a6d218244e92be745fa8fa9c589bbca18f29d8',
     't-witness/auto': 'd5ff6446bbf5dc04b87d6f98aa3b81943e3093a077fc1ff53809600bf0022647',
     't-witness/normal-band': '9d2e4e1aa87863d71cc1cb903385b37712164c6b71c0f02692ab203b396d45bb',

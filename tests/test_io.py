@@ -5,7 +5,7 @@ import pytest
 
 import slpforge.io
 from slpforge import zoo
-from slpforge.errors import FormatError, InvalidProgramError
+from slpforge.errors import FormatError, InvalidProgramError, OutOfRangeError
 from slpforge.io import dump_cay, dump_slp, parse_cay, parse_slp
 from slpforge.slp import Slp, fast_exp
 
@@ -74,6 +74,28 @@ def test_cay_row_errors_name_the_line():
         parse_cay("# only a comment\n")
     S, _, _ = parse_cay("CAYLEY 2\n 0\t1 \n1   0\n")
     assert S.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_cay_degenerate_sizes():
+    with pytest.raises(OutOfRangeError, match="^empty table$"):
+        parse_cay("CAYLEY 0\n")
+    with pytest.raises(FormatError, match="^expected -1 rows, found 0$"):
+        parse_cay("CAYLEY -1\n")
+    with pytest.raises(FormatError, match="^line 2: row has 1 entries, expected -1$"):
+        parse_cay("CAYLEY -1\n0\n")
+
+
+def test_cay_header_larger_than_its_rows_is_a_format_error():
+    # rows too short to fill the header's table are refused before it is allocated
+    big = "CAYLEY 100000000000\n"
+    with pytest.raises(FormatError, match="^line 2: row has 2 entries, expected 100000000000$"):
+        parse_cay(big + "0 1\n")
+    with pytest.raises(FormatError, match="^line 2: row has 2 entries, expected 100000000000$"):
+        parse_cay(big + "0 1\n# GENS x\n")
+    with pytest.raises(FormatError, match="^expected 100000000000 rows, found 0$"):
+        parse_cay(big)
+    with pytest.raises(FormatError, match=f"^line 2: row has 1 entries, expected {10**22}$"):
+        parse_cay(f"CAYLEY {10**22}\n0\n")
 
 
 def test_slp_roundtrip_bit_exact():

@@ -1,0 +1,253 @@
+"""The threaded ingest paths: row ranges in the .cay reader and generator
+slices in Light's test, forced on small inputs by lowering the two size
+thresholds (and Light's test's row block) and fixing the worker count."""
+
+import multiprocessing
+import os
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import slpforge.io
+import slpforge.semigroup
+from slpforge import parallel, zoo
+from slpforge.errors import FormatError, NotAssociativeError
+from slpforge.io import dump_cay, parse_cay
+from slpforge.semigroup import validate_table
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(k)`` makes every parse and Light's test use up to k workers
+    from here on; returns the job counts ``parallel_map`` is handed."""
+    counts = []
+    run = parallel.parallel_map
+
+    def counting(fn, jobs):
+        counts.append(len(jobs))
+        return run(fn, jobs)
+
+    monkeypatch.setattr(parallel, "parallel_map", counting)
+
+    def force(k: int) -> list:
+        monkeypatch.setattr(slpforge.io, "_TEXT_PER_WORKER", 1)
+        monkeypatch.setattr(slpforge.semigroup, "_LIGHT_READS_PER_WORKER", 1)
+        monkeypatch.setattr(slpforge.semigroup, "_LIGHT_BLOCK", 1)  # one row of (a*g)*b at a time
+        monkeypatch.setattr(parallel, "workers", lambda: k)
+        counts.clear()
+        return counts
+
+    return force
+
+
+def _outcome(text: str):
+    try:
+        S, gens, target = parse_cay(text)
+    except (FormatError, NotAssociativeError) as exc:
+        return type(exc).__name__, str(exc)
+    return S.table.tolist(), S.name, gens, target
+
+
+def _layouts(S, gens, target) -> list[str]:
+    """The dump, and the same table with comments between rows, blank
+    lines, CRLF line ends, tabs and no final newline."""
+    text = dump_cay(S, gens, target)
+    lines = text.splitlines()
+    spaced = [line if i % 3 else line + "\n\n# between rows" for i, line in enumerate(lines)]
+    return [
+        text,
+        "\n".join(spaced) + "\n",
+        "\r\n".join(lines) + "\r\n",
+        "\n".join(line.replace(" ", "\t") for line in lines),
+        "\n".join(lines),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_ranges_read_every_layout_alike(zoo_small, split, k):
+    expected = {
+        name: [_outcome(text) for text in _layouts(S, gens, target)]
+        for name, (S, gens, target) in zoo_small.items()
+    }
+    counts = split(k)
+    for name, (S, gens, target) in zoo_small.items():
+        got = [_outcome(text) for text in _layouts(S, gens, target)]
+        assert got == expected[name], name
+        assert got[0][0] == S.table.tolist() and got[0][1:] == (S.name, gens, target)
+    assert k in counts
+
+
+def _rows(n: int) -> list[str]:
+    return [" ".join(str((i + j) % n) for j in range(n)) for i in range(n)]
+
+
+def test_a_bad_row_in_the_second_range_names_its_own_line(split):
+    rows = _rows(6)
+    rows[4] = "0 1 2 x 4 5"
+    counts = split(2)
+    with pytest.raises(FormatError, match="^line 6: bad table row$"):
+        parse_cay("CAYLEY 6\n" + "\n".join(rows) + "\n")
+    assert counts == [2]
+
+
+def test_bad_rows_in_both_ranges_report_the_first(split):
+    rows = _rows(6)
+    rows[1] = "0 1 2"
+    rows[5] = "0 y 2 3 4 5"
+    text = "CAYLEY 6\n" + "\n".join(rows) + "\n"
+    split(2)
+    with pytest.raises(FormatError, match="^line 3: row has 3 entries, expected 6$"):
+        parse_cay(text)
+    rows[1], rows[5] = rows[5], rows[1]
+    with pytest.raises(FormatError, match="^line 3: bad table row$"):
+        parse_cay("CAYLEY 6\n" + "\n".join(rows) + "\n")
+
+
+Z3 = "0 1 2\n1 2 0\n2 0 1\n"
+# every .cay message ``test_io.py`` checks, with the text that raises it
+MESSAGES = [
+    ("0 1\n1 0\n", "line 1: expected 'CAYLEY <n>'"),
+    ("CAYLEY 2\n0 1\n", "expected 2 rows, found 1"),
+    ("CAYLEY 2\n0 1 0\n1 0\n", "line 2: row has 3 entries, expected 2"),
+    ("CAYLEY 2\n0 1\n0 x\n", "line 3: bad table row"),
+    ("CAYLEY 2\n0 1\n2.5 0\n", "line 3: bad table row"),
+    ("CAYLEY 2\n0 1\n1\n", "line 3: row has 1 entries, expected 2"),
+    ("CAYLEY 2\n0 1\n1 0\n1 0\n", "expected 2 rows, found 3"),
+    ("# only a comment\n", "missing CAYLEY header"),
+    (f"CAYLEY 3\n# GENS 7\n{Z3}", "line 2: element 7 outside [0, 3)"),
+    (f"CAYLEY 3\n# GENS 1 x\n{Z3}", "line 2: bad GENS entry"),
+    (f"CAYLEY 3\n# TARGET 3\n{Z3}", "line 2: element 3 outside [0, 3)"),
+    (f"CAYLEY 3\n# TARGET y\n{Z3}", "line 2: bad TARGET entry"),
+    (f"CAYLEY 3\n# TARGET 1 2\n{Z3}", "line 2: TARGET takes one element"),
+    (f"CAYLEY 3\n{Z3}# GENS 1 3\n", "line 5: element 3 outside [0, 3)"),
+    (f"CAYLEY three\n{Z3}", "line 1: bad CAYLEY entry"),
+    # a bad header line below a bad row: the row, as in one pass over the lines
+    ("CAYLEY 3\n0 1 2\n1 x 0\n# GENS z\n2 0 1\n", "line 3: bad table row"),
+    ("CAYLEY 3\n0 1 2\n1 2 0\n# TARGET 1 2\n2 0 x\n", "line 4: TARGET takes one element"),
+    # a header n the rows cannot fill: refused before its table is allocated
+    ("CAYLEY 100000000000\n0 1\n", "line 2: row has 2 entries, expected 100000000000"),
+    ("CAYLEY 100000000000\n0 1\n# GENS x\n", "line 2: row has 2 entries, expected 100000000000"),
+    ("CAYLEY -1\n", "expected -1 rows, found 0"),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_format_message_holds_at_any_worker_count(split, k):
+    split(k)
+    for text, message in MESSAGES:
+        with pytest.raises(FormatError) as raised:
+            parse_cay(text)
+        assert str(raised.value) == message, text
+
+
+def _perturbed(rng: random.Random, table) -> np.ndarray:
+    """A copy of ``table`` with one entry changed."""
+    table = np.array(table, dtype=np.int64)
+    n = table.shape[0]
+    a, b = rng.randrange(n), rng.randrange(n)
+    table[a, b] = (table[a, b] + rng.randrange(1, n)) % n
+    return table
+
+
+def _witness(table, hint):
+    try:
+        validate_table(table, gens_hint=hint)
+    except NotAssociativeError as exc:
+        return exc.witness
+    return None
+
+
+def test_split_light_test_reports_the_serial_witness(zoo_small, split):
+    tables = [(S.table, gens) for S, gens, _ in zoo_small.values() if S.n > 1]
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(200):
+        table, gens = rng.choice(tables)
+        cases.append((_perturbed(rng, table), rng.choice([None, gens])))
+    serial = [_witness(table, hint) for table, hint in cases]
+    assert sum(w is not None for w in serial) > 150
+    for k in (1, 2, 3):
+        counts = split(k)
+        assert [_witness(table, hint) for table, hint in cases] == serial
+        assert k in counts
+
+
+def test_more_workers_than_cpus_under_frequent_switches(split):
+    S = zoo.make_dihedral(40)
+    text = dump_cay(S, zoo.dihedral_generators(40))
+    bad = np.array(S.table, dtype=np.int64)
+    bad[17, 33] = (bad[17, 33] + 1) % S.n
+    expected = _outcome(text), _witness(bad, None)
+    split(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert (_outcome(text), _witness(bad, None)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _parse_in_child() -> None:
+    S, _, _ = parse_cay(dump_cay(zoo.make_dihedral(16)))
+    assert S.n == 32
+
+
+def test_a_forked_child_runs_its_own_pool(split):
+    counts = split(2)
+    _parse_in_child()  # the parent's pool now has threads, which a fork does not copy
+    assert 2 in counts
+    child = multiprocessing.get_context("fork").Process(target=_parse_in_child)
+    child.start()
+    child.join(timeout=20)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_small_inputs_start_no_thread(zoo_small, monkeypatch):
+    monkeypatch.setattr(parallel, "_pool", None)  # so a threaded run would start threads
+    before = threading.active_count()
+    for S, gens, target in zoo_small.values():
+        parse_cay(dump_cay(S, gens, target))
+        validate_table(S.table)
+    assert threading.active_count() == before
+
+
+def test_one_worker_starts_no_thread(split, monkeypatch):
+    split(1)
+    monkeypatch.setattr(parallel, "_pool", None)
+    before = threading.active_count()
+    parse_cay(dump_cay(zoo.make_dihedral(16)))
+    assert threading.active_count() == before
+
+
+def test_parallel_map_keeps_job_order_and_raises_the_first_failure():
+    def job(i: int) -> int:
+        if i in (1, 3):
+            raise ValueError(i)
+        return i * i
+
+    assert parallel.parallel_map(job, [0, 2, 4]) == [0, 4, 16]
+    with pytest.raises(ValueError, match="^1$"):
+        parallel.parallel_map(job, range(5))
+    assert parallel.parallel_map(job, []) == []
+    assert parallel.workers() >= 1
+
+
+def test_workers_without_cpu_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert parallel.workers() == (os.cpu_count() or 1)
+
+
+def test_a_fork_forgets_the_pool_and_its_lock(monkeypatch):
+    # what the at-fork hook runs in the child
+    monkeypatch.setattr(parallel, "_pool", object())
+    monkeypatch.setattr(parallel, "_pool_lock", parallel._pool_lock)
+    held = parallel._pool_lock
+    parallel._forget_pool()
+    assert parallel._pool is None and parallel._pool_lock is not held

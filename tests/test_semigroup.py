@@ -103,6 +103,47 @@ def test_read_only_table_at_stored_dtype_is_shared():
         assert S.table.dtype == np.uint8 and not S.table.flags.writeable
 
 
+def test_sub_tables_are_built_read_only_at_the_stored_dtype(monkeypatch):
+    built = []
+    trusted = Semigroup.trusted.__func__
+
+    def recording(cls, table, name=""):
+        built.append(table)
+        return trusted(cls, table, name)
+
+    monkeypatch.setattr(Semigroup, "trusted", classmethod(recording))
+
+    def check(result, reference):
+        assert np.shares_memory(result.table, built[-1])
+        assert result.table.dtype == table_dtype(result.n) and not result.table.flags.writeable
+        assert np.array_equal(result.table, reference)
+
+    D, S4 = zoo.make_dihedral(150), zoo.make_sym(4)  # D300 at uint16; its 150 rotations at uint8
+    for S, members in ((D, closure(D, [1])), (D, ElementSet.full(D.n)), (S4, closure(S4, [5]))):
+        mem = members.to_array()
+        to_sub = np.full(S.n, -1, dtype=np.int64)
+        to_sub[mem] = np.arange(mem.size)
+        check(sub_semigroup(S, members)[0], to_sub[S.table[np.ix_(mem, mem)].astype(np.int64)])
+
+    u3 = zoo.make_u_witness(3).semigroup
+    sl9 = zoo.make_subset_semilattice(9).semigroup  # 512 elements: a quotient at uint16
+    for S, I in ((u3, [u3.zero_element()]), (sl9, [sl9.zero_element()]), (u3, range(u3.n))):
+        I = ElementSet.from_indices(S.n, list(I))
+        keep = np.flatnonzero(~I.mask)
+        proj = np.full(S.n, keep.size, dtype=np.int64)
+        proj[keep] = np.arange(keep.size)
+        reference = np.full((keep.size + 1,) * 2, keep.size, dtype=np.int64)
+        reference[: keep.size, : keep.size] = proj[S.table[np.ix_(keep, keep)].astype(np.int64)]
+        check(rees_quotient(S, I)[0], reference)
+
+    # 1 x 256 fits uint8 only once S's entries are scaled; 150 x 2 is stored at uint16
+    for S, T in ((zoo.make_cyclic(1), zoo.make_cyclic(256)), (zoo.make_cyclic(3), S4), (zoo.make_cyclic(150), zoo.make_cyclic(2))):
+        sa = np.repeat(np.arange(S.n), T.n)
+        tb = np.tile(np.arange(T.n), S.n)
+        reference = S.table.astype(np.int64)[np.ix_(sa, sa)] * T.n + T.table.astype(np.int64)[np.ix_(tb, tb)]
+        check(direct_product(S, T), reference)
+
+
 def test_lights_test_over_a_one_element_hint():
     S = zoo.make_cyclic(30)
     revalidated = validate_table(S.table, gens_hint=[1])
