@@ -6,6 +6,22 @@ equals a*y*x*b for all a, b in the ideal iff x*y and y*x fall into the same
 two-sided class over that ideal (z ~ z' iff a*z*b = a*z'*b for all a, b), so
 one level costs O(n |S^k|) to build the classes plus one n^2 comparison.
 
+The three level flags ask for the least k <= kmax at which S^k has a
+property that S^(k+1), a subsemigroup and an ideal inside S^k, inherits:
+- a rectangular band is exactly a semigroup with x*y*x = x (Howie,
+  *Fundamentals of Semigroup Theory*, section 1.1), an identity over S^k,
+  checked as x*x = x and then one |S^k|^2 gather;
+- central commutation is an identity over a, b in S^k;
+- the sandwich condition is the identity x y z = x y^(w+1) z over S^k plus
+  the closure of its completely regular part; a product of two completely
+  regular elements of S^(k+1) stays in the closed part of S^k and in the
+  ideal S^(k+1).
+So each flag tries the deepest level, min(kmax, chain length), first and
+returns None when it fails; only a table that passes there scans upward for
+the least k.  A level's scan shrinks with k, so the budget is checked at
+level 1, before any scan, which raises BudgetExceededError in exactly the
+cases an upward scan with a budget check per level would.
+
 ``recommend`` walks the dispatch ladder and computes only the flags it needs
 to reach a decision; ``classify`` computes every flag for reporting.  Both
 memoise each flag on the Semigroup, keyed by the config fields it reads.
@@ -66,25 +82,39 @@ def _ideal_levels(S: Semigroup, kmax: int):
         yield k, np.flatnonzero(chain[k - 1])
 
 
+def _least_level(S: Semigroup, kmax: int, holds) -> Optional[int]:
+    """Least k <= kmax with ``holds(members of S^k)``, for a property that
+    S^(k+1) inherits from S^k.
+
+    The deepest level, min(kmax, chain length), is tried first: when it
+    fails, so does every level above it, and one check returns None.
+    Otherwise the levels are scanned upward from 1.
+    """
+    chain = ideal_chain(S)
+    deepest = min(kmax, len(chain))
+    if deepest < 1 or not holds(np.flatnonzero(chain[deepest - 1])):
+        return None
+    for k, members in _ideal_levels(S, deepest - 1):
+        if holds(members):
+            return k
+    return deepest
+
+
 def central_commutation_level(
     S: Semigroup, kmax: int = DEFAULT_KMAX, budget: int = DEFAULT_SCAN_BUDGET
 ) -> Optional[int]:
     """Least k <= kmax with a x y b = a y x b for all a, b in S^k, x, y in S.
 
     k = 0 means plain commutativity.  Raises BudgetExceededError when the scan
-    for some level would be too large (smaller levels already refuted).
+    at level 1, the largest, would be too large.
     """
     table = S.table
-    if np.array_equal(table, table.T):
+    # row 0 against column 0 refutes most noncommutative tables in O(n)
+    if np.array_equal(table[0], table[:, 0]) and np.array_equal(table, table.T):
         return 0
-    for k, members in _ideal_levels(S, kmax):
-        if members.size * S.n * S.n > budget:
-            raise BudgetExceededError(
-                f"central-commutation scan at level {k} exceeds budget"
-            )
-        if _commutes_modulo(S, members):
-            return k
-    return None
+    if kmax >= 1 and S.n**3 > budget:
+        raise BudgetExceededError("central-commutation scan at level 1 exceeds budget")
+    return _least_level(S, kmax, lambda members: _commutes_modulo(S, members))
 
 
 def sandwich_ideal_level(
@@ -94,52 +124,45 @@ def sandwich_ideal_level(
 
     The scan quantifies x, y, z over elements of the ideal; this is exactly
     what the peeled pipeline needs, since its witness words keep a generator
-    on both sides of every replaced letter.
+    on both sides of every replaced letter.  Raises BudgetExceededError when
+    the scan at level 1, the largest, would be too large.
     """
+    if kmax >= 1 and S.n**2 > budget:
+        raise BudgetExceededError("sandwich scan at level 1 exceeds budget")
+    return _least_level(S, kmax, lambda members: _sandwich_holds(S, members))
+
+
+def _sandwich_holds(S: Semigroup, members: np.ndarray) -> bool:
+    """Does the ideal ``members`` satisfy xyz = x y^(w+1) z, with its
+    completely regular elements I closed under products?"""
     table = S.table
-    for k, members in _ideal_levels(S, kmax):
-        if members.size**2 > budget:
-            raise BudgetExceededError(f"sandwich scan at level {k} exceeds budget")
-        rcls = _right_classes(S, members)
-        om = S.omega_powers
-        wp1 = table[om[members], members].astype(np.int64)  # y^(w+1) per y in ideal
-        ok = True
-        for x in members:
-            row = table[int(x), members].astype(np.int64)      # x*y
-            row_w = table[int(x), wp1].astype(np.int64)        # x*y^(w+1)
-            if not np.array_equal(rcls[row], rcls[row_w]):
-                ok = False
-                break
-        if not ok:
-            continue
-        cr = members[table[om[members], members] == members]
-        if not products_outside(S, cr).size:
-            return k
-    return None
+    rcls = _right_classes(S, members)
+    wp1 = table[S.omega_powers[members], members].astype(np.int64)  # y^(w+1) per y in ideal
+    for x in members:
+        row = table[int(x), members].astype(np.int64)      # x*y
+        row_w = table[int(x), wp1].astype(np.int64)        # x*y^(w+1)
+        if not np.array_equal(rcls[row], rcls[row_w]):
+            return False
+    return not products_outside(S, members[wp1 == members]).size
 
 
 def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:
-    """Least k <= kmax with S^k a rectangular band (gives diameter <= 2k).
+    """Least k <= kmax with S^k a rectangular band (gives diameter <= 2k)."""
+    return _least_level(S, kmax, lambda members: _is_rectangular_band(S, members))
 
-    xyz = xz over the ideal reduces to: the row of x*y and the row of x agree
-    on ideal columns, checked through right-translation classes.
-    """
+
+def _is_rectangular_band(S: Semigroup, members: np.ndarray) -> bool:
+    """Is the subsemigroup ``members`` a rectangular band?  That is x*x = x
+    and x*y*x = x for all x, y in it (Howie, *Fundamentals of Semigroup
+    Theory*, section 1.1): idempotence first, then one gather of x*y*x."""
     table = S.table
-    for k, members in _ideal_levels(S, kmax):
-        if not (table[members, members] == members).all():
-            continue
-        rcls = _right_classes(S, members)
-        ok = True
-        chunk = max(1, (1 << 24) // max(1, members.size))
-        for start in range(0, members.size, chunk):
-            xs = members[start : start + chunk]
-            prods = table[np.ix_(xs, members)].astype(np.int64)
-            if not (rcls[prods] == rcls[xs][:, None]).all():
-                ok = False
-                break
-        if ok:
-            return k
-    return None
+    if not (table[members, members] == members).all():
+        return False
+    xy = table if members.size == S.n else table[np.ix_(members, members)]
+    at = xy.astype(np.intp)  # the flat index of (x*y)*x, for a 1-D gather
+    at *= S.n
+    at += members[:, None]
+    return bool((np.take(table, at) == members[:, None]).all())
 
 
 def _band_flags(S: Semigroup) -> tuple[bool, Optional[bool], Optional[bool], Optional[bool]]:

@@ -18,22 +18,18 @@ from .errors import (
     HNotCongruenceError,
     NotCompletelyRegularError,
 )
-from .semigroup import Semigroup
+from .semigroup import Semigroup, _row_keys
 from .sets import ElementSet
 
 
 def _row_classes(rows: np.ndarray) -> np.ndarray:
     """Class id per row of a 2-D array; equal rows share an id.
 
-    Each row is viewed as one opaque byte string, so a 1-D unique sorts
-    fixed-width keys instead of comparing rows column by column.  Ids are
-    only meaningful for equality; their order is unspecified.
+    Ids are only meaningful for equality; their order is unspecified.
     """
-    rows = np.ascontiguousarray(rows)
     if rows.shape[1] == 0:
         return np.zeros(rows.shape[0], dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, inv = np.unique(keys.ravel(), return_inverse=True)
+    _, inv = np.unique(_row_keys(rows), return_inverse=True)
     return inv.ravel()
 
 

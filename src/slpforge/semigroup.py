@@ -8,19 +8,33 @@ Associativity is checked by Light's test over a generating set (Clifford &
 Preston, *The Algebraic Theory of Semigroups* I, section 1.2): if
 ``(a*g)*b == a*(g*b)`` for every a, b and every g in a set that reaches every
 element under repeated (non-associative) pairwise products, the table is
-associative.  Each g costs two n x n gathers, made over blocks of rows of
-at most ``_LIGHT_BLOCK`` entries against one transposed copy of the table,
-so beside the table the test holds n^2 entries plus 2 _LIGHT_BLOCK per
-worker.  Once |gens| n^2 reaches
-``_LIGHT_READS_PER_WORKER`` per worker, the gens are split into one strided
-slice per CPU (``parallel.workers()``), each on its own thread, so the test
-costs about |gens| n^2 / workers on each core; the witness reported is the
-one whose g comes first, as in a serial run.  Closed-form constructors and
-``.cay`` headers that know a small generating set pass it as a hint; without
-one, or when the hint does not generate the table, the set is picked
-greedily.  Once the test passes over a hint, the hint generates the whole
-table as a semigroup, and that closure is memoised so ``compress`` over the
-same generators does not build it again.
+associative.  For fixed g both sides read a only through its row (each
+applies x -> a*x) and b only through its column (each applies x -> x*b), so
+a ranges over one row per class of equal rows and b over one column per
+class of equal columns, and the test costs |gens| r_rows r_cols products.
+Each class is represented by its least index: when (a, b) fails for g, so
+does (a', b') for the least a' with a's row and the least b' with b's
+column, so the first failing (g, a, b) in the order g, a, b lies in the
+reduced grid, and the witness is the one a scan over every a and b reports.
+The classes cost a sort of the rows and one of the columns, so they are
+found only once |gens| n^2 reaches ``_LIGHT_READS_PER_WORKER``; the rows
+restricted to the generator columns are sorted first, and when those are
+all distinct (as in a group) the full rows cannot repeat.  Tables whose
+rows and columns are all distinct and that need about n generators (a
+min-chain) keep the cubic cost.
+
+Each g costs two gathers over the grid, made over blocks of rows of at most
+``_LIGHT_BLOCK`` entries against one transposed copy of the grid's rows, so
+beside the table the test holds at most 3 n^2 entries plus 2 _LIGHT_BLOCK
+per worker.  Once |gens| r_rows r_cols reaches ``_LIGHT_READS_PER_WORKER``
+per worker, the gens are split into one strided slice per CPU
+(``parallel.workers()``), each on its own thread; the witness reported is
+the one whose g comes first, as in a serial run.  Closed-form constructors
+and ``.cay`` headers that know a small generating set pass it as a hint;
+without one, or when the hint does not generate the table, the set is
+picked greedily.  Once the test passes over a hint, the hint generates the
+whole table as a semigroup, and that closure is memoised so ``compress``
+over the same generators does not build it again.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ DIRECT_PRODUCT_MAX = 20_000
 _ROUND_READS = 4096  # products a closure round may spend on shortcuts past the seed
 _LIGHT_READS_PER_WORKER = 1 << 20  # Light's test entries that make a slice of gens worth a thread
 _LIGHT_BLOCK = 1 << 18  # entries of each side of Light's test a worker holds at once
+_SCATTER_BLOCK = 1 << 16  # products ideal_chain scatters between checks for a stable level
 
 _V = TypeVar("_V")
 
@@ -97,31 +112,39 @@ class Semigroup:
         hint_generates = bool(gens) and any(close(gens).all() for close in closures)
         if not hint_generates:
             gens = self._greedy_generators()
-        k = max(1, min(parallel.workers(), len(gens), len(gens) * n * n // _LIGHT_READS_PER_WORKER))
-        rows = max(1, _LIGHT_BLOCK // n)  # rows of (a*g)*b compared at once
-        # slabs[s][b, a - lo] = a*b over the s-th block of rows a, so that a*(g*b)
-        # over a block is a gather of whole slab rows; one copy, read by every worker
-        slabs = [np.ascontiguousarray(table[lo : lo + rows].T) for lo in range(0, n, rows)]
+        row_ids = col_ids = range(n)  # the grid of a and b: every element, or one per class
+        if len(gens) * n * n >= _LIGHT_READS_PER_WORKER:
+            g_arr = np.asarray(gens)
+            row_ids = _class_representatives(table, table[:, g_arr])
+            col_ids = _class_representatives(table.T, table[g_arr, :].T)
+        top = table if len(row_ids) == n else table[row_ids]  # the grid's rows
+        left = table if len(col_ids) == n else np.ascontiguousarray(table[:, col_ids])  # its columns
+        r, c = top.shape[0], left.shape[1]
+        k = max(1, min(parallel.workers(), len(gens), len(gens) * r * c // _LIGHT_READS_PER_WORKER))
+        rows = max(1, _LIGHT_BLOCK // c)  # rows of (a*g)*b compared at once
+        # slabs[s][x, a - lo] = a*x over the s-th block of grid rows a, so that
+        # a*(g*b) over a block is a gather of whole slab rows; one copy, read by every worker
+        slabs = [np.ascontiguousarray(top[lo : lo + rows].T) for lo in range(0, r, rows)]
 
         def first_failure(w: int) -> Optional[tuple[int, int, int, int]]:
             """(position in gens, a, g, b) of worker w's first failing g, if any."""
             lhs_buf, rhs_buf = buffers[w]
             for i in range(w, len(gens), k):
                 g = gens[i]
-                for lo, slab in zip(range(0, n, rows), slabs):
+                for lo, slab in zip(range(0, r, rows), slabs):
                     m = slab.shape[1]
-                    lhs = lhs_buf[: m * n].reshape(m, n)  # lhs[a - lo, b] = (a*g)*b
-                    rhs = rhs_buf[: n * m].reshape(n, m)  # rhs[b, a - lo] = a*(g*b)
+                    lhs = lhs_buf[: m * c].reshape(m, c)  # lhs[a - lo, b] = (a*g)*b
+                    rhs = rhs_buf[: c * m].reshape(c, m)  # rhs[b, a - lo] = a*(g*b)
                     # every index is in range; mode="raise" would buffer a copy of the output
-                    np.take(table, table[lo : lo + m, g], axis=0, out=lhs, mode="clip")
-                    np.take(slab, table[g, :], axis=0, out=rhs, mode="clip")
+                    np.take(left, top[lo : lo + m, g], axis=0, out=lhs, mode="clip")
+                    np.take(slab, left[g, :], axis=0, out=rhs, mode="clip")
                     if np.bitwise_xor(lhs, rhs.T, out=lhs).any():
                         a, b = np.argwhere(lhs)[0]  # nonzero where the two sides differ
-                        return i, lo + int(a), g, int(b)
+                        return i, int(row_ids[lo + a]), g, int(col_ids[b])
             return None
 
         # allocated here, not in the workers, so no thread grows its own malloc arena
-        size = min(rows, n) * n
+        size = min(rows, r) * c
         buffers = [(np.empty(size, table.dtype), np.empty(size, table.dtype)) for _ in range(k)]
         failures = [f for f in parallel.parallel_map(first_failure, range(k)) if f is not None]
         if failures:
@@ -345,6 +368,36 @@ def validate_table(raw, name: str = "", gens_hint: Optional[Sequence[int]] = Non
     return sg
 
 
+def _class_representatives(lines: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """The least index of each class of equal rows of ``lines``, ascending.
+
+    ``probe`` holds some of the columns of ``lines``, and rows that differ
+    there differ everywhere.  So the probe's narrow rows are sorted first:
+    when they are all distinct (as in a group), or each row of ``lines``
+    equals the first row with its probe, the probe's classes are the
+    answer.  Only otherwise are the full rows sorted.
+    """
+    first, inverse = _unique_rows(probe)
+    if first.size < len(probe) and not np.array_equal(lines, lines[first[inverse]]):
+        first = _unique_rows(lines)[0]
+    return np.sort(first)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first occurrence of each distinct row, index into those
+    of each row's)."""
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array with at least one column, each viewed as one
+    opaque byte string, so that a 1-D unique sorts fixed-width keys instead
+    of comparing rows column by column."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 def _check_entries(table: np.ndarray) -> None:
     """Raise OutOfRangeError unless a table from outside is square, nonempty
     and holds only indices of its rows."""
@@ -523,15 +576,32 @@ def ideal_chain(S: Semigroup) -> tuple[np.ndarray, ...]:
 
     Entries are read-only boolean masks over the elements.  The last entry is
     the stable ideal: S^k equals it for every k >= m.
+
+    S^(k+1) = S^k S lies in S^k, so the level is stable as soon as the
+    products scattered so far cover S^k, and the rows not yet read are not
+    needed.  A table of more than ``_SCATTER_BLOCK`` entries is scattered
+    from the squares x*x of S^k, which cover every band outright, then over
+    blocks of about ``_SCATTER_BLOCK`` products, each followed by that
+    check; a smaller one is scattered whole, by one gather per level.
     """
 
     def build():
-        cur = np.ones(S.n, dtype=bool)
+        n, table = S.n, S.table
+        step = max(1, _SCATTER_BLOCK // n)  # rows of S^k scattered between checks
+        cur = np.ones(n, dtype=bool)
         cur.setflags(write=False)
         chain = [cur]
         while True:
-            nxt = np.zeros(S.n, dtype=bool)
-            nxt[S.table[cur, :]] = True
+            nxt = np.zeros(n, dtype=bool)
+            if n * n <= _SCATTER_BLOCK:
+                nxt[table[cur, :]] = True
+            else:
+                members = np.flatnonzero(cur)
+                nxt[table[members, members]] = True
+                for lo in range(0, members.size, step):
+                    if np.array_equal(nxt, cur):
+                        break
+                    nxt[table[members[lo : lo + step]]] = True
             if np.array_equal(nxt, cur):
                 return tuple(chain)
             nxt.setflags(write=False)

@@ -117,6 +117,90 @@ def test_commutation_kernel_matches_on_random_semigroups():
     )
 
 
+def _naive_levels(S, kmax):
+    """(k, members of S^k) for k = 1 .. kmax, built as S^(k+1) = S^k S over
+    python sets and stopped once the chain is stable."""
+    table = S.table.tolist()
+    level, k = set(range(S.n)), 1
+    while k <= kmax:
+        yield k, np.array(sorted(level), dtype=np.int64)
+        nxt = {table[a][b] for a in level for b in range(S.n)}
+        if nxt == level:
+            return
+        level, k = nxt, k + 1
+
+
+def _rb_level_reference(S, kmax):
+    """Ascending scan: the least level whose ideal satisfies x*x = x and
+    x*y*z = x*z, the definition of a rectangular band."""
+    table = S.table.astype(np.int64)
+    for k, members in _naive_levels(S, kmax):
+        xy = table[np.ix_(members, members)]
+        if (np.diagonal(xy) == members).all() and all(
+            np.array_equal(table[xy[i]][:, members], np.broadcast_to(xy[i], (members.size,) * 2))
+            for i in range(members.size)
+        ):
+            return k
+    return None
+
+
+def _sandwich_level_reference(S, kmax, budget):
+    """Ascending scan with a budget check per level: the least level whose
+    ideal satisfies x*y*z = x*y^(w+1)*z and whose completely regular
+    elements are closed under products."""
+    table = S.table.astype(np.int64)
+    om = S.omega_powers
+    for k, members in _naive_levels(S, kmax):
+        if members.size**2 > budget:
+            raise BudgetExceededError(f"level {k}")
+        wp1 = table[om[members], members]
+        xy, xyw = table[np.ix_(members, members)], table[np.ix_(members, wp1)]
+        if all(np.array_equal(table[xy[i]][:, members], table[xyw[i]][:, members]) for i in range(members.size)):
+            cr = set(members[wp1 == members].tolist())
+            if all(int(table[a, b]) in cr for a in cr for b in cr):
+                return k
+    return None
+
+
+def _rb_level(S, kmax, budget):
+    return rb_ideal_level(S, kmax)
+
+
+def test_level_flags_match_ascending_reference_scans(zoo_small):
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(200, seed=11)
+    seen = {"rb": set(), "sandwich": set()}
+    for S in tables:
+        for kmax in (1, 3, 6):
+            for budget in (10**8, 1_000):
+                for name, fn, ref in (
+                    ("rb", _rb_level, lambda S, kmax, budget: _rb_level_reference(S, kmax)),
+                    ("sandwich", sandwich_ideal_level, _sandwich_level_reference),
+                ):
+                    got = _level_or_error(fn, S, kmax, budget)
+                    assert got == _level_or_error(ref, S, kmax, budget), (name, kmax, budget, S.table.tolist())
+                    seen[name].add(got)
+    # the draw reaches levels above 1, refutations and the budget guard
+    assert {1, None} <= seen["rb"] and any(isinstance(k, int) and k > 1 for k in seen["rb"])
+    assert {1, None, "over budget"} <= seen["sandwich"]
+    assert any(isinstance(k, int) and k > 1 for k in seen["sandwich"])
+
+
+def test_ideal_chain_matches_the_naive_chain(zoo_small, monkeypatch):
+    import slpforge.semigroup
+
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(200, seed=11)
+    lengths = set()
+    for block in (None, 1):  # the whole scatter, then blocks of one row from the squares on
+        if block is not None:
+            monkeypatch.setattr(slpforge.semigroup, "_SCATTER_BLOCK", block)
+        for S in tables:
+            chain = ideal_chain(Semigroup.trusted(S.table))
+            naive = [members for _, members in _naive_levels(S, S.n + 1)]
+            assert [np.flatnonzero(mask).tolist() for mask in chain] == [m.tolist() for m in naive]
+            lengths.add(len(chain))
+    assert {1, 2, 3} <= lengths
+
+
 def test_rb_ideal_level():
     assert rb_ideal_level(zoo.make_rectangular_band(3, 3)) == 1
     w = zoo.make_u_witness(3)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from slpforge import zoo
+from slpforge import parallel, semigroup, zoo
 from slpforge.errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
@@ -236,6 +236,154 @@ def _non_associative_tables(count: int, seed: int, sizes=(3, 7)):
         if not np.array_equal(table[table, :], table[:, table]):  # (ab)c vs a(bc)
             out.append(table)
     return out
+
+
+# -- Light's test over one row and one column per class ---------------------
+
+
+def _light_reference(table, hint):
+    """The first (a, g, b) with (a*g)*b != a*(g*b), in the order g, a, b over
+    every a and b: g runs over the hint when it generates the table, else
+    over the greedy set."""
+    rows = table.tolist()
+    gens = list(dict.fromkeys(int(g) for g in (() if hint is None else hint)))
+    if not gens or len(py_closure(rows, gens)) < len(rows):
+        gens = _greedy_reference(rows)
+    table = np.asarray(table, dtype=np.int64)
+    for g in gens:
+        bad = table[table[:, g]] != table[:, table[g]]  # (a, b) -> (a*g)*b vs a*(g*b)
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return int(a), g, int(b)
+    return None
+
+
+def _repeated_class_semigroups() -> dict:
+    """Associative tables whose rows or columns repeat, with generators."""
+    rb_x_z, rb_x_z_gens, _ = zoo.build_family("rb-x-cyclic", [2, 3, 2])
+    out = {"RB(2,3)xZ2": (rb_x_z.table, rb_x_z_gens), "null(9)": (_null_table(9), list(range(9)))}
+    for p, q in ((3, 4), (12, 1), (1, 12)):
+        out[f"RB({p},{q})"] = (zoo.make_rectangular_band(p, q).table, zoo.rectangular_band_generators(p, q))
+    return out
+
+
+def _magma_with_repeats(rng: random.Random, n: int) -> np.ndarray:
+    """A random table on n elements in which row a copies row rmap[a] and
+    column b copies column cmap[b] of a random table."""
+    base = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    rmap = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    cmap = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    return base[np.ix_(rmap, cmap)]
+
+
+def _perturbed_with_repeats(rng: random.Random) -> tuple[np.ndarray, list[int]]:
+    """One of ``_repeated_class_semigroups`` with one to three entries changed."""
+    table, gens = rng.choice(list(_repeated_class_semigroups().values()))
+    table = np.array(table, dtype=np.int64)
+    n = len(table)
+    for _ in range(rng.randint(1, 3)):
+        table[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+    return table, gens
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """Force the class path of Light's test on every table; returns the
+    (rows, columns) of each grid it runs over."""
+    seen = []
+    reps = semigroup._class_representatives
+
+    def recording(lines, probe):
+        out = reps(lines, probe)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(semigroup, "_class_representatives", recording)
+    monkeypatch.setattr(semigroup, "_LIGHT_READS_PER_WORKER", 1)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_light_classes_report_the_row_major_witness(monkeypatch, grids, k):
+    monkeypatch.setattr(parallel, "workers", lambda: k)
+    rng = random.Random(20261021)
+    cases = []
+    for i in range(160):
+        if i % 2:
+            table = _magma_with_repeats(rng, rng.randint(3, 30))
+            gens = list(range(len(table)))
+        else:
+            table, gens = _perturbed_with_repeats(rng)
+        hints = [None, rng.sample(gens, len(gens)), rng.sample(range(len(table)), len(table)) * 2]
+        cases.append((table, hints[i % 3]))
+    found = 0
+    for table, hint in cases:
+        expected = _light_reference(table, hint)
+        found += expected is not None
+        assert _witness(table, hint) == expected, (table.tolist(), hint)
+    assert found > 120
+    # the grids were smaller than the tables: one row and one column per class
+    assert sum(grids) < sum(len(table) for table, _ in cases) * 2
+
+
+def _witness(table, hint):
+    try:
+        validate_table(table, gens_hint=hint)
+    except NotAssociativeError as exc:
+        return exc.witness
+    return None
+
+
+def test_light_classes_at_their_own_threshold_report_the_row_major_witness(monkeypatch):
+    """Unforced: 128 generators of 128 rows reach the 2^20 threshold."""
+    rng = random.Random(7)
+    found = 0
+    for k in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda: k)
+        for base in (_null_table(128), zoo.make_rectangular_band(128, 1).table, zoo.make_rectangular_band(1, 128).table):
+            table = np.array(base, dtype=np.int64)
+            for _ in range(3):
+                table[rng.randrange(128), rng.randrange(128)] = rng.randrange(1, 128)
+            hint = rng.sample(range(128), 128)
+            expected = _light_reference(table, hint)
+            found += expected is not None
+            assert _witness(table, hint) == expected
+    assert found >= 4  # the two left- and right-zero bands per worker count
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch, k):
+    monkeypatch.setattr(parallel, "workers", lambda: k)
+    rb_x_z, rb_x_z_gens, _ = zoo.build_family("rb-x-cyclic", [6, 6, 8])
+    tables = dict(_repeated_class_semigroups())
+    tables["RB(6,6)xZ8"] = (rb_x_z.table, rb_x_z_gens)
+    tables["null(128)"] = (_null_table(128), list(range(128)))
+    for p, q in ((20, 30), (256, 1), (1, 256)):
+        tables[f"RB({p},{q})"] = (zoo.make_rectangular_band(p, q).table, zoo.rectangular_band_generators(p, q))
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(semigroup, "_LIGHT_READS_PER_WORKER", 1)
+        for name, (table, gens) in tables.items():
+            for hint in (None, gens):
+                assert validate_table(table, gens_hint=hint).n == len(table), (name, forced, hint)
+
+
+def test_class_representatives_are_the_least_of_each_class():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        lines = _magma_with_repeats(rng, n)
+        cols = sorted(rng.sample(range(n), rng.randint(1, n)))
+        expected = [a for a in range(n) if all((lines[a] != lines[b]).any() for b in range(a))]
+        got = semigroup._class_representatives(lines, lines[:, cols])
+        assert got.tolist() == expected
+    # rows that agree on the probe but not beyond it
+    lines = np.array([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
+    assert semigroup._class_representatives(lines, lines[:, :1]).tolist() == [0, 1]
+    R = zoo.make_rectangular_band(4, 5).table
+    gens = zoo.rectangular_band_generators(4, 5)
+    assert semigroup._class_representatives(R, R[:, gens]).tolist() == [0, 5, 10, 15]
+    assert semigroup._class_representatives(R.T, R[gens, :].T).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_hint_that_misses_left_normed_words_still_catches_non_associativity():
