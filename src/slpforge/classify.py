@@ -12,10 +12,9 @@ property that S^(k+1), a subsemigroup and an ideal inside S^k, inherits:
   *Fundamentals of Semigroup Theory*, section 1.1), an identity over S^k,
   checked as x*x = x and then one |S^k|^2 gather;
 - central commutation is an identity over a, b in S^k;
-- the sandwich condition is the identity x y z = x y^(w+1) z over S^k plus
-  the closure of its completely regular part; a product of two completely
-  regular elements of S^(k+1) stays in the closed part of S^k and in the
-  ideal S^(k+1).
+- the sandwich condition is the identity x y z = x y^(w+1) z over S^k,
+  which makes the completely regular part of S^k closed under products
+  (``_sandwich_holds``).
 So each flag tries the deepest level, min(kmax, chain length), first and
 returns None when it fails; only a table that passes there scans upward for
 the least k.  A level's scan shrinks with k, so the budget is checked at
@@ -37,13 +36,12 @@ import numpy as np
 from .decomposition import _commutes_modulo, _right_classes, cached_decomposition, is_medial
 from .errors import BandNotNormalError, BudgetExceededError, HNotCongruenceError, SlpforgeError
 from .groups import GroupView, group_view, is_solvable
-from .semigroup import (
-    Semigroup, cached_closure, cached_sub_semigroup, ideal_chain, products_outside, sub_semigroup
-)
+from .semigroup import Semigroup, cached_closure, cached_sub_semigroup, ideal_chain, spread, sub_semigroup
 from .sets import ElementSet
 
 DEFAULT_KMAX = 6
 DEFAULT_SCAN_BUDGET = 10**8
+_PROBES = 4  # rows, ideal elements and factors a commutation probe samples
 
 
 @dataclass
@@ -82,17 +80,21 @@ def _ideal_levels(S: Semigroup, kmax: int):
         yield k, np.flatnonzero(chain[k - 1])
 
 
-def _least_level(S: Semigroup, kmax: int, holds) -> Optional[int]:
+def _least_level(S: Semigroup, kmax: int, holds, refuted=None) -> Optional[int]:
     """Least k <= kmax with ``holds(members of S^k)``, for a property that
     S^(k+1) inherits from S^k.
 
     The deepest level, min(kmax, chain length), is tried first: when it
-    fails, so does every level above it, and one check returns None.
-    Otherwise the levels are scanned upward from 1.
+    fails, so does every level above it, and one check returns None.  There
+    ``refuted``, a cheaper test that fails whenever ``holds`` holds, may
+    answer first.  Otherwise the levels are scanned upward from 1.
     """
     chain = ideal_chain(S)
     deepest = min(kmax, len(chain))
-    if deepest < 1 or not holds(np.flatnonzero(chain[deepest - 1])):
+    if deepest < 1:
+        return None
+    members = np.flatnonzero(chain[deepest - 1])
+    if (refuted is not None and refuted(members)) or not holds(members):
         return None
     for k, members in _ideal_levels(S, deepest - 1):
         if holds(members):
@@ -109,18 +111,40 @@ def central_commutation_level(
     at level 1, the largest, would be too large.
     """
     table = S.table
-    # row 0 against column 0 refutes most noncommutative tables in O(n)
-    if np.array_equal(table[0], table[:, 0]) and np.array_equal(table, table.T):
+    # a few rows against their columns, spread over the table, refute most
+    # noncommutative tables in O(n); row 0 alone is a group's identity
+    rows = spread(S.n, _PROBES)
+    if np.array_equal(table[rows], table[:, rows].T) and np.array_equal(table, table.T):
         return 0
     if kmax >= 1 and S.n**3 > budget:
         raise BudgetExceededError("central-commutation scan at level 1 exceeds budget")
-    return _least_level(S, kmax, lambda members: _commutes_modulo(S, members))
+    return _least_level(
+        S,
+        kmax,
+        lambda members: _commutes_modulo(S, members),
+        lambda members: _commutation_refuted(S, members),
+    )
+
+
+def _commutation_refuted(S: Semigroup, members: np.ndarray) -> bool:
+    """Is a*x*y*a != a*y*x*a for some y, a among a few of ``members`` and x
+    among a few elements?  One gather per side; ``_commutes_modulo`` fails
+    whenever this holds, and the table needs no classes for it."""
+    table, n = S.table, S.n
+    a = members[spread(members.size, _PROBES)]
+    x = spread(n, _PROBES)
+    left, right = table[a], table[:, a].T  # a*z and z*a, one row per a
+    at = (np.arange(a.size) * n)[:, None, None]  # the flat offset of a's row
+    xy, yx = table[x], table[:, x].T  # x*y and y*x, one row per x
+    return not np.array_equal(
+        np.take(right, at + np.take(left, at + xy)), np.take(right, at + np.take(left, at + yx))
+    )
 
 
 def sandwich_ideal_level(
     S: Semigroup, kmax: int = DEFAULT_KMAX, budget: int = DEFAULT_SCAN_BUDGET
 ) -> Optional[int]:
-    """Least k <= kmax where S^k satisfies xyz = x y^(w+1) z and I(S^k) is closed.
+    """Least k <= kmax where S^k satisfies xyz = x y^(w+1) z (so I(S^k) is closed).
 
     The scan quantifies x, y, z over elements of the ideal; this is exactly
     what the peeled pipeline needs, since its witness words keep a generator
@@ -133,8 +157,15 @@ def sandwich_ideal_level(
 
 
 def _sandwich_holds(S: Semigroup, members: np.ndarray) -> bool:
-    """Does the ideal ``members`` satisfy xyz = x y^(w+1) z, with its
-    completely regular elements I closed under products?"""
+    """Does the ideal I = ``members`` satisfy xyz = x y^(w+1) z?
+
+    Its completely regular elements are then closed under products, so that
+    is not checked.  Take completely regular u, v in I and s = uv.  At
+    x = u^w, y = s and z = v^w, all in I, the identity reads
+    u^w s v^w = u^w s^(w+1) v^w.  As u^w u = u and v v^w = v, the left side
+    is uv = s, and the right side is s^(w+1), a product of copies of uv.  So
+    s = s^(w+1): s is completely regular, and it lies in the ideal I.
+    """
     table = S.table
     rcls = _right_classes(S, members)
     wp1 = table[S.omega_powers[members], members].astype(np.int64)  # y^(w+1) per y in ideal
@@ -143,7 +174,7 @@ def _sandwich_holds(S: Semigroup, members: np.ndarray) -> bool:
         row_w = table[int(x), wp1].astype(np.int64)        # x*y^(w+1)
         if not np.array_equal(rcls[row], rcls[row_w]):
             return False
-    return not products_outside(S, members[wp1 == members]).size
+    return True
 
 
 def rb_ideal_level(S: Semigroup, kmax: int = DEFAULT_KMAX) -> Optional[int]:

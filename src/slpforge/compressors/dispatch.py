@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..classify import Config, recommend
-from ..errors import SlpforgeError, UnreachableError
+from ..errors import SlpforgeError
 from ..groups import group_view
-from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, check_element
+from ..semigroup import Semigroup, check_element
 from ..slp import Slp, verify
-from .base import CompressionReport
+from .base import CompressionReport, generated_part
 from .bands import compress_normal_band
 from .diameter import compress_bounded_diameter
 from .general import compress_general
@@ -64,15 +64,8 @@ def compress(
     """
     check_strategy(strategy)
     cfg = config or Config()
-    gens = [int(g) for g in gens]
     check_element(S, t, "target")
-    members = cached_closure(S, gens)
-    if t not in members:
-        raise UnreachableError(f"target {t} is outside the generated subsemigroup")
-    sub, sub_gens, sub_t, to_parent = S, gens, t, None
-    if members.cardinality != S.n:
-        sub, to_sub, to_parent = cached_sub_semigroup(S, members)
-        sub_gens, sub_t = [int(to_sub[g]) for g in gens], int(to_sub[t])
+    sub, sub_gens, sub_t, to_parent = generated_part(S, gens, t)
 
     # a named strategy reports no extras; ``auto`` reports its decision
     chosen = recommend(sub, cfg) if strategy == "auto" else strategy

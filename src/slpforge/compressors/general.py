@@ -11,14 +11,14 @@ sandwich identity proves harmless once u and v are re-attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ..classify import Config, cached_flag, sandwich_ideal_level, sandwich_part_decomposes
 from ..errors import NotEligibleError, UnreachableError
 from ..semigroup import Semigroup, cached_closure, cached_sub_semigroup, shortest_word
 from ..slp import Slp, SlpBuilder, evaluate
-from .base import word_program
+from .base import generated_part, word_program
 from .bands import BandCompression, compress_normal_band
 from .peel import nilpotent_peel
 
@@ -41,6 +41,15 @@ def compress_general(
     config: Optional[Config] = None,
 ) -> GeneralCompression:
     cfg = config or Config()
+    sub, sub_gens, sub_t, to_parent = generated_part(S, gens, t)
+    if to_parent is not None:
+        # judged and compressed in the generated subsemigroup, as ``compress``
+        # does; ``band`` keeps the numbering of the table it ran on
+        gc = compress_general(sub, sub_gens, sub_t, cfg)
+        left, right, tilde = (
+            None if v is None else int(to_parent[v]) for v in (gc.left, gc.right, gc.tilde_value)
+        )
+        return replace(gc, slp=gc.slp.relabel(to_parent), left=left, right=right, tilde_value=tilde)
     k = cached_flag(S, sandwich_ideal_level, cfg.kmax, cfg.scan_budget)
     if k is None:
         raise NotEligibleError(

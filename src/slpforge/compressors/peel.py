@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..errors import SlpforgeError, UnreachableError
+from ..errors import SlpforgeError
 from ..semigroup import (
     Semigroup, cached_sub_semigroup, closure, ideal_power, shortest_word, shortest_words,
 )
 from ..slp import Slp, SlpBuilder
-from .base import word_program
+from .base import generated_part, word_program
 
 InnerStrategy = Callable[[Semigroup, list[int], int], Slp]
 
@@ -44,12 +44,19 @@ def nilpotent_peel(
     k: int,
     inner: InnerStrategy,
 ) -> Slp:
-    """Peel the k-nilpotent layer off and defer to ``inner`` on the ideal."""
+    """Peel the k-nilpotent layer off and defer to ``inner`` on the ideal.
+
+    The peel needs generators of the whole table, so it works inside the
+    subsemigroup ``gens`` generate (``generated_part``), where S^k is that
+    subsemigroup's ideal, and the program is relabelled to S, as
+    ``compress`` does.
+    """
+    sub, sub_gens, sub_t, to_parent = generated_part(S, gens, t)
+    if to_parent is not None:
+        return nilpotent_peel(sub, sub_gens, sub_t, k, inner).relabel(to_parent)
     sk = ideal_power(S, k)
     if t not in sk:
         word = shortest_word(S, gens, t)
-        if word is None:
-            raise UnreachableError(f"target {t} is not generated")
         if len(word) >= k:
             raise SlpforgeError("word of length >= k evaluated outside the ideal")
         return word_program([gens[i] for i in word])

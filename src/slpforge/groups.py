@@ -21,8 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotAGroupError, NotNormalError
-from .semigroup import Semigroup, closure, products_outside
+from .semigroup import Semigroup, closure, products_outside, spread
 from .sets import ElementSet
+
+_NEUTRAL_PROBES = 8  # elements a candidate neutral element is first checked on
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,20 @@ def _group_parts(S: Semigroup) -> tuple[int, dict[int, int]]:
     neutrally; in a finite table some power of each element is idempotent,
     hence neutral, so every element then has an inverse."""
     table = S.table
-    mem = np.arange(S.n, dtype=np.int64)
-    idems = mem[table[mem, mem] == mem].tolist()
-    neutral = None
-    for e in idems:
-        if (table[e] == mem).all() and (table[:, e] == mem).all():
-            neutral = e
+    mem = np.arange(S.n)
+    idems = np.flatnonzero(table.diagonal() == mem)
+    # a neutral element fixes every element, so one gather over the
+    # idempotents and a few elements leaves at most a few to check in full
+    probe = spread(S.n, _NEUTRAL_PROBES)
+    fixes = (table[idems[:, None], probe] == probe).all(axis=1)
+    fixes &= (table[probe, idems[:, None]] == probe).all(axis=1)
+    neutral = next(
+        (int(e) for e in idems[fixes] if (table[e] == mem).all() and (table[:, e] == mem).all()), None
+    )
     if neutral is None:
-        witness = idems[0] if idems else 0
+        witness = int(idems[0]) if idems.size else 0
         raise NotAGroupError("no neutral element in the table", witness=witness)
-    for e in idems:
+    for e in idems.tolist():
         if e != neutral:
             raise NotAGroupError(f"extra idempotent {e}", witness=e)
     # is_inv[i, j]: i j is neutral, so j is also a left inverse (in a finite

@@ -351,21 +351,34 @@ class Semigroup:
         return f"Semigroup(n={self.n}{label})"
 
 
-def validate_table(raw, name: str = "", gens_hint: Optional[Sequence[int]] = None) -> Semigroup:
+def validate_table(
+    raw, name: str = "", gens_hint: Optional[Sequence[int]] = None, *, entries_checked: bool = False
+) -> Semigroup:
     """Validate a raw square table of indices and wrap it as a Semigroup.
 
     Raises OutOfRangeError for bad entries or a hint element outside the
     table, and NotAssociativeError (with a witness triple) when associativity
-    fails.
+    fails.  With ``entries_checked`` the caller vouches that the table is
+    square, nonempty and holds only indices of its rows (the .cay reader
+    checks each block of rows as it stores it), and the range scan is
+    skipped; a read-only table at ``table_dtype(n)`` is then shared.
     """
     table = np.asarray(raw)
-    _check_entries(table)
+    if not entries_checked:
+        _check_entries(table)
     sg = Semigroup(table, name=name, _trusted=True)
     if gens_hint is not None:
         for g in gens_hint:
             check_element(sg, g, "generator hint")
     sg._check_associativity(gens_hint=gens_hint)
     return sg
+
+
+def spread(size: int, count: int) -> np.ndarray:
+    """min(size, count) distinct indices spread evenly over range(size),
+    from 0 up: the elements a probe samples."""
+    m = min(size, count)
+    return np.arange(m) * size // m
 
 
 def _class_representatives(lines: np.ndarray, probe: np.ndarray) -> np.ndarray:

@@ -28,7 +28,9 @@ from slpforge.errors import (
 )
 from slpforge.groups import group_view
 from slpforge.identities import IDENTITY_NORMAL_BAND, satisfies_identity
-from slpforge.semigroup import Semigroup, closure, ideal_chain, sub_semigroup
+from slpforge.semigroup import (
+    Semigroup, closure, ideal_chain, products_outside, spread, sub_semigroup, validate_table
+)
 from slpforge.sets import ElementSet
 
 from conftest import random_semigroups
@@ -84,6 +86,49 @@ def _commutation_level_reference(S, kmax, budget):
         ):
             return k
     return None
+
+
+def _probe_evader(n: int) -> tuple[Semigroup, int, int]:
+    """A monoid with zero 0 and identity 1, on n >= 16 elements, where every
+    product of two other elements is 0 but i*j = u, for i = n - 1, j = n - 2
+    and u = 2.  (Nilpotent, with an identity adjoined.)  Its rows equal its
+    columns except at i and j, and a*x*y*a = a*y*x*a unless a = 1 and x is
+    i or j.  So each commutation probe passes where it does not sample i
+    and j, while the table does not commute at any level: S^k = S."""
+    i, j, u = n - 1, n - 2, 2
+    table = np.zeros((n, n), dtype=np.int64)
+    table[1, :] = table[:, 1] = np.arange(n)
+    table[i, j] = u
+    return validate_table(table), i, j
+
+
+def test_passing_commutation_probes_leave_the_decision_to_the_full_scans():
+    S, i, j = _probe_evader(20)
+    rows = spread(S.n, classify_mod._PROBES)
+    assert i not in rows and j not in rows
+    assert np.array_equal(S.table[rows], S.table[:, rows].T)  # the level-0 probe passes
+    assert not classify_mod._commutation_refuted(S, np.arange(S.n))  # and so does the deeper one
+    assert len(ideal_chain(S)) == 1
+    assert central_commutation_level(S) is None
+    assert _commutation_level_reference(S, 6, 10**8) is None
+    assert recommend(S) != "permutative"
+
+
+def test_kmax_0_asks_for_level_0_only():
+    assert central_commutation_level(zoo.make_cyclic(6), kmax=0) == 0
+    assert central_commutation_level(zoo.make_sym(3), kmax=0) is None
+    band = zoo.make_rectangular_band(2, 2)
+    assert rb_ideal_level(band, 0) is None and sandwich_ideal_level(band, kmax=0) is None
+
+
+def test_the_commutation_probes_refute_groups_with_their_identity_at_0():
+    # row 0 alone is the identity's, equal to its column in every group
+    for S in (zoo.make_sym(3), zoo.make_dihedral(20), zoo.make_heisenberg(3)):
+        rows = spread(S.n, classify_mod._PROBES)
+        assert np.array_equal(S.table[0], S.table[:, 0])
+        assert not np.array_equal(S.table[rows], S.table[:, rows].T)
+        assert classify_mod._commutation_refuted(S, np.arange(S.n))
+        assert central_commutation_level(S) is None
 
 
 def _level_or_error(fn, S, kmax, budget):
@@ -183,6 +228,19 @@ def test_level_flags_match_ascending_reference_scans(zoo_small):
     assert {1, None} <= seen["rb"] and any(isinstance(k, int) and k > 1 for k in seen["rb"])
     assert {1, None, "over budget"} <= seen["sandwich"]
     assert any(isinstance(k, int) and k > 1 for k in seen["sandwich"])
+
+
+def test_the_sandwich_identity_closes_the_completely_regular_part(zoo_small):
+    # _sandwich_holds checks only the identity, by the argument in its docstring
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(200, seed=13)
+    holding = 0
+    for S in tables:
+        for _, members in _ideal_levels(S, 6):
+            if classify_mod._sandwich_holds(S, members):
+                holding += 1
+                regular = members[S.completely_regular_elements().mask[members]]
+                assert not products_outside(S, regular).size, S.table.tolist()
+    assert holding > 100
 
 
 def test_ideal_chain_matches_the_naive_chain(zoo_small, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slpforge import zoo
@@ -45,8 +46,8 @@ from slpforge.errors import (
 )
 from slpforge.groups import derived_series, group_view, is_adapted, subgroup_closure
 from slpforge.membership import member_certified
-from slpforge.semigroup import Semigroup, closure, ideal_power, shortest_word, sub_semigroup
-from slpforge.slp import Slp, SlpBuilder, compact, eliminate_inverses, evaluate, fast_exp
+from slpforge.semigroup import Semigroup, closure, ideal_power, shortest_word, sub_semigroup, validate_table
+from slpforge.slp import Slp, SlpBuilder, compact, eliminate_inverses, evaluate, fast_exp, verify
 
 from conftest import py_shortest_words, random_semigroups, table_of
 
@@ -882,11 +883,45 @@ def test_normal_band_mode_is_wide_or_narrow():
 def test_peel_and_permutative_reject_an_ungenerated_target():
     w = zoo.make_obstruction_witness("T", 3)  # nilpotent: S^4 is the zero
     s1, s2 = w.generators[:2]
-    with pytest.raises(UnreachableError, match=f"target {s2} is not generated"):
+    with pytest.raises(UnreachableError, match=f"target {s2} is outside the generated subsemigroup"):
         nilpotent_peel(w.semigroup, [s1], s2, 2, compress_permutative)
-    # inside S^2: the words over s1 alone reach only the zero of it
-    zero = w.semigroup.n - 1
+    with pytest.raises(UnreachableError, match=f"target {s2} is outside the generated subsemigroup"):
+        compress_general(w.semigroup, [s1], s2)
+
+
+def test_peel_and_general_work_inside_a_smaller_generated_subsemigroup():
+    # the words over s1 alone reach only the zero of S^2, so the peel runs in
+    # the subsemigroup {s1, s1 s1} that s1 generates
+    w = zoo.make_obstruction_witness("T", 3)
+    S, s1 = w.semigroup, w.generators[0]
+    zero = S.n - 1
+    assert S.table[s1, s1] == zero and closure(S, [s1]).cardinality == 2
     with pytest.raises(SlpforgeError, match="short-word values do not generate the ideal"):
-        nilpotent_peel(w.semigroup, [s1], zero, 2, compress_permutative)
+        ideal_generators(S, [s1], 2)
+    for prog in (
+        nilpotent_peel(S, [s1], zero, 2, compress_permutative),
+        compress_general(S, [s1], zero).slp,
+        compress(S, [s1], zero, "general").slp,
+    ):
+        assert set(prog.alphabet) == {s1} and verify(S, prog, zero)
+    gc = compress_general(S, [s1, s1], zero)
+    assert gc.slp == compress(S, [s1, s1], zero, "general").slp
+
+
+def test_general_lifts_its_split_out_of_the_generated_subsemigroup():
+    base, bgens, _ = zoo.build_family("rb-x-cyclic", [2, 2, 9])
+    T, _ = zoo.make_nilpotent_extension(base, len(bgens), bgens, 3)
+    extra = T.n  # T with a zero adjoined: the generators miss the new element
+    table = np.full((extra + 1, extra + 1), extra)
+    table[:extra, :extra] = T.table
+    U = validate_table(table)
+    gens = list(range(len(bgens)))
+    split = 0
+    for t in closure(T, gens):
+        inside, outside = compress_general(T, gens, t), compress_general(U, gens, t)
+        assert verify(U, outside.slp, t) and outside.slp == inside.slp
+        assert (outside.left, outside.right, outside.tilde_value) == (inside.left, inside.right, inside.tilde_value)
+        split += inside.tilde_value is not None
+    assert split >= 3
     with pytest.raises(UnreachableError, match="target 1 is not generated"):
         compress_permutative(zoo.make_cyclic(4), [2], 1, kstar=0)

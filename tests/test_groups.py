@@ -14,10 +14,11 @@ from slpforge.groups import (
     quotient_group,
     subgroup_closure,
 )
-from slpforge.semigroup import closure, direct_product, sub_semigroup
+from slpforge import groups
+from slpforge.semigroup import Semigroup, closure, direct_product, spread, sub_semigroup, validate_table
 from slpforge.sets import ElementSet
 
-from conftest import py_closure, table_of
+from conftest import py_closure, random_semigroups, table_of
 
 
 def _s3():
@@ -48,6 +49,52 @@ def test_group_view_rejects_free_lrb():
     w = zoo.make_obstruction_witness("LRB", 2)
     with pytest.raises(NotAGroupError):
         group_view(w.semigroup)
+
+
+def _group_parts_reference(S):
+    """Every idempotent's row and column compared with the identity map."""
+    table = S.table
+    mem = np.arange(S.n)
+    idems = [e for e in range(S.n) if table[e, e] == e]
+    neutral = [e for e in idems if (table[e] == mem).all() and (table[:, e] == mem).all()]
+    if not neutral:
+        return "no neutral element in the table", idems[0] if idems else 0
+    extra = [e for e in idems if e != neutral[0]]
+    return (f"extra idempotent {extra[0]}", extra[0]) if extra else neutral[0]
+
+
+def _group_outcome(S):
+    try:
+        return group_view(S).identity
+    except NotAGroupError as exc:
+        return str(exc), exc.witness
+
+
+def test_group_view_matches_the_reference_census(zoo_small):
+    tables = [S for S, _, _ in zoo_small.values()] + random_semigroups(200, seed=29)
+    tables += [zoo.make_dihedral(150), zoo.make_heisenberg(5), zoo.make_rectangular_band(3, 4)]
+    outcomes = [_group_outcome(Semigroup.trusted(S.table)) for S in tables]
+    assert outcomes == [_group_parts_reference(S) for S in tables]
+    kinds = {o if isinstance(o, int) else o[0].split()[0] for o in outcomes}
+    assert {"no", "extra", 0} <= kinds
+
+
+def _inflated_group(m: int) -> Semigroup:
+    """Z_m and one more element a, last, that multiplies as the generator 1:
+    x*y = p(x) + p(y) with p(a) = 1.  Its one idempotent, 0, fixes every
+    element but a (0*a = 1), so it is no neutral element."""
+    p = list(range(m)) + [1 % m]
+    return validate_table([[(p[x] + p[y]) % m for y in range(m + 1)] for x in range(m + 1)])
+
+
+def test_a_probed_neutral_candidate_is_checked_in_full():
+    S = _inflated_group(23)
+    probe = spread(S.n, groups._NEUTRAL_PROBES)
+    assert S.n - 1 not in probe  # so 0 passes the probe
+    assert (S.table[0, probe] == probe).all() and (S.table[probe, 0] == probe).all()
+    with pytest.raises(NotAGroupError, match="^no neutral element in the table$") as err:
+        group_view(S)
+    assert err.value.witness == 0
 
 
 def _two_sided_inverses(S, e) -> dict[int, int]:

@@ -33,6 +33,11 @@ def test_cay_comments_anywhere():
     assert S.n == 2 and gens == [1] and target is None
 
 
+def test_cay_headers_below_the_rows_override_those_above():
+    S, gens, target = parse_cay("CAYLEY 2\n# NAME first\n# GENS 0\n0 1\n1 0\n# NAME last\n# GENS 1\n")
+    assert (S.name, gens, target) == ("last", [1], None)
+
+
 def test_cay_blank_lines_anywhere():
     S, gens, target = parse_cay("\nCAYLEY 2\n0 1\n\n  \n1 0\n\n")
     assert S.n == 2 and gens is None and target is None

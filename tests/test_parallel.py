@@ -2,11 +2,16 @@
 slices in Light's test, forced on small inputs by lowering the two size
 thresholds (and Light's test's row block) and fixing the worker count."""
 
+import importlib.util
 import multiprocessing
 import os
 import random
+import re
 import sys
 import threading
+import warnings
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -14,9 +19,9 @@ import pytest
 import slpforge.io
 import slpforge.semigroup
 from slpforge import parallel, zoo
-from slpforge.errors import FormatError, NotAssociativeError
+from slpforge.errors import FormatError, NotAssociativeError, OutOfRangeError
 from slpforge.io import dump_cay, parse_cay
-from slpforge.semigroup import validate_table
+from slpforge.semigroup import table_dtype, validate_table
 
 
 @pytest.fixture
@@ -34,6 +39,7 @@ def split(monkeypatch):
 
     def force(k: int) -> list:
         monkeypatch.setattr(slpforge.io, "_TEXT_PER_WORKER", 1)
+        monkeypatch.setattr(slpforge.io, "_BLOCK", 200)  # rows of a few lines per fromstring call
         monkeypatch.setattr(slpforge.semigroup, "_LIGHT_READS_PER_WORKER", 1)
         monkeypatch.setattr(slpforge.semigroup, "_LIGHT_BLOCK", 1)  # one row of (a*g)*b at a time
         monkeypatch.setattr(parallel, "workers", lambda: k)
@@ -131,6 +137,13 @@ MESSAGES = [
     ("CAYLEY 100000000000\n0 1\n", "line 2: row has 2 entries, expected 100000000000"),
     ("CAYLEY 100000000000\n0 1\n# GENS x\n", "line 2: row has 2 entries, expected 100000000000"),
     ("CAYLEY -1\n", "expected -1 rows, found 0"),
+    # a line of 2n + 1 entries fills two rows of n + 1 values, its last a sentinel; the
+    # second line's middle -1 would pass for one, were it not refused as a "-"
+    ("CAYLEY 2\n0 1 1 0 1\n", "line 2: row has 5 entries, expected 2"),
+    ("CAYLEY 2\n0 1\n1 0 -1 1 0\n", "line 3: row has 5 entries, expected 2"),
+    # characters outside ASCII inside a row, one of them a lone surrogate
+    ("CAYLEY 2\n0 1\n1\xa00\n", "line 3: bad table row"),
+    ("CAYLEY 2\n0 1\n1 \ud800\n", "line 3: bad table row"),
 ]
 
 
@@ -141,6 +154,186 @@ def test_every_format_message_holds_at_any_worker_count(split, k):
         with pytest.raises(FormatError) as raised:
             parse_cay(text)
         assert str(raised.value) == message, text
+
+
+# -- the line-by-line reader the block reader replaced, as the reference ------------
+
+
+def _ref_header_ints(line: str, lineno: int) -> list[int]:
+    words = line.split()
+    try:
+        return [int(x) for x in words[1:]]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: bad {words[0]} entry") from exc
+
+
+def _ref_parse_rows(rows: list[tuple[int, str]], n: int, size: int) -> np.ndarray:
+    fits = n >= 0 and len(rows) * n <= size
+    table = np.empty((len(rows), n if fits else 0), dtype=np.int64)
+    for i, (lineno, line) in enumerate(rows):
+        try:
+            row = np.fromstring(line, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError(f"line {lineno}: bad table row") from exc
+        if len(row) != n:
+            raise FormatError(f"line {lineno}: row has {len(row)} entries, expected {n}")
+        if fits:
+            table[i] = row
+    return table
+
+
+def _ref_read_cay_text(text: str):
+    """Every line visited in turn, every row parsed alone into an int64 table,
+    and the entries range-checked as ``validate_table`` checks them."""
+    header: dict[str, tuple[int, list[int]]] = {}
+    name = ""
+    rows: list[tuple[int, str]] = []
+    n: Optional[int] = None
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("GENS"):
+                    header["GENS"] = lineno, _ref_header_ints(body, lineno)
+                elif body.startswith("TARGET"):
+                    header["TARGET"] = lineno, _ref_header_ints(body, lineno)
+                    if len(header["TARGET"][1]) != 1:
+                        raise FormatError(f"line {lineno}: TARGET takes one element")
+                elif body.startswith("NAME"):
+                    name = body[4:].strip()
+                continue
+            if n is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "CAYLEY":
+                    raise FormatError(f"line {lineno}: expected 'CAYLEY <n>'")
+                n = _ref_header_ints(line, lineno)[0]
+                continue
+            rows.append((lineno, line))
+    except FormatError:
+        if rows:
+            _ref_parse_rows(rows, n, 0)
+        raise
+    if n is None:
+        raise FormatError("missing CAYLEY header")
+    table = _ref_parse_rows(rows, n, len(text))
+    if len(rows) != n:
+        raise FormatError(f"expected {n} rows, found {len(rows)}")
+    for lineno, elements in header.values():
+        for x in elements:
+            if not 0 <= x < n:
+                raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise OutOfRangeError("table must be square")
+    if n == 0:
+        raise OutOfRangeError("empty table")
+    if table.min() < 0 or table.max() >= n:
+        bad = np.argwhere((table < 0) | (table >= n))[0]
+        raise OutOfRangeError(f"entry at ({bad[0]}, {bad[1]}) = {table[bad[0], bad[1]]} outside [0, {n})")
+    gens = header["GENS"][1] if "GENS" in header else None
+    target = header["TARGET"][1][0] if "TARGET" in header else None
+    return table, name, gens, target
+
+
+def _read(read, text: str):
+    """``read(text)`` as ``parse_cay`` runs it: the table as lists, or the
+    error's class and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table, name, gens, target = read(text)
+    except (FormatError, OutOfRangeError) as exc:
+        return type(exc).__name__, str(exc)
+    return table.tolist(), name, gens, target
+
+
+def _randsemi():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "randsemi.py"
+    spec = importlib.util.spec_from_file_location("perfbench_randsemi", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_TOKEN = re.compile(r"\S+")
+_BAD_TOKENS = ["-1", "-0", "+3", "3.0", "x", "1234567890123456789012345"]
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one seeded change to its rows or headers."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith(("#", "CAYLEY"))]
+    i = rng.choice(rows)
+    tokens = list(_TOKEN.finditer(lines[i]))
+    tok = rng.choice(tokens)
+    before, after = lines[i][: tok.start()], lines[i][tok.end() :]
+    kind = rng.randrange(10)
+    if kind == 0:
+        lines[i] = before + rng.choice(_BAD_TOKENS) + after
+    elif kind == 1:  # a token dropped or added
+        lines[i] = before + (after if rng.random() < 0.5 else tok.group() + " " + tok.group() + after)
+    elif kind == 2:  # a row split
+        lines[i] = before + "\n" + tok.group() + after
+    elif kind == 3 and i + 1 < len(lines):  # a row joined to the next line, maybe through a -1
+        lines[i : i + 2] = [lines[i] + rng.choice([" ", " -1 "]) + lines[i + 1]]
+    elif kind == 4:  # a bare CR, or a form feed, inside a row
+        lines[i] = before + rng.choice(["\r", "\x0c"]) + tok.group() + after
+    elif kind == 5:  # a header after the rows, its elements in range or not
+        lines.insert(len(lines) - 1, "# GENS 0 " + rng.choice(["1", "9999", "y"]))
+    elif kind == 6:  # a bad header below or above a bad row
+        lines[i] = before + "x" + after
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# GENS z", "# TARGET 1 2"]))
+    elif kind == 7:  # a blank or whitespace-only line among the rows
+        lines.insert(i, rng.choice(["", "  ", "\t"]))
+    elif kind == 8:  # a row dropped or repeated
+        lines[i : i + 1] = [] if rng.random() < 0.5 else [lines[i]] * 2
+    else:  # an entry out of range
+        lines[i] = before + str(rng.choice([len(rows), 10**6])) + after
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def cay_corpus(zoo_small):
+    """Every ``zoo_small`` dump and five random tables of up to 230 elements,
+    each in every layout, and four seeded mutations of each of those texts."""
+    randsemi = _randsemi()
+    rng = random.Random(20261021)
+    tables = list(zoo_small.values())
+    for lo, hi in ((1, 4), (5, 19), (20, 79), (80, 179), (180, 230)):
+        rt = randsemi.draw_table(rng, lo, hi)
+        S = validate_table(rt.table)
+        tables.append((S, rt.gens, None))
+    texts = [text for S, gens, target in tables for text in _layouts(S, gens, target)]
+    texts.append(randsemi.to_cay(tables[-1][0].table, tables[-1][1]))
+    mutants = [_mutated(rng, text) for text in texts for _ in range(4)]
+    return texts + mutants, [_read(_ref_read_cay_text, text) for text in texts + mutants]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_reader_matches_the_line_by_line_reference(cay_corpus, split, k):
+    texts, expected = cay_corpus
+    assert sum(isinstance(out[0], list) for out in expected) >= 100
+    assert len({out for out in expected if isinstance(out[0], str)}) >= 100  # distinct errors
+    counts = split(k)
+    for text, want in zip(texts, expected):
+        assert _read(slpforge.io._read_cay_text, text) == want, text[:200]
+    assert k in counts
+
+
+def test_the_default_block_size_matches_the_reference(cay_corpus):
+    texts, expected = cay_corpus
+    for text, want in zip(texts, expected):
+        assert _read(slpforge.io._read_cay_text, text) == want, text[:200]
+
+
+def test_the_table_read_is_stored_read_only_at_its_dtype(zoo_small):
+    for S, gens, target in zoo_small.values():
+        table = slpforge.io._read_cay_text(dump_cay(S, gens, target))[0]
+        assert table.dtype == table_dtype(S.n) and not table.flags.writeable
+        assert parse_cay(dump_cay(S))[0].table is not S.table
 
 
 def _perturbed(rng: random.Random, table) -> np.ndarray:
