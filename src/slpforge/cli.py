@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", default=None)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--strategy", default="auto", choices=("auto", *STRATEGIES))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)

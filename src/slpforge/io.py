@@ -72,20 +72,19 @@ def _header_ints(line: str, lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: bad {words[0]} entry") from exc
 
 
-def _comment(line: str, lineno: int) -> Optional[tuple[str, object]]:
-    """The header a stripped ``#`` line holds: ("GENS" or "TARGET", (line
-    number, elements)) or ("NAME", name); None for a plain comment."""
+def _comment(line: str, lineno: int, header: dict) -> None:
+    """Store the header a stripped ``#`` line holds, if any, in ``header``:
+    "NAME" -> the name, "GENS" or "TARGET" -> (line number, elements)."""
     body = line[1:].strip()
     if body.startswith("GENS"):
-        return "GENS", (lineno, _header_ints(body, lineno))
-    if body.startswith("TARGET"):
+        header["GENS"] = lineno, _header_ints(body, lineno)
+    elif body.startswith("TARGET"):
         elements = _header_ints(body, lineno)
         if len(elements) != 1:
             raise FormatError(f"line {lineno}: TARGET takes one element")
-        return "TARGET", (lineno, elements)
-    if body.startswith("NAME"):
-        return "NAME", body[4:].strip()
-    return None
+        header["TARGET"] = lineno, elements
+    elif body.startswith("NAME"):
+        header["NAME"] = body[4:].strip()
 
 
 def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Optional[int]]:
@@ -93,9 +92,9 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
     target of a .cay text.
 
     The lines are those ``str.splitlines`` gives.  The ones above the first
-    row are read one at a time; the rest in contiguous ranges of lines, one
-    per worker once the text is ``_TEXT_PER_WORKER`` bytes per worker, each
-    as blocks of rows (``_Rows``).
+    row are read one at a time.  When the table fits the text, the rest go
+    to ``_read_blocks``; a body it refuses, and any body when the table
+    does not fit, is read from its first row by ``_read_lines``.
 
     Errors come as one pass over the lines would raise them: the first bad
     row or header line, then a wrong row count, a header element outside the
@@ -104,8 +103,7 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
     """
     if any(c in text for c in _BREAKS):
         text = "\n".join(text.splitlines())  # the same lines, each ended by "\n"
-    header: dict[str, tuple[int, list[int]]] = {}
-    name = ""
+    header: dict = {}
     n: Optional[int] = None
     pos, lineno = 0, 0
     while pos < len(text):
@@ -118,11 +116,7 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
         if not line:
             continue
         if line.startswith("#"):
-            found = _comment(line, lineno)
-            if found is not None and found[0] == "NAME":
-                name = found[1]
-            elif found is not None:
-                header[found[0]] = found[1]
+            _comment(line, lineno, header)
             continue
         parts = line.split()
         if len(parts) != 2 or parts[0] != "CAYLEY":
@@ -134,22 +128,17 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
     # n well-formed rows take at least 2 n^2 - 1 characters, so a table that
     # does not fit the text is never allocated: its rows are only checked
     table = np.empty((n, n), dtype=table_dtype(n)) if 0 < n and n * n <= len(text) else None
-    parts = _read_ranges(text, pos, lineno, n, table)
-    for part in parts:
-        for key, value in part.headers:
-            if key == "NAME":
-                name = value
-            else:
-                header[key] = value
-    if parts[-1].row != n:
-        raise FormatError(f"expected {n} rows, found {parts[-1].row}")
+    read = _read_blocks(text, pos, n, table) if table is not None else None
+    rows, bad = read if read is not None and read[0] == n else _read_lines(text, pos, lineno, n, table, header)
+    if rows != n:
+        raise FormatError(f"expected {n} rows, found {rows}")
+    name = header.pop("NAME", "")
     for lineno, elements in header.values():
         for x in elements:
             if not 0 <= x < n:
                 raise FormatError(f"line {lineno}: element {x} outside [0, {n})")
     if n == 0:
         raise OutOfRangeError("empty table")
-    bad = next((part.bad for part in parts if part.bad is not None), None)
     if bad is not None:
         raise OutOfRangeError(f"entry at ({bad[0]}, {bad[1]}) = {bad[2]} outside [0, {n})")
     table.setflags(write=False)
@@ -158,138 +147,97 @@ def _read_cay_text(text: str) -> tuple[np.ndarray, str, Optional[list[int]], Opt
     return table, name, gens, target
 
 
-def _read_ranges(text: str, pos: int, lineno: int, n: int, table: Optional[np.ndarray]) -> list["_Rows"]:
-    """The lines of ``text`` from ``pos`` on (line ``lineno`` + 1 on), read in
-    one contiguous range per worker once the text is ``_TEXT_PER_WORKER``
-    bytes per worker.  Ranges run in order, so the first bad line is the one
-    reported.
+def _read_blocks(text: str, pos: int, n: int, table: np.ndarray) -> Optional[tuple[int, Optional[tuple]]]:
+    """Read the lines of ``text`` from ``pos`` on into ``table``, every line
+    a row, and return the row count and the first entry outside [0, n), as
+    (row, column, value); or None, when a range holds anything else.
 
-    Each range's first row is counted as if every line above it (from
-    ``pos``) were a row; when a comment or blank line makes that wrong, the
-    lines are read again as one range.
+    The lines are split into one contiguous range per worker once the text
+    is ``_TEXT_PER_WORKER`` bytes per worker, and a range's first row is the
+    count of lines above it.  Each range is read in blocks of about
+    ``_BLOCK`` characters, cut at line ends, with one ``np.fromstring`` per
+    block: every line gets a -1 sentinel.  A block with a "#" or a "-" is
+    refused, so no other value is negative, and when the values fill rows
+    of n + 1 ending in -1 and holding no other negative value, each line
+    held exactly n entries.  No ``count`` is passed: asked for more values
+    than the text holds, numpy 2.4 returns made-up ones
+    (``np.fromstring("1 2", dtype=np.int64, sep=" ", count=3)`` is [1, 2, 32]).
     """
-    k = len(text) // _TEXT_PER_WORKER if table is not None else 1
-    k = min(parallel.workers(), k) if k > 1 else 1
+    k = min(parallel.workers(), len(text) // _TEXT_PER_WORKER)
     spans, start, row = [], pos, 0
     for i in range(1, k):
         stop = text.find("\n", pos + (len(text) - pos) * i // k) + 1 or len(text)
         if stop > start:
-            spans.append((start, stop, lineno + 1, row))
-            lines = text.count("\n", start, stop)
-            lineno, row, start = lineno + lines, row + lines, stop
-    if start < len(text):
-        spans.append((start, len(text), lineno + 1, row))
+            spans.append((start, stop, row))
+            row, start = row + text.count("\n", start, stop), stop
+    spans.append((start, len(text), row))
 
-    def read(span: tuple[int, int, int, int]) -> _Rows:
-        part = _Rows(n, table, span[3])
-        part.text(text, *span[:3])
-        return part
-
-    parts = parallel.parallel_map(read, spans) if spans else [_Rows(n, table, 0)]
-    if any(later.first != part.row for part, later in zip(parts, parts[1:])):
-        parts = [read((spans[0][0], len(text), spans[0][2], 0))]
-    return parts
-
-
-class _Rows:
-    """What one range of lines holds: its rows, written into ``table`` (when
-    there is one) from row ``first`` on; its header lines, as ``_comment``
-    gives them, in order; and its first entry outside [0, n), as (row,
-    column, value).  ``row`` is the index the next row takes."""
-
-    def __init__(self, n: int, table: Optional[np.ndarray], first: int):
-        self.n, self.table, self.first, self.row = n, table, first, first
-        self.headers: list[tuple[str, object]] = []
-        self.bad: Optional[tuple[int, int, int]] = None
-
-    def text(self, text: str, start: int, stop: int, lineno: int) -> None:
-        """Read ``text[start:stop]``, whole lines from line ``lineno``.
-
-        Lines with a "#" are read alone; the runs of lines between them go
-        to ``_block`` in blocks of about ``_BLOCK`` characters, and a block
-        it refuses is read line by line.
-        """
+    def read(span: tuple[int, int, int]) -> Optional[tuple[int, Optional[tuple]]]:
+        start, stop, row = span
+        bad = None
         while start < stop:
-            mark = text.find("#", start, stop)
-            run_end = stop if mark < 0 else max(start, text.rfind("\n", start, mark) + 1)
-            while start < run_end:
-                cut = run_end
-                if run_end - start > _BLOCK:
-                    cut = text.find("\n", start + _BLOCK, run_end) + 1 or run_end
-                block = text[start:cut]
-                rows = self._block(block) if self.table is not None else None
-                lineno += rows if rows is not None else self.lines(block.splitlines(), lineno)
-                start = cut
-            if mark >= 0:
-                line_end = text.find("\n", mark, stop) + 1 or stop
-                lineno += self.lines(text[start:line_end].splitlines(), lineno)
-                start = line_end
-
-    def _block(self, block: str) -> Optional[int]:
-        """Read a block of lines that are all rows with one ``np.fromstring``
-        and return its row count, or None, having stored nothing, when it
-        is not that.
-
-        Every line gets a -1 sentinel.  A block with a "-" of its own is left
-        to ``lines``, so no other value is negative, and when the values
-        fill rows of n + 1 ending in -1 and holding no other negative value,
-        each line held exactly n entries.  No ``count`` is passed: asked for
-        more values than the text holds, numpy 2.4 returns made-up ones
-        (``np.fromstring("1 2", dtype=np.int64, sep=" ", count=3)`` is [1, 2, 32]).
-        """
-        n = self.n
-        if "-" in block:
-            return None
-        if not block.endswith("\n"):
-            block += "\n"
-        try:  # as bytes: numpy would encode a str itself, and more slowly
-            values = np.fromstring(block.encode().replace(b"\n", b" -1\n"), dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):  # a lone surrogate fails to encode: a ValueError
-            return None
-        if values.size % (n + 1):
-            return None
-        grid = values.reshape(-1, n + 1)
-        if grid[:, n].max() != -1:  # every value is at least -1
-            return None
-        grid[:, n] = 0
-        if values.view(np.uint64).max() >= n:  # a negative value wraps past n
-            if values.min() < 0:  # a blank line's lone sentinel, say
+            cut = stop
+            if stop - start > _BLOCK:
+                cut = text.find("\n", start + _BLOCK, stop) + 1 or stop
+            block = text[start:cut]
+            if "#" in block or "-" in block:
                 return None
-            if self.bad is None:
-                at = int(np.argmax(values >= n))
-                self.bad = (self.row + at // (n + 1), at % (n + 1), int(values[at]))
-        self._store(grid[:, :n])
-        return len(grid)
+            if not block.endswith("\n"):
+                block += "\n"
+            try:  # as bytes: numpy would encode a str itself, and more slowly
+                values = np.fromstring(block.encode().replace(b"\n", b" -1\n"), dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):  # a lone surrogate fails to encode: a ValueError
+                return None
+            if values.size % (n + 1):
+                return None
+            grid = values.reshape(-1, n + 1)
+            if grid[:, n].max() != -1 or row + len(grid) > n:  # no value is below -1
+                return None
+            grid[:, n] = 0
+            if values.view(np.uint64).max() >= n:  # a negative value wraps past n
+                if values.min() < 0:  # a blank line's lone sentinel, say
+                    return None
+                if bad is None:
+                    at = int(np.argmax(values >= n))
+                    bad = (row + at // (n + 1), at % (n + 1), int(values[at]))
+            np.copyto(table[row : row + len(grid)], grid[:, :n], casting="unsafe")
+            row, start = row + len(grid), cut
+        return row, bad
 
-    def lines(self, lines: list[str], lineno: int) -> int:
-        """Read ``lines``, from line ``lineno``, one at a time; return how many."""
-        for i, line in enumerate(lines, lineno):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                found = _comment(line, i)
-                if found is not None:
-                    self.headers.append(found)
-                continue
-            try:
-                row = np.fromstring(line, dtype=np.int64, sep=" ")
-            except (ValueError, DeprecationWarning) as exc:
-                raise FormatError(f"line {i}: bad table row") from exc
-            if len(row) != self.n:
-                raise FormatError(f"line {i}: row has {len(row)} entries, expected {self.n}")
-            if self.bad is None and (row.min() < 0 or row.max() >= self.n):
-                at = int(np.argmax((row < 0) | (row >= self.n)))
-                self.bad = (self.row, at, int(row[at]))
-            self._store(row[None, :])
-        return len(lines)
+    parts = parallel.parallel_map(read, spans)
+    if None in parts:
+        return None
+    return parts[-1][0], next((bad for _, bad in parts if bad is not None), None)
 
-    def _store(self, rows: np.ndarray) -> None:
-        """Write the next rows into the table, those below row n only."""
-        if self.table is not None and self.row < self.n:
-            m = min(len(rows), self.n - self.row)
-            np.copyto(self.table[self.row : self.row + m], rows[:m], casting="unsafe")
-        self.row += len(rows)
+
+def _read_lines(
+    text: str, pos: int, lineno: int, n: int, table: Optional[np.ndarray], header: dict
+) -> tuple[int, Optional[tuple]]:
+    """Read the lines of ``text`` from ``pos`` on (line ``lineno`` + 1 on)
+    one at a time, rows into ``table`` (when there is one) up to row n and
+    headers into ``header``, and return the row count and the first entry
+    outside [0, n); the first bad line raises FormatError."""
+    row, bad = 0, None
+    for i, line in enumerate(text[pos:].splitlines(), lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _comment(line, i, header)
+            continue
+        try:
+            values = np.fromstring(line, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError(f"line {i}: bad table row") from exc
+        if len(values) != n:
+            raise FormatError(f"line {i}: row has {len(values)} entries, expected {n}")
+        if bad is None and (values.min() < 0 or values.max() >= n):
+            at = int(np.argmax((values < 0) | (values >= n)))
+            bad = (row, at, int(values[at]))
+        if table is not None and row < n:
+            np.copyto(table[row], values, casting="unsafe")
+        row += 1
+    return row, bad
 
 
 def read_cay(path: PathLike) -> tuple[Semigroup, Optional[list[int]], Optional[int]]:

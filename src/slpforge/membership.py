@@ -16,7 +16,6 @@ from .slp import Slp
 class MembershipAnswer:
     member: bool
     certificate: Optional[Slp]
-    oracle_agrees: bool
     report: Optional[CompressionReport]
 
 
@@ -47,14 +46,14 @@ def member_certified(
     check_strategy(strategy)
     is_member = member_oracle(S, gens, t)
     if not is_member:
-        return MembershipAnswer(False, None, True, None)
+        return MembershipAnswer(False, None, None)
     try:
         report = compress(S, gens, t, strategy, config)
     except SlpforgeError as exc:
         raise CompressorFailedError(
             f"oracle says member but strategy {strategy!r} failed: {exc}"
         ) from exc
-    return MembershipAnswer(True, report.slp, True, report)
+    return MembershipAnswer(True, report.slp, report)
 
 
 def irredundancy(

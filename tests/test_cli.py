@@ -84,6 +84,19 @@ def test_unknown_strategy_exits_2_before_any_work(tmp_path, capsys, monkeypatch)
     assert "unknown strategy 'bogus'" in capsys.readouterr().err
 
 
+def test_compress_takes_no_seed_and_bench_does(tmp_path, capsys):
+    cay = str(tmp_path / "z.cay")
+    run(["gen", "--family", "cyclic", "--n", "6", "--out", cay])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        run(["compress", "--cayley", cay, "--gens", "1", "--target", "2", "--seed", "1"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
+    argv = ["bench", "--family", "cyclic", "--instances", "6", "--targets", "1", "--seed", "1", "--no-time"]
+    assert run(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+
+
 def test_classify_output(tmp_path, capsys):
     cay = str(tmp_path / "g.cay")
     run(["gen", "--family", "dihedral", "--n", "8", "--out", cay])

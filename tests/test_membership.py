@@ -44,7 +44,7 @@ def test_oracle_matches_python_closure(zoo_small):
 def test_certified_member_and_nonmember():
     S, gens, _ = zoo.build_family("rb-x-cyclic", [2, 2, 3])
     ans = member_certified(S, gens, 5)
-    assert ans.member and ans.oracle_agrees and ans.certificate is not None
+    assert ans.member and ans.certificate is not None
     Z6 = zoo.make_cyclic(6)
     ans = member_certified(Z6, [2], 1)
     assert not ans.member and ans.certificate is None

@@ -121,6 +121,8 @@ MESSAGES = [
     ("CAYLEY 2\n0 1\n0 x\n", "line 3: bad table row"),
     ("CAYLEY 2\n0 1\n2.5 0\n", "line 3: bad table row"),
     ("CAYLEY 2\n0 1\n1\n", "line 3: row has 1 entries, expected 2"),
+    # the blank line's sentinel fills the short row, which only the second -1 in it gives away
+    ("CAYLEY 2\n0 1\n1\n\n", "line 3: row has 1 entries, expected 2"),
     ("CAYLEY 2\n0 1\n1 0\n1 0\n", "expected 2 rows, found 3"),
     ("# only a comment\n", "missing CAYLEY header"),
     (f"CAYLEY 3\n# GENS 7\n{Z3}", "line 2: element 7 outside [0, 3)"),
@@ -295,17 +297,23 @@ def _mutated(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
+def _random_tables(rng: random.Random) -> list:
+    """Five random tables of up to 230 elements, as (S, gens, None)."""
+    randsemi = _randsemi()
+    tables = []
+    for lo, hi in ((1, 4), (5, 19), (20, 79), (80, 179), (180, 230)):
+        rt = randsemi.draw_table(rng, lo, hi)
+        tables.append((validate_table(rt.table), rt.gens, None))
+    return tables
+
+
 @pytest.fixture(scope="module")
 def cay_corpus(zoo_small):
     """Every ``zoo_small`` dump and five random tables of up to 230 elements,
     each in every layout, and four seeded mutations of each of those texts."""
     randsemi = _randsemi()
     rng = random.Random(20261021)
-    tables = list(zoo_small.values())
-    for lo, hi in ((1, 4), (5, 19), (20, 79), (80, 179), (180, 230)):
-        rt = randsemi.draw_table(rng, lo, hi)
-        S = validate_table(rt.table)
-        tables.append((S, rt.gens, None))
+    tables = list(zoo_small.values()) + _random_tables(rng)
     texts = [text for S, gens, target in tables for text in _layouts(S, gens, target)]
     texts.append(randsemi.to_cay(tables[-1][0].table, tables[-1][1]))
     mutants = [_mutated(rng, text) for text in texts for _ in range(4)]
@@ -327,6 +335,30 @@ def test_the_default_block_size_matches_the_reference(cay_corpus):
     texts, expected = cay_corpus
     for text, want in zip(texts, expected):
         assert _read(slpforge.io._read_cay_text, text) == want, text[:200]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_only_comments_and_blank_lines_among_the_rows_take_the_line_path(zoo_small, cay_corpus, split, monkeypatch, k):
+    calls = []
+    read_lines = slpforge.io._read_lines
+
+    def counting(*args):
+        calls.append(args[0])
+        return read_lines(*args)
+
+    monkeypatch.setattr(slpforge.io, "_read_lines", counting)
+    split(k)
+    randsemi = _randsemi()
+    random_texts = [randsemi.to_cay(S.table, gens) for S, gens, _ in _random_tables(random.Random(20261021))]
+    assert all(text in cay_corpus[0] for text in random_texts)
+    for text in [dump_cay(S, gens, target) for S, gens, target in zoo_small.values()] + random_texts:
+        parse_cay(text)
+        assert calls == [], text[:200]
+    for name, (S, gens, target) in zoo_small.items():
+        for i, text in enumerate(_layouts(S, gens, target)):
+            calls.clear()
+            parse_cay(text)
+            assert len(calls) == (i == 1), (name, i)  # the layout with comments and blank lines
 
 
 def test_the_table_read_is_stored_read_only_at_its_dtype(zoo_small):
