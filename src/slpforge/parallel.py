@@ -1,5 +1,5 @@
-"""Independent jobs on a thread per CPU, for the numpy stages that release
-the GIL (row parsing and Light's test).  The pool of ``workers()`` threads is
+"""Independent jobs on a thread per CPU, for the .cay reader's row parsing,
+the one stage that gains from them.  The pool of ``workers()`` threads is
 created on first use; a forked child forgets its copy of the parent's, which
 has no threads, and creates its own.  The calling thread waits meanwhile:
 running one job on it as well measured slower on zoo-auto.

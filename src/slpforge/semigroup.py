@@ -17,24 +17,28 @@ does (a', b') for the least a' with a's row and the least b' with b's
 column, so the first failing (g, a, b) in the order g, a, b lies in the
 reduced grid, and the witness is the one a scan over every a and b reports.
 The classes cost a sort of the rows and one of the columns, so they are
-found only once |gens| n^2 reaches ``_LIGHT_READS_PER_WORKER``; the rows
+found only once |gens| n^2 reaches ``_LIGHT_CLASS_READS``; the rows
 restricted to the generator columns are sorted first, and when those are
 all distinct (as in a group) the full rows cannot repeat.  Tables whose
 rows and columns are all distinct and that need about n generators (a
 min-chain) keep the cubic cost.
 
-Each g costs two gathers over the grid, made over blocks of rows of at most
-``_LIGHT_BLOCK`` entries against one transposed copy of the grid's rows, so
-beside the table the test holds at most 3 n^2 entries plus 2 _LIGHT_BLOCK
-per worker.  Once |gens| r_rows r_cols reaches ``_LIGHT_READS_PER_WORKER``
-per worker, the gens are split into one strided slice per CPU
-(``parallel.workers()``), each on its own thread; the witness reported is
-the one whose g comes first, as in a serial run.  Closed-form constructors
-and ``.cay`` headers that know a small generating set pass it as a hint;
-without one, or when the hint does not generate the table, the set is
-picked greedily.  Once the test passes over a hint, the hint generates the
-whole table as a semigroup, and that closure is memoised so ``compress``
-over the same generators does not build it again.
+The grid's rows are taken in blocks of at most ``_LIGHT_BLOCK`` entries,
+each with one transposed copy (its slab), and each g costs two gathers over
+a block, so beside the table the test holds at most 2 n^2 entries (the
+grid's rows and columns, when classes shrink them), one block's slab and
+two buffers of ``_LIGHT_BLOCK`` entries.  In each block the gens are tried
+in order up to the first that has failed so far.  The witness is the first
+failing g in gens at its first failing (a, b) in row-major order: a g is
+skipped only after an earlier g has failed, and a g tried in a block passed
+in every earlier block.  The test runs on the calling thread (the README
+says why only the reader uses worker threads).
+
+Closed-form constructors and ``.cay`` headers that know a small generating
+set pass it as a hint; without one, or when the hint does not generate the
+table, the set is picked greedily.  Once the test passes over a hint, the
+hint generates the whole table as a semigroup, and that closure is memoised
+so ``compress`` over the same generators does not build it again.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from . import parallel
 from .errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
@@ -56,8 +59,8 @@ from .sets import ElementSet
 
 DIRECT_PRODUCT_MAX = 20_000
 _ROUND_READS = 4096  # products a closure round may spend on shortcuts past the seed
-_LIGHT_READS_PER_WORKER = 1 << 20  # Light's test entries that make a slice of gens worth a thread
-_LIGHT_BLOCK = 1 << 18  # entries of each side of Light's test a worker holds at once
+_LIGHT_CLASS_READS = 1 << 20  # Light's test entries that make sorting rows and columns into classes worth it
+_LIGHT_BLOCK = 1 << 18  # entries of each side of Light's test held at once
 _SCATTER_BLOCK = 1 << 16  # products ideal_chain scatters between checks for a stable level
 
 _V = TypeVar("_V")
@@ -113,42 +116,36 @@ class Semigroup:
         if not hint_generates:
             gens = self._greedy_generators()
         row_ids = col_ids = range(n)  # the grid of a and b: every element, or one per class
-        if len(gens) * n * n >= _LIGHT_READS_PER_WORKER:
+        if len(gens) * n * n >= _LIGHT_CLASS_READS:
             g_arr = np.asarray(gens)
             row_ids = _class_representatives(table, table[:, g_arr])
             col_ids = _class_representatives(table.T, table[g_arr, :].T)
         top = table if len(row_ids) == n else table[row_ids]  # the grid's rows
         left = table if len(col_ids) == n else np.ascontiguousarray(table[:, col_ids])  # its columns
         r, c = top.shape[0], left.shape[1]
-        k = max(1, min(parallel.workers(), len(gens), len(gens) * r * c // _LIGHT_READS_PER_WORKER))
         rows = max(1, _LIGHT_BLOCK // c)  # rows of (a*g)*b compared at once
-        # slabs[s][x, a - lo] = a*x over the s-th block of grid rows a, so that
-        # a*(g*b) over a block is a gather of whole slab rows; one copy, read by every worker
-        slabs = [np.ascontiguousarray(top[lo : lo + rows].T) for lo in range(0, r, rows)]
-
-        def first_failure(w: int) -> Optional[tuple[int, int, int, int]]:
-            """(position in gens, a, g, b) of worker w's first failing g, if any."""
-            lhs_buf, rhs_buf = buffers[w]
-            for i in range(w, len(gens), k):
+        lhs_buf, rhs_buf, slab_buf = (np.empty(min(rows, r) * k, table.dtype) for k in (c, c, n))
+        best, witness = len(gens), None  # position in gens of the first g failed so far
+        for lo in range(0, r, rows):
+            if not best:
+                break
+            m = min(rows, r - lo)
+            # slab[x, a - lo] = a*x over this block of grid rows a, so that a*(g*b) is a gather of whole slab rows
+            slab = slab_buf[: n * m].reshape(n, m)
+            slab[...] = top[lo : lo + m].T
+            lhs = lhs_buf[: m * c].reshape(m, c)  # lhs[a - lo, b] = (a*g)*b
+            rhs = rhs_buf[: c * m].reshape(c, m)  # rhs[b, a - lo] = a*(g*b)
+            for i in range(best):
                 g = gens[i]
-                for lo, slab in zip(range(0, r, rows), slabs):
-                    m = slab.shape[1]
-                    lhs = lhs_buf[: m * c].reshape(m, c)  # lhs[a - lo, b] = (a*g)*b
-                    rhs = rhs_buf[: c * m].reshape(c, m)  # rhs[b, a - lo] = a*(g*b)
-                    # every index is in range; mode="raise" would buffer a copy of the output
-                    np.take(left, top[lo : lo + m, g], axis=0, out=lhs, mode="clip")
-                    np.take(slab, left[g, :], axis=0, out=rhs, mode="clip")
-                    if np.bitwise_xor(lhs, rhs.T, out=lhs).any():
-                        a, b = np.argwhere(lhs)[0]  # nonzero where the two sides differ
-                        return i, int(row_ids[lo + a]), g, int(col_ids[b])
-            return None
-
-        # allocated here, not in the workers, so no thread grows its own malloc arena
-        size = min(rows, r) * c
-        buffers = [(np.empty(size, table.dtype), np.empty(size, table.dtype)) for _ in range(k)]
-        failures = [f for f in parallel.parallel_map(first_failure, range(k)) if f is not None]
-        if failures:
-            raise NotAssociativeError(*min(failures)[1:])
+                # every index is in range; mode="raise" would buffer a copy of the output
+                np.take(left, top[lo : lo + m, g], axis=0, out=lhs, mode="clip")
+                np.take(slab, left[g, :], axis=0, out=rhs, mode="clip")
+                if np.bitwise_xor(lhs, rhs.T, out=lhs).any():
+                    a, b = np.argwhere(lhs)[0]  # nonzero where the two sides differ
+                    best, witness = i, (int(row_ids[lo + a]), g, int(col_ids[b]))
+                    break
+        if witness is not None:
+            raise NotAssociativeError(*witness)
         if hint_generates:
             self.cached(("closure", tuple(sorted(gens))), lambda: ElementSet.full(n))
 

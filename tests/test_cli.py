@@ -134,7 +134,7 @@ def test_bench_writes_sorted_csv(tmp_path):
         ]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "family,params,N,target,strategy,length,width,log2N,verified,ms"
     assert any(line.startswith("# summary") for line in lines)
     data = [l for l in lines if l and not l.startswith("#")][1:]
@@ -159,7 +159,7 @@ def test_bench_determinism(tmp_path):
     ]
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_console_script_entry():
@@ -181,7 +181,7 @@ def test_bench_group_sweep_matches_fresh_tables(tmp_path):
          ",".join(strategies), "--targets", "6", "--seed", "3", "--no-time", "--out", out]
     )
     assert rc == 0
-    rows = [l.split(",") for l in open(out).read().splitlines()[1:] if not l.startswith("#")]
+    rows = [l.split(",") for l in Path(out).read_text().splitlines()[1:] if not l.startswith("#")]
     assert len(rows) == 6 * len(strategies)
     S, gens, _ = zoo.build_family("dihedral", [16])
     for _, _, _, t, strategy, length, width, _, verified, _ in rows:

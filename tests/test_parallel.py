@@ -1,6 +1,6 @@
-"""The threaded ingest paths: row ranges in the .cay reader and generator
-slices in Light's test, forced on small inputs by lowering the two size
-thresholds (and Light's test's row block) and fixing the worker count."""
+"""The threaded ingest path, row ranges in the .cay reader, forced on small
+inputs by lowering its size threshold and fixing the worker count; and
+Light's test, which runs on the calling thread, over one-row blocks."""
 
 import importlib.util
 import multiprocessing
@@ -26,8 +26,8 @@ from slpforge.semigroup import table_dtype, validate_table
 
 @pytest.fixture
 def split(monkeypatch):
-    """``split(k)`` makes every parse and Light's test use up to k workers
-    from here on; returns the job counts ``parallel_map`` is handed."""
+    """``split(k)`` makes every parse use up to k workers from here on;
+    returns the job counts ``parallel_map`` is handed."""
     counts = []
     run = parallel.parallel_map
 
@@ -40,8 +40,6 @@ def split(monkeypatch):
     def force(k: int) -> list:
         monkeypatch.setattr(slpforge.io, "_TEXT_PER_WORKER", 1)
         monkeypatch.setattr(slpforge.io, "_BLOCK", 200)  # rows of a few lines per fromstring call
-        monkeypatch.setattr(slpforge.semigroup, "_LIGHT_READS_PER_WORKER", 1)
-        monkeypatch.setattr(slpforge.semigroup, "_LIGHT_BLOCK", 1)  # one row of (a*g)*b at a time
         monkeypatch.setattr(parallel, "workers", lambda: k)
         counts.clear()
         return counts
@@ -385,7 +383,7 @@ def _witness(table, hint):
     return None
 
 
-def test_split_light_test_reports_the_serial_witness(zoo_small, split):
+def test_split_light_test_reports_the_serial_witness(zoo_small, monkeypatch):
     tables = [(S.table, gens) for S, gens, _ in zoo_small.values() if S.n > 1]
     rng = random.Random(20261020)
     cases = []
@@ -394,10 +392,16 @@ def test_split_light_test_reports_the_serial_witness(zoo_small, split):
         cases.append((_perturbed(rng, table), rng.choice([None, gens])))
     serial = [_witness(table, hint) for table, hint in cases]
     assert sum(w is not None for w in serial) > 150
-    for k in (1, 2, 3):
-        counts = split(k)
-        assert [_witness(table, hint) for table, hint in cases] == serial
-        assert k in counts
+    monkeypatch.setattr(slpforge.semigroup, "_LIGHT_CLASS_READS", 1)
+    monkeypatch.setattr(slpforge.semigroup, "_LIGHT_BLOCK", 1)  # one row of (a*g)*b at a time
+    assert [_witness(table, hint) for table, hint in cases] == serial
+
+
+def test_lights_test_runs_on_the_calling_thread(split):
+    S, gens, _ = zoo.build_family("dihedral", [512])
+    counts = split(2)
+    assert validate_table(S.table, gens_hint=gens).n == 1024
+    assert counts == []
 
 
 def test_more_workers_than_cpus_under_frequent_switches(split):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from slpforge import parallel, semigroup, zoo
+from slpforge import semigroup, zoo
 from slpforge.errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
@@ -299,13 +299,11 @@ def grids(monkeypatch):
         return out
 
     monkeypatch.setattr(semigroup, "_class_representatives", recording)
-    monkeypatch.setattr(semigroup, "_LIGHT_READS_PER_WORKER", 1)
+    monkeypatch.setattr(semigroup, "_LIGHT_CLASS_READS", 1)
     return seen
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_light_classes_report_the_row_major_witness(monkeypatch, grids, k):
-    monkeypatch.setattr(parallel, "workers", lambda: k)
+def test_light_classes_report_the_row_major_witness(grids):
     rng = random.Random(20261021)
     cases = []
     for i in range(160):
@@ -334,26 +332,31 @@ def _witness(table, hint):
     return None
 
 
-def test_light_classes_at_their_own_threshold_report_the_row_major_witness(monkeypatch):
+def test_light_classes_at_their_own_threshold_report_the_row_major_witness():
     """Unforced: 128 generators of 128 rows reach the 2^20 threshold."""
     rng = random.Random(7)
     found = 0
-    for k in (1, 2):
-        monkeypatch.setattr(parallel, "workers", lambda: k)
-        for base in (_null_table(128), zoo.make_rectangular_band(128, 1).table, zoo.make_rectangular_band(1, 128).table):
-            table = np.array(base, dtype=np.int64)
-            for _ in range(3):
-                table[rng.randrange(128), rng.randrange(128)] = rng.randrange(1, 128)
-            hint = rng.sample(range(128), 128)
-            expected = _light_reference(table, hint)
-            found += expected is not None
-            assert _witness(table, hint) == expected
-    assert found >= 4  # the two left- and right-zero bands per worker count
+    for base in (_null_table(128), zoo.make_rectangular_band(128, 1).table, zoo.make_rectangular_band(1, 128).table):
+        table = np.array(base, dtype=np.int64)
+        for _ in range(3):
+            table[rng.randrange(128), rng.randrange(128)] = rng.randrange(1, 128)
+        hint = rng.sample(range(128), 128)
+        expected = _light_reference(table, hint)
+        found += expected is not None
+        assert _witness(table, hint) == expected
+    assert found >= 2  # the left- and right-zero bands
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch, k):
-    monkeypatch.setattr(parallel, "workers", lambda: k)
+def test_lights_test_reports_the_first_failing_generator_across_blocks(monkeypatch):
+    # 1 fails in row 0, but 0 comes first in the hint and fails only in row 1
+    table = np.array([[0, 0, 2], [2, 0, 1], [2, 0, 1]])
+    assert table[table[0, 1], 0] != table[0, table[1, 0]]
+    assert _light_reference(table, [0, 1]) == (1, 0, 1)
+    monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", 1)  # one row of (a*g)*b per block
+    assert _witness(table, [0, 1]) == (1, 0, 1)
+
+
+def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch):
     rb_x_z, rb_x_z_gens, _ = zoo.build_family("rb-x-cyclic", [6, 6, 8])
     tables = dict(_repeated_class_semigroups())
     tables["RB(6,6)xZ8"] = (rb_x_z.table, rb_x_z_gens)
@@ -362,7 +365,7 @@ def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch, 
         tables[f"RB({p},{q})"] = (zoo.make_rectangular_band(p, q).table, zoo.rectangular_band_generators(p, q))
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(semigroup, "_LIGHT_READS_PER_WORKER", 1)
+            monkeypatch.setattr(semigroup, "_LIGHT_CLASS_READS", 1)
         for name, (table, gens) in tables.items():
             for hint in (None, gens):
                 assert validate_table(table, gens_hint=hint).n == len(table), (name, forced, hint)
