@@ -303,7 +303,21 @@ def grids(monkeypatch):
     return seen
 
 
-def test_light_classes_report_the_row_major_witness(grids):
+@pytest.fixture(params=[1, 2])
+def block_rows(request, monkeypatch):
+    """Light's test takes its grid 1 or 2 rows per block, so witnesses are
+    looked for across block boundaries."""
+    rows = request.param
+
+    class Block(int):  # the rows per block are _LIGHT_BLOCK // (grid columns)
+        def __floordiv__(self, columns):
+            return rows
+
+    monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", Block(rows))
+    return rows
+
+
+def test_light_classes_report_the_row_major_witness(grids, block_rows):
     rng = random.Random(20261021)
     cases = []
     for i in range(160):
@@ -356,7 +370,7 @@ def test_lights_test_reports_the_first_failing_generator_across_blocks(monkeypat
     assert _witness(table, [0, 1]) == (1, 0, 1)
 
 
-def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch):
+def test_light_classes_accept_tables_whose_rows_and_columns_repeat(monkeypatch, block_rows):
     rb_x_z, rb_x_z_gens, _ = zoo.build_family("rb-x-cyclic", [6, 6, 8])
     tables = dict(_repeated_class_semigroups())
     tables["RB(6,6)xZ8"] = (rb_x_z.table, rb_x_z_gens)
