@@ -33,7 +33,6 @@ from .semigroup import (
     closure,
     direct_product,
     ideal_power,
-    rees_quotient,
     shortest_word,
     sub_semigroup,
     validate_table,

@@ -374,6 +374,7 @@ class PolycyclicGenSet:
     # j+1 (-1 off term j), and the inverse of rec^a for each a
     logs: list[tuple[np.ndarray, list[int]]]
     identity: Slp                       # ``identity_program`` of the first generator
+    alphabet: range                     # every element: the blocks' loads name values
     # ``compact_blocks``' memo over ``block``, filled as targets ask
     scans: BlockScans = field(repr=False, compare=False)
 
@@ -476,7 +477,7 @@ def build_polycyclic_set(G: GroupView, sigma: Sequence[int]) -> PolycyclicGenSet
         _discrete_logs(G, records[i].value, chain.terms[j], chain.terms[j + 1]) for j, i in enumerate(kept)
     ]
     identity = identity_program(G, sigma[0])
-    return PolycyclicGenSet(records, kept, chain, exponent, blocks, logs, identity, BlockScans(G.order))
+    return PolycyclicGenSet(records, kept, chain, exponent, blocks, logs, identity, range(G.order), BlockScans())
 
 
 def _discrete_logs(G: GroupView, r: int, term: ElementSet, below: ElementSet) -> tuple[np.ndarray, list[int]]:
@@ -583,7 +584,7 @@ def compress_group_solvable_bounded(G: GroupView, sigma: Sequence[int], t: int) 
             t = table.item(inverses[a], t)
     if not keys:
         return pcs.identity
-    return compact_blocks(pcs.scans, keys, pcs.block, 3)
+    return compact_blocks(pcs.scans, pcs.alphabet, keys, pcs.block, 3)
 
 
 def _join(pcs: PolycyclicGenSet, j: int, a: int, first: bool) -> list:

@@ -34,10 +34,6 @@ class BudgetExceededError(SlpforgeError):
     """A configured enumeration/substitution budget was exceeded."""
 
 
-class NotAnIdealError(SlpforgeError):
-    """Rees quotient requested over a set that is not a two-sided ideal."""
-
-
 class NotCompletelyRegularError(SlpforgeError):
     """Semigroup has an element s with s^(w+1) != s."""
 

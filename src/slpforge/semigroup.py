@@ -51,7 +51,6 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
-    NotAnIdealError,
     NotAssociativeError,
     OutOfRangeError,
 )
@@ -220,11 +219,12 @@ class Semigroup:
         ``group-bsz`` cube list, appended to by ``build_cube``, whose states set
         their h_i program ``prefix`` and its inverse-elimination pass ``mirror``
         on first use; the ``shortest_word`` tree, which gains whole BFS levels;
-        the solvable plan's ``Level.lifts`` and the polycyclic set's scan memo
-        ``scans``, one entry per block and scan state, filled as targets ask;
-        and the shared-prefix scans of a plan's builder (the solvable plan's, a
-        cube state's ``prefix`` and its pass's), one per set of its registers
-        that its forks read.
+        the solvable plan's ``Level.lifts``; and the ``slp.BlockScans`` scan
+        memos, one entry per block and scan state, filled as targets ask: the
+        polycyclic set's ``scans`` over its blocks, and the one a plan's
+        builder (the solvable plan's, a cube state's ``prefix`` and its pass's)
+        keeps over its instructions, one per set of its registers that its
+        forks read.
         """
         try:
             return self._memo[key]
@@ -635,39 +635,6 @@ def products_outside(S: Semigroup, members: np.ndarray) -> np.ndarray:
     hit[S.table[np.ix_(members, members)]] = True
     hit[members] = False
     return np.flatnonzero(hit)
-
-
-def is_ideal(S: Semigroup, I: ElementSet) -> bool:
-    if not I:
-        return False
-    members = I.to_array()
-    table = S.table
-    hit = np.zeros(S.n, dtype=bool)
-    hit[table[:, members]] = True
-    hit[table[members, :]] = True
-    hit[members] = False
-    return not hit.any()
-
-
-def rees_quotient(S: Semigroup, I: ElementSet) -> tuple[Semigroup, np.ndarray]:
-    """Collapse the two-sided ideal I to a single zero element.
-
-    Returns (quotient, projection) where projection maps each element of S to
-    its class index.  Surviving elements keep their relative order; the zero
-    class takes the last index.
-    """
-    if not is_ideal(S, I):
-        raise NotAnIdealError("given set is not a two-sided ideal")
-    keep = np.flatnonzero(~I.mask)
-    m = keep.size
-    proj = np.full(S.n, m, dtype=np.int64)
-    proj[keep] = np.arange(m)
-    qtable = np.full((m + 1, m + 1), m, dtype=table_dtype(m + 1))
-    if m:
-        qtable[:m, :m] = proj.astype(qtable.dtype)[S.table[np.ix_(keep, keep)]]
-    qtable.setflags(write=False)  # at the stored dtype and read-only, so the quotient shares it
-    name = f"{S.name}/I" if S.name else ""
-    return Semigroup.trusted(qtable, name=name), proj
 
 
 def direct_product(S: Semigroup, T: Semigroup, budget: int = DIRECT_PRODUCT_MAX) -> Semigroup:

@@ -22,6 +22,13 @@ alphabet values it reads, and is its own compaction.  ``SlpBuilder.finish``
 and ``io.parse_slp`` only renumber: group programs, which the inverse
 elimination reads whole, ``fast_exp``, and a file, which is the user's
 program.
+
+Programs built from shared blocks share their scans through one memo,
+``BlockScans``: per block and scan state on entry, what the forward scan
+writes and the state it leaves.  ``compact_blocks`` joins memoised blocks,
+and a fork's ``compact`` scans the prefix it shares with its builder's other
+forks as one block, keyed by the prefix registers it reads, then resumes
+from the state that block leaves.
 """
 
 from __future__ import annotations
@@ -162,39 +169,22 @@ def _unread(*reads: set) -> None:
 class _Scan:
     """``compact``'s forward scan, resumable: each kept value goes to the
     register its last read freed most recently (the first operand's when both
-    are), or else to the next new one; symbols are numbered by first load."""
+    are), or else to the next new one; values are numbered by first load."""
 
-    __slots__ = ("where", "free", "width", "sym", "first", "values", "out", "is_group")
+    __slots__ = ("where", "free", "width", "first", "values", "out", "is_group")
 
     def __init__(self):
         self.where: dict[int, int] = {}  # input register -> register holding its value
         self.free: list[int] = []        # freed registers, the latest on top
-        self.sym: dict[int, int] = {}    # input symbol -> output symbol
         self.first: dict[int, int] = {}  # value -> output symbol
         self.values: list[int] = []
         self.out: list[tuple] = []
         self.width, self.is_group = 0, False
 
-    def copy(self, keep) -> "_Scan":
-        """A copy to resume that knows where only the registers ``keep`` went."""
-        c = _Scan.__new__(_Scan)
-        c.where = {r: self.where[r] for r in keep}
-        c.free, c.sym, c.first = list(self.free), dict(self.sym), dict(self.first)
-        c.values, c.out, c.width, c.is_group = list(self.values), list(self.out), self.width, self.is_group
-        return c
-
-    def _symbol(self, alphabet: Sequence[int], k: int) -> int:
-        if not 0 <= k < len(alphabet):
-            raise InvalidProgramError(f"load of unknown symbol {k}")
-        if alphabet[k] not in self.first:
-            self.first[alphabet[k]] = len(self.values)
-            self.values.append(alphabet[k])
-        self.sym[k] = self.first[alphabet[k]]
-        return self.sym[k]
-
     def run(self, alphabet: Sequence[int], kept: Sequence[tuple[tuple, int]]) -> None:
         """Scan ``_liveness``'s output; ``alphabet`` maps its symbols to values."""
-        where, free, sym, emit, width = self.where, self.free, self.sym, self.out.append, self.width
+        where, free, first, values, emit, width = self.where, self.free, self.first, self.values, self.out.append, self.width
+        symbols = len(alphabet)
         try:
             for ins, last in kept:
                 op = ins[0]
@@ -214,7 +204,13 @@ class _Scan:
                     emit(("M", dst, a, b))
                 else:
                     if op == "L":  # never a last read: ``a`` is a symbol
-                        a = sym[ins[2]] if ins[2] in sym else self._symbol(alphabet, ins[2])
+                        if not 0 <= ins[2] < symbols:
+                            raise InvalidProgramError(f"load of unknown symbol {ins[2]}")
+                        v = alphabet[ins[2]]
+                        a = first.get(v)
+                        if a is None:
+                            a = first[v] = len(values)
+                            values.append(v)
                     else:
                         a, self.is_group = where[ins[2]], True
                     if last:
@@ -264,48 +260,61 @@ def scan_block(instructions: Sequence[tuple], live) -> list[tuple[tuple, int]]:
 
 
 class BlockScans:
-    """``compact_blocks``' memo over blocks whose loads name values 0 .. n-1:
-    per block key and ``_Scan`` state on entry, the instructions the scan
-    writes for the block and the state it leaves.  A state is where, free,
-    width, the values loaded so far in first-load order, and is_group; each
-    is numbered at first sight, 0 being the empty scan.  It only grows."""
+    """``compact``'s memo over blocks that programs share: per block key and
+    ``_Scan`` state on entry, the instructions the scan writes for the block
+    and the state it leaves (``compact_blocks``, ``SlpBuilder.fork``).  A
+    state is where, free, width, the values loaded so far in first-load
+    order, and is_group; each is numbered at first sight, 0 being the empty
+    scan, and keeps its value map.  The pieces hold one tuple per distinct
+    instruction.  It only grows."""
 
-    def __init__(self, n: int):
-        self.alphabet = range(n)
+    def __init__(self):
         self.states: list[tuple] = [((), (), 0, (), False)]
+        self.firsts: list[dict[int, int]] = [{}]  # per state, value -> output symbol
         self.numbers: dict[tuple, int] = {self.states[0]: 0}
         self.out: dict[tuple, tuple[tuple, int]] = {}
+        self.interned: dict[tuple, tuple] = {}
 
-    def scan(self, key, state: int, kept: Sequence[tuple[tuple, int]]) -> tuple[tuple, int]:
-        """Run ``_Scan`` over ``kept`` from state number ``state``; memoises
-        and returns the instructions it wrote and the state it left."""
+    def resume(self, state: int, out: Sequence[tuple]) -> _Scan:
+        """A ``_Scan`` in state number ``state`` that has written ``out``."""
         where, free, width, values, is_group = self.states[state]
         scan = _Scan()
         scan.where, scan.free, scan.width, scan.is_group = dict(where), list(free), width, is_group
-        # a symbol is its value, so the symbol map is the value map
-        scan.values, scan.first = list(values), {v: k for k, v in enumerate(values)}
-        scan.sym = scan.first
-        scan.run(self.alphabet, kept)
-        after = (tuple(sorted(scan.where.items())), tuple(scan.free), scan.width, tuple(scan.values), scan.is_group)
+        scan.values, scan.first, scan.out = list(values), dict(self.firsts[state]), list(out)
+        return scan
+
+    def scan(self, key, state: int, kept: Sequence[tuple[tuple, int]], alphabet: Sequence[int], keep) -> tuple[tuple, int]:
+        """Run ``_Scan`` over ``kept`` from state number ``state``, its loads
+        naming symbols of ``alphabet``; memoises and returns the instructions
+        it wrote and the state it left, which knows where only the registers
+        ``keep`` went (every register, if None)."""
+        scan = self.resume(state, ())
+        scan.run(alphabet, kept)
+        where = scan.where if keep is None else {r: scan.where[r] for r in keep}
+        after = (tuple(sorted(where.items())), tuple(scan.free), scan.width, tuple(scan.values), scan.is_group)
         number = self.numbers.setdefault(after, len(self.states))
         if number == len(self.states):
             self.states.append(after)
-        piece = self.out[key, state] = (tuple(scan.out), number)
+            self.firsts.append(scan.first)
+        interned = self.interned
+        piece = self.out[key, state] = (tuple([interned.setdefault(ins, ins) for ins in scan.out]), number)
         return piece
 
 
-def compact_blocks(memo: BlockScans, keys: Iterable[Hashable], block: Callable[[Hashable], list], output: int) -> Slp:
+def compact_blocks(
+    memo: BlockScans, alphabet: Sequence[int], keys: Iterable[Hashable], block: Callable[[Hashable], list], output: int
+) -> Slp:
     """``compact`` of the program the blocks ``keys`` name form in order.
     ``block(key)`` is ``scan_block``'s scan of a block, with what the blocks
-    after it and ``output`` read; its loads name values.  Each block is
-    scanned once per state the scan enters it in, memoised in ``memo``, so
-    the program joins memoised pieces."""
+    after it and ``output`` read; its loads name symbols of ``alphabet``.
+    Each block is scanned once per state the scan enters it in, memoised in
+    ``memo``, so the program joins memoised pieces."""
     out: list[tuple] = []
     state, pieces = 0, memo.out
     for key in keys:
         piece = pieces.get((key, state))
         if piece is None:
-            piece = memo.scan(key, state, block(key))
+            piece = memo.scan(key, state, block(key), alphabet, None)
         out += piece[0]
         state = piece[1]
     where, _, width, values, is_group = memo.states[state]
@@ -313,37 +322,6 @@ def compact_blocks(memo: BlockScans, keys: Iterable[Hashable], block: Callable[[
     if output not in where:
         raise InvalidProgramError("output register never assigned")
     return Slp._scanned(values, tuple(out), where[output], width, is_group)
-
-
-class _SharedPrefix:
-    """The first ``n`` instructions of every fork of one builder, and
-    ``compact``'s scan of them per set of their registers the rest reads.
-    The scans hold one tuple per distinct instruction they wrote."""
-
-    def __init__(self, n: int):
-        self.n, self.written, self.scans, self.interned = n, None, {}, {}
-
-    def compact(self, alphabet: Sequence[int], instructions: Sequence[tuple], output: int) -> Slp:
-        live, pending = {output}, set()
-        kept = _liveness(instructions[self.n :], live, pending)
-        if pending or not kept:
-            if self.written is None:
-                self.written = {ins[1] for ins in instructions[: self.n]}
-            _unread(pending - self.written)
-            if not kept and output not in self.written:
-                raise InvalidProgramError("output register never assigned")
-        reads = frozenset(live)
-        if reads not in self.scans:
-            pending = set()
-            head = _liveness(instructions[: self.n], live, pending)
-            _unread(live, pending)
-            scan = _Scan()
-            scan.run(alphabet, head)
-            scan = self.scans[reads] = scan.copy(reads)
-            scan.out = [self.interned.setdefault(ins, ins) for ins in scan.out]
-        scan = self.scans[reads].copy(reads)
-        scan.run(alphabet, kept)
-        return scan.program(output)
 
 
 @dataclass
@@ -385,18 +363,19 @@ class SlpBuilder:
         self.alphabet: list[int] = []
         self._sym_index: dict[int, int] = {}
         self._next_reg = 0
-        self._prefix: Optional[_SharedPrefix] = None  # what this fork shares
-        self._shared: Optional[_SharedPrefix] = None  # what forks of this share
+        self._prefix: Optional[tuple] = None  # (length, registers written, BlockScans) this fork shares
+        self._shared: Optional[tuple] = None  # the same for forks of this builder
 
     def fork(self) -> "SlpBuilder":
         """A new builder holding a copy of everything this one holds.  Its
-        ``compact`` scans this builder's instructions once per set of their
-        registers the fork goes on to read, across all forks."""
+        ``compact`` scans this builder's instructions as one ``BlockScans``
+        block, keyed by the set of their registers the fork goes on to read
+        and memoised across all forks."""
         b = SlpBuilder.__new__(SlpBuilder)
         b.instructions, b.alphabet, b._sym_index = list(self.instructions), list(self.alphabet), dict(self._sym_index)
         b._next_reg = self._next_reg
-        if self._shared is None or self._shared.n != len(self.instructions):
-            self._shared = _SharedPrefix(len(self.instructions))
+        if self._shared is None or self._shared[0] != len(self.instructions):
+            self._shared = (len(self.instructions), {ins[1] for ins in self.instructions}, BlockScans())
         b._prefix, b._shared = self._shared, None
         return b
 
@@ -470,7 +449,23 @@ class SlpBuilder:
         """The program compacted (``compact``): for a program returned."""
         if self._prefix is None:
             return _compacted(self.alphabet, self.instructions, output)
-        return self._prefix.compact(self.alphabet, self.instructions, output)
+        n, written, memo = self._prefix
+        live, pending = {output}, set()
+        kept = _liveness(self.instructions[n:], live, pending)
+        if pending:
+            _unread(pending - written)
+        if not kept and output not in written:
+            raise InvalidProgramError("output register never assigned")
+        reads = frozenset(live)
+        piece = memo.out.get((reads, 0))
+        if piece is None:
+            pending = set()
+            head = _liveness(self.instructions[:n], live, pending)
+            _unread(live, pending)
+            piece = memo.scan(reads, 0, head, self.alphabet, reads)
+        scan = memo.resume(piece[1], piece[0])
+        scan.run(self.alphabet, kept)
+        return scan.program(output)
 
 
 def fast_exp(symbol: int, n: int) -> Slp:

@@ -8,7 +8,6 @@ from slpforge import semigroup, zoo
 from slpforge.errors import (
     BudgetExceededError,
     EmptyGeneratorsError,
-    NotAnIdealError,
     NotAssociativeError,
     OutOfRangeError,
 )
@@ -18,8 +17,6 @@ from slpforge.semigroup import (
     direct_product,
     ideal_chain,
     ideal_power,
-    is_ideal,
-    rees_quotient,
     shortest_word,
     shortest_words,
     sub_semigroup,
@@ -124,17 +121,6 @@ def test_sub_tables_are_built_read_only_at_the_stored_dtype(monkeypatch):
         to_sub = np.full(S.n, -1, dtype=np.int64)
         to_sub[mem] = np.arange(mem.size)
         check(sub_semigroup(S, members)[0], to_sub[S.table[np.ix_(mem, mem)].astype(np.int64)])
-
-    u3 = zoo.make_u_witness(3).semigroup
-    sl9 = zoo.make_subset_semilattice(9).semigroup  # 512 elements: a quotient at uint16
-    for S, I in ((u3, [u3.zero_element()]), (sl9, [sl9.zero_element()]), (u3, range(u3.n))):
-        I = ElementSet.from_indices(S.n, list(I))
-        keep = np.flatnonzero(~I.mask)
-        proj = np.full(S.n, keep.size, dtype=np.int64)
-        proj[keep] = np.arange(keep.size)
-        reference = np.full((keep.size + 1,) * 2, keep.size, dtype=np.int64)
-        reference[: keep.size, : keep.size] = proj[S.table[np.ix_(keep, keep)].astype(np.int64)]
-        check(rees_quotient(S, I)[0], reference)
 
     # 1 x 256 fits uint8 only once S's entries are scaled; 150 x 2 is stored at uint16
     for S, T in ((zoo.make_cyclic(1), zoo.make_cyclic(256)), (zoo.make_cyclic(3), S4), (zoo.make_cyclic(150), zoo.make_cyclic(2))):
@@ -755,38 +741,6 @@ def test_ideal_chain_stabilises(zoo_small):
             pytest.fail(f"{name}: ideal chain did not stabilise")
 
 
-def test_rees_quotient_full_ideal():
-    S = zoo.make_cyclic(4)
-    Q, proj = rees_quotient(S, ElementSet.full(4))
-    assert Q.n == 1
-    assert all(proj[x] == 0 for x in range(4))
-
-
-def test_rees_quotient_not_an_ideal():
-    Z4 = zoo.make_cyclic(4)
-    # {0} is not an ideal: 0+1 = 1 is outside
-    assert not is_ideal(Z4, ElementSet.from_indices(4, [0]))
-    with pytest.raises(NotAnIdealError):
-        rees_quotient(Z4, ElementSet.from_indices(4, [0]))
-
-
-def test_rees_quotient_t_witness_shape():
-    w = zoo.make_u_witness(3)
-    S = w.semigroup
-    zero = S.zero_element()
-    # ideal of everything except the singletons and zero
-    singles = set(w.generators)
-    ideal_members = [x for x in range(S.n) if x not in singles]
-    I = ElementSet.from_indices(S.n, ideal_members)
-    assert is_ideal(S, I)
-    Q, proj = rees_quotient(S, I)
-    assert Q.n == len(singles) + 1
-    qzero = Q.zero_element()
-    assert qzero is not None
-    for x in ideal_members:
-        assert proj[x] == qzero
-
-
 def test_direct_product_klein():
     Z2 = zoo.make_cyclic(2)
     K = direct_product(Z2, Z2)
@@ -936,10 +890,6 @@ def test_word_searches_need_generators():
         shortest_word(Z4, [], 0)
     with pytest.raises(EmptyGeneratorsError):
         shortest_words(Z4, [], 2)
-
-
-def test_the_empty_set_is_no_ideal():
-    assert not is_ideal(zoo.make_cyclic(4), ElementSet.from_indices(4, []))
 
 
 def test_direct_product_budget():

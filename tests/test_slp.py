@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -551,7 +552,7 @@ def test_compact_forks_share_the_scan_of_their_prefix():
     for f in forks:
         out = f.instructions[-1][1]
         assert f.compact(out) == compact(f.finish(out))
-    assert len(b._shared.scans) == 3  # one scan per set of prefix registers read
+    assert len(b._shared[2].out) == 3  # one scan per set of prefix registers read
 
 
 def test_compact_blocks_joins_memoised_scans():
@@ -559,26 +560,26 @@ def test_compact_blocks_joins_memoised_scans():
         "a": scan_block([("L", 0, 7), ("M", 1, 0, 0)], (1,)),
         "b": scan_block([("L", 2, 5), ("M", 1, 1, 2)], (1,)),
     }
-    memo = BlockScans(8)
+    memo = BlockScans()
     for keys in (["a", "b", "b"], ["a", "b"], ["a", "b", "b", "b"]):
         b = SlpBuilder()
         for ins, _ in (i for k in keys for i in blocks[k]):
             b.instructions.append(("L", ins[1], b.symbol(ins[2])) if ins[0] == "L" else ins)
-        assert compact_blocks(memo, keys, blocks.get, 1) == compact(b.finish(1))
+        assert compact_blocks(memo, range(8), keys, blocks.get, 1) == compact(b.finish(1))
     # "b" is scanned after "a" and after "b"; a third "b" enters the state the second left
     assert len(memo.out) == 3
 
 
 def test_compact_blocks_rejects_a_read_of_a_register_no_block_wrote():
     blocks = {"load": scan_block([("L", 0, 2)], (0,)), "read": scan_block([("M", 1, 0, 5)], (1,))}
-    memo = BlockScans(4)
+    memo = BlockScans()
     for keys in (["read"], ["load", "read"]):
         with pytest.raises(InvalidProgramError, match="unassigned"):
-            compact_blocks(memo, keys, blocks.get, 1)
+            compact_blocks(memo, range(4), keys, blocks.get, 1)
     # the faulty block's scan is never memoised
     assert list(memo.out) == [("load", 0)] and len(memo.states) == 2
     with pytest.raises(InvalidProgramError, match="output register never assigned"):
-        compact_blocks(memo, ["load"], blocks.get, 1)
+        compact_blocks(memo, range(4), ["load"], blocks.get, 1)
 
 
 SMALL = random_semigroups(6, seed=5)
@@ -595,19 +596,27 @@ def compactable(draw):
     regs = draw(st.permutations(range(10)))[: draw(st.integers(1, 6))]
     b = SlpBuilder()
     b.alphabet = list(values) + list(values[:1])  # a repeated value
-    written = []
-    for _ in range(draw(st.integers(1, 24))):
+    written = _draw_instructions(draw, b, group, regs, [], [], draw(st.integers(1, 24)))
+    return S, group, b, draw(st.sampled_from(written))
+
+
+def _draw_instructions(draw, b, group, regs, written, unwritten, count):
+    """Append ``count`` random instructions to ``b``, each writing one of
+    ``regs`` and reading those in ``written`` (a load first, if it is
+    empty) or in ``unwritten``; returns ``written`` with their registers."""
+    written = list(written)
+    for _ in range(count):
         op = draw(st.sampled_from("LMMMI" if group else "LMM")) if written else "L"
         dst = draw(st.sampled_from(regs))
         if op == "L":
             b.instructions.append(("L", dst, draw(st.integers(0, len(b.alphabet) - 1))))
         elif op == "M":
-            x = draw(st.sampled_from(written))
-            b.mul(dst, dst if dst in written and draw(st.booleans()) else x, draw(st.sampled_from(written)))
+            x = draw(st.sampled_from(written + unwritten))
+            b.mul(dst, dst if dst in written and draw(st.booleans()) else x, draw(st.sampled_from(written + unwritten)))
         else:
-            b.inv(dst, draw(st.sampled_from(written)))
+            b.inv(dst, draw(st.sampled_from(written + unwritten)))
         written.append(dst)
-    return S, group, b, draw(st.sampled_from(written))
+    return written
 
 
 @given(compactable())
@@ -625,6 +634,65 @@ def test_compact_properties(case):
     assert list(dict.fromkeys(loaded)) == list(range(len(small.alphabet)))
     assert len(set(small.alphabet)) == len(small.alphabet)
     assert compact(small) is small
+
+
+@st.composite
+def forked(draw):
+    """``compactable``'s builder cut at a random point into a builder and a
+    fork of it, then several tails, each on its own fork of that fork: some
+    a copy of an earlier tail, which reads the same registers before it, some
+    writing a new alphabet value, some reading register 10, which nothing
+    writes.  Each tail comes with an output register."""
+    S, group, b, _ = draw(compactable())
+    cut = draw(st.integers(0, len(b.instructions)))
+    head = SlpBuilder()
+    head.alphabet, head.instructions = list(b.alphabet), b.instructions[:cut]
+    prefix = head.fork()
+    prefix.instructions += b.instructions[cut:]
+    written = [ins[1] for ins in b.instructions]
+    regs = sorted(set(written) | set(draw(st.lists(st.integers(0, 9), max_size=3))))
+    n, tails = len(prefix.instructions), []  # each: alphabet values added, instructions, output
+    for _ in range(draw(st.integers(1, 5))):
+        if tails and draw(st.booleans()):
+            tails.append(draw(st.sampled_from(tails)))
+            continue
+        f = prefix.fork()
+        if draw(st.booleans()):
+            f.alphabet.append(draw(st.integers(0, S.n - 1)))
+        unwritten = [10] if draw(st.integers(0, 3)) == 0 else []
+        tail_written = _draw_instructions(draw, f, group, regs, written, unwritten, draw(st.integers(0, 6)))
+        tails.append((f.alphabet[len(prefix.alphabet):], f.instructions[n:], draw(st.sampled_from(tail_written))))
+    return prefix, tails, draw(st.sampled_from(written))
+
+
+def _same_compaction(b: SlpBuilder, out: int) -> None:
+    """``b.compact(out)`` is ``compact`` of the whole program, or raises an
+    error of the same kind."""
+    try:
+        want = compact(b.finish(out))
+    except InvalidProgramError as e:
+        with pytest.raises(InvalidProgramError) as got:
+            b.compact(out)
+        kind = re.compile(r"( in)? [\d(-].*")  # the message without its register or instruction
+        assert kind.sub("", str(got.value)) == kind.sub("", str(e))
+    else:
+        assert b.compact(out) == want
+
+
+@given(forked())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compact_of_a_fork_is_compact_of_its_program(case):
+    prefix, tails, out = case
+    _same_compaction(prefix, out)  # a fork at a random point
+    for i, (values, tail, out) in enumerate(tails):  # forks of that fork
+        f = prefix.fork()
+        f.alphabet += values
+        f.instructions += tail
+        memo = prefix._shared[2]
+        scans = len(memo.out)
+        _same_compaction(f, out)
+        if tails[i] in tails[:i]:  # the same registers read: a memo hit
+            assert len(memo.out) == scans
 
 
 def test_constructor_rejects_an_output_never_assigned():
